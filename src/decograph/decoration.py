@@ -331,32 +331,13 @@ class TrivialMod:
 def apply_trivial_mod(
     g: TrivalentGraph, dec: Decoration, mod: TrivialMod
 ) -> Decoration:
-    beta = dec.beta_map()
-    n = mod.amount
-    if mod.kind == "V":
-        if mod.target not in dict(g.vertices):
-            raise BadTarget(f"no vertex named {mod.target!r}")
-        triple = g.triple(mod.target)
-        for s in triple:
-            for t in triple:
-                if s != t:
-                    beta[(s, t)] += n
-    elif mod.kind == "I":
-        x1, y1 = mod.target
-        if g.partner(x1) != y1:
-            raise BadTarget(f"{mod.target!r} is not an internal edge")
-        for h in (x1, y1):
-            for t in g.others_at_vertex(h):
-                beta[(h, t)] += n
-    else:  # 'E'
-        x = mod.target
-        if x not in set(g.half_edges()):
-            raise BadTarget(f"no half-edge named {x!r}")
-        if g.partner(x) is not None:
-            raise BadTarget(f"half-edge {x!r} is not external")
-        for t in g.others_at_vertex(x):
-            beta[(x, t)] += n
-    return make_decoration(g, dec.alpha_map(), beta)
+    """The decoration after one V/I/E modification, a local edit of at most
+    six beta lifts."""
+    from .moves import _PlanState
+
+    state = _PlanState(g, dec)
+    state.apply(mod)
+    return state.freeze()[1]
 
 
 def trivial_mod_generators(

@@ -369,7 +369,6 @@ def boundary_isomorphism(
 
     order = g1.vertex_names()
     targets = g2.vertex_names()
-    vmap: dict[str, str] = {}
     hmap: dict[str, str] = dict(boundary_map)
     used_vertices: set[str] = set()
 
@@ -382,8 +381,9 @@ def boundary_isomorphism(
             return False
         if p in hmap:
             return hmap[p] == q
-        # partner not yet mapped; fine if its vertex is not yet assigned
-        return g1.vertex_of(p) not in vmap or True
+        # Partner not yet mapped: its vertex is unassigned or is this one (a
+        # loop); the final check in extend() covers it.
+        return True
 
     def extend(idx: int) -> bool:
         if idx == len(order):
@@ -417,12 +417,10 @@ def boundary_isomorphism(
                 added = [h for h, _ in perm if h not in hmap]
                 for h, h2 in perm:
                     hmap.setdefault(h, h2)
-                vmap[vtx] = tgt
                 used_vertices.add(tgt)
                 if len(set(hmap.values())) == len(hmap) and extend(idx + 1):
                     return True
                 used_vertices.discard(tgt)
-                del vmap[vtx]
                 for h in added:
                     del hmap[h]
         return False

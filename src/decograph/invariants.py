@@ -31,7 +31,7 @@ from .graph import (
     graph_stats,
     is_connected,
 )
-from .moves import MoveScript, apply_script, normalize_to_apple_tree
+from .moves import MoveScript, normalize_to_apple_tree
 
 
 class InvariantError(ValueError):
@@ -237,12 +237,6 @@ class LoopTuple:
     boundary_alpha: tuple[int, ...]
 
 
-def _pair_gcd(a: int, b: int) -> int:
-    """Canonical single-pair reduction: Euclid via (a,b) -> (b,-a) and
-    b -> b mod a, landing on (gcd, 0)."""
-    return gcd_all((a, b))
-
-
 def _tuple_class(t: LoopTuple) -> str:
     """decoration_class recomputed at tuple level (on the apple tree all
     other alpha values are even combinations of these)."""
@@ -271,7 +265,9 @@ def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
     g = len(t.pairs)
     if g == 0:
         return t
-    d = [_pair_gcd(a, b) for a, b in t.pairs]
+    # Euclid's moves (a, b) -> (b, -a) and b -> b mod a take each pair to
+    # (gcd, 0).
+    d = [gcd_all(pair) for pair in t.pairs]
     if g == 1:
         at = gcd_all([a - 2 for a in t.boundary_alpha] + d)
         return LoopTuple(((at, 0),), t.boundary_alpha)
@@ -367,7 +363,6 @@ def build_canonical_apple(
         if m == 3:
             new_vertex(tuple(leaves))
         else:
-            prev = None
             for k in range(m - 2):
                 if k == 0:
                     sa = f"{prefix}s0a"
@@ -385,7 +380,6 @@ def build_canonical_apple(
                     alpha[sb] = -alpha[f"{prefix}s{k-1}a"]
                     new_vertex((sb, leaves[k + 1], leaves[k + 2]))
                     edges.append((f"{prefix}s{k-1}a", sb))
-                prev = k
     graph = build_graph(vertices, edges)
     # gauge-zero beta with b~_i written on each loop
     beta: dict[tuple[str, str], int] = {}
@@ -442,10 +436,9 @@ def normal_form(g: TrivalentGraph, dec: Decoration) -> NormalForm:
     if problems:
         raise InvariantError("invalid decoration: " + "; ".join(problems))
     genus = _connected_genus(g)
-    state, loops = normalize_to_apple_tree(g, external_order=sorted(g.boundary))
+    state, loops = normalize_to_apple_tree(g, dec, external_order=sorted(g.boundary))
     script = MoveScript(tuple(state.steps))
-    g_norm, dec_norm = apply_script(g, dec, script)
-    assert g_norm == state.g
+    g_norm, dec_norm = state.freeze()
     t = extract_loop_tuple(g_norm, dec_norm, loops)
     cls = decoration_class(g_norm, dec_norm) if genus >= 2 else None
     t_red = tuple_reduce(t, cls)

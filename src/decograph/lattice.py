@@ -80,76 +80,6 @@ def solve_lattice(
     return x
 
 
-def solve_affine(
-    columns: Sequence[Sequence[int]], target: Sequence[int]
-) -> Optional[tuple[list[int], list[list[int]]]]:
-    """All integer solutions of sum_j x_j * columns[j] == target.
-
-    Returns (particular, kernel_basis) — the full solution set is the
-    particular solution plus integer combinations of the kernel vectors —
-    or None when no solution exists.
-    """
-    m = len(target)
-    n = len(columns)
-    for col in columns:
-        if len(col) != m:
-            raise ValueError("column/target dimension mismatch")
-    cols = [list(c) for c in columns]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    pivots: list[tuple[int, int]] = []
-    for r in range(m):
-        j0 = len(pivots)
-        while True:
-            nz = [j for j in range(j0, n) if cols[j][r] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                j = nz[0]
-                _swap_columns(cols, U, j0, j)
-                pivots.append((r, j0))
-                break
-            jmin = min(nz, key=lambda j: abs(cols[j][r]))
-            for j in nz:
-                if j == jmin:
-                    continue
-                q = cols[j][r] // cols[jmin][r]
-                if q:
-                    _add_multiple(cols, U, j, jmin, -q)
-
-    y = [0] * n
-    residual = list(target)
-    piv_by_row = dict(pivots)
-    for r in range(m):
-        j = piv_by_row.get(r)
-        if j is None:
-            if residual[r] != 0:
-                return None
-            continue
-        head = cols[j][r]
-        if residual[r] % head != 0:
-            return None
-        q = residual[r] // head
-        y[j] = q
-        if q:
-            for i in range(m):
-                residual[i] -= q * cols[j][i]
-    if any(residual):
-        return None
-
-    x = [0] * n
-    for j in range(n):
-        if y[j]:
-            for k in range(n):
-                x[k] += y[j] * U[k][j]
-    # Columns past the pivot block were reduced to zero, so the matching
-    # columns of U span the integer kernel.
-    kernel = [
-        [U[k][j] for k in range(n)] for j in range(len(pivots), n)
-    ]
-    return x, kernel
-
-
 def in_lattice(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """Membership test without caring about the witness."""
     return solve_lattice(columns, target) is not None

@@ -13,21 +13,27 @@ whose class in the common quotient group G^alpha (by (1,1,1,1),
 (0,0,a_u,a_u) and (0,a_u',0,a_u')) defines equivalence across the move.
 The canonical transport gauge sets beta'_{u'x} = beta'_{v'w} = 0 so that
 B'(beta') = B(beta) holds identically on minimal lifts.
+
+Moves are local edits on one mutable working state (``_PlanState``): an IH
+move rewrites the two vertex triples, the moved edge and the twelve beta
+entries at its two vertices, a trivial modification at most six beta
+entries.  The state is frozen back into an immutable graph and decoration
+once, where a value is needed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from itertools import permutations
+from typing import Container, Optional, Sequence, Union
 
 from .decoration import (
+    BadTarget,
     Decoration,
     ExternalEdge,
     Residue,
     TrivialMod,
-    apply_trivial_mod,
-    make_decoration,
     reduce_lift,
 )
 from .graph import (
@@ -226,11 +232,165 @@ def local_equivalent(B1: LocalB, B2: LocalB) -> bool:
     return in_lattice(columns, target)
 
 
-def _fresh_name(base: str, taken: set) -> str:
+def _fresh_name(base: str, taken: Container[str]) -> str:
     cand = base + "'"
     while cand in taken:
         cand += "'"
     return cand
+
+
+class _PlanState:
+    """The mutable working state that moves edit in place.
+
+    The graph is held as vertex/triple/partner lookups and, when decorated,
+    the decoration as alpha and beta dicts with every lift kept reduced.
+    ``freeze`` builds the immutable graph and decoration, and keeps them
+    until the next move changes the state.  Applied steps are recorded in
+    ``steps``, with one trace per IH move in ``traces``; the planner also
+    keeps its frozen vertices and cut edges here.
+    """
+
+    # Read access as on TrivalentGraph and Decoration, so that _labels,
+    # choice_for, tree_path and _local_B_labelled accept a state.
+    vertex_of = TrivalentGraph.vertex_of
+    triple = TrivalentGraph.triple
+    partner = TrivalentGraph.partner
+    others_at_vertex = TrivalentGraph.others_at_vertex
+    a = Decoration.a
+    b = Decoration.b
+
+    def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None):
+        self.g, self.dec = g, dec
+        self.boundary = g.boundary
+        self._vertex_of = dict(g._vertex_of)
+        self._triple_of = dict(g._triple_of)
+        self._partner = dict(g._partner)
+        self._alpha = None if dec is None else dict(dec._alpha)
+        self._beta = None if dec is None else dict(dec._beta)
+        self.steps: list[Union[TrivialMod, IhMove]] = []
+        self.traces: list[IhTrace] = []
+        self.frozen: set[str] = set()  # vertex names
+        self.cut: set[tuple[str, str]] = set()  # sorted half pairs
+
+    def freeze(self) -> tuple[TrivalentGraph, Optional[Decoration]]:
+        """The current graph and decoration as immutable values."""
+        if self.g is None:
+            edges = [(h, p) for h, p in self._partner.items() if h < p]
+            self.g = build_graph(self._triple_of, edges, boundary=self.boundary)
+        if self.dec is None and self._beta is not None:
+            # Complete and reduced already, as make_decoration would leave it.
+            self.dec = Decoration(
+                alpha=tuple(sorted(self._alpha.items())),
+                beta=tuple(sorted(self._beta.items())),
+            )
+        return self.g, self.dec
+
+    def apply(self, step: Union[TrivialMod, IhMove]) -> Optional[IhTrace]:
+        """Apply one step in place; returns the trace of an IH move."""
+        trace = None
+        if isinstance(step, IhMove):
+            trace = self._ih_move(step)
+            self.traces.append(trace)
+        elif isinstance(step, TrivialMod):
+            self._trivial_mod(step)
+        else:
+            raise ScriptError(f"unknown step type {type(step).__name__}")
+        self.steps.append(step)
+        return trace
+
+    def _ih_move(self, move: IhMove) -> IhTrace:
+        """One IH move as a local edit, named and transported as described
+        at ih_apply."""
+        u, v, x, y, z, w = _labels(self, move.edge)
+        if move.pairing_choice == "c":
+            x, y = y, x
+        decorated = self._beta is not None
+        if decorated:
+            B = _local_B_labelled(self, u, v, x, y, z, w)
+        else:
+            B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
+
+        vertex_of, partner = self._vertex_of, self._partner
+        vu, vv = vertex_of[u], vertex_of[v]
+        # New names avoid every current half-edge, u and v included.
+        u_new = _fresh_name(u, vertex_of)
+        vertex_of[u_new] = vu
+        v_new = _fresh_name(v, vertex_of)
+        vertex_of[v_new] = vv
+        del vertex_of[u], vertex_of[v], partner[u], partner[v]
+        partner[u_new], partner[v_new] = v_new, u_new
+        vertex_of[z], vertex_of[y] = vu, vv
+        self._triple_of[vu] = tuple(sorted((x, z, u_new)))
+        self._triple_of[vv] = tuple(sorted((y, w, v_new)))
+        self.g = self.dec = None
+
+        if decorated:
+            alpha, beta = self._alpha, self._beta
+            for s, t in permutations((x, y, u), 2):
+                del beta[(s, t)]
+            for s, t in permutations((z, w, v), 2):
+                del beta[(s, t)]
+            del alpha[u], alpha[v]
+            alpha[u_new], alpha[v_new] = B.alpha_uprime, -B.alpha_uprime
+            # Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four
+            # B(beta) components, so B'(beta') = B(beta); each companion
+            # lift follows from the vertex congruence.
+            bx, by, bz, bw = B.lifts
+            for s, t, other, lift in (
+                (u_new, x, z, 0), (x, u_new, z, bx), (z, u_new, x, bz),
+                (v_new, w, y, 0), (y, v_new, w, by), (w, v_new, y, bw),
+            ):
+                beta[(s, t)] = lift
+                beta[(s, other)] = reduce_lift(lift + alpha[other] - 1, alpha[s])
+        return IhTrace(u, v, x, y, z, w, u_new, v_new, B)
+
+    def _trivial_mod(self, mod: TrivialMod) -> None:
+        if self._beta is None:
+            raise ScriptError("trivial modification needs a decoration")
+        if mod.kind == "V":
+            if mod.target not in self._triple_of:
+                raise BadTarget(f"no vertex named {mod.target!r}")
+            entries = permutations(self._triple_of[mod.target], 2)
+        elif mod.kind == "I":
+            x1, y1 = mod.target
+            if self.partner(x1) != y1:
+                raise BadTarget(f"{mod.target!r} is not an internal edge")
+            entries = [(h, t) for h in (x1, y1) for t in self.others_at_vertex(h)]
+        else:  # 'E'
+            x = mod.target
+            if x not in self._vertex_of:
+                raise BadTarget(f"no half-edge named {x!r}")
+            if self.partner(x) is not None:
+                raise BadTarget(f"half-edge {x!r} is not external")
+            entries = [(x, t) for t in self.others_at_vertex(x)]
+        beta = self._beta
+        for s, t in entries:
+            beta[(s, t)] = reduce_lift(beta[(s, t)] + mod.amount, self._alpha[s])
+        self.dec = None
+
+    def meet(self, a: str, b: str) -> str:
+        """IH moves until a and b share a vertex; returns the vertex name.
+
+        The non-cut edges stay a spanning tree, and each move along the tree
+        path from a to b leaves a at the start of the rest of that path, so
+        the path is found once.
+        """
+        va, vb = self._vertex_of[a], self._vertex_of[b]
+        if va == vb:
+            return va
+        assert va not in self.frozen and vb not in self.frozen
+        tree = {
+            (h, p) for h, p in self._partner.items()
+            if h < p and (h, p) not in self.cut
+        }
+        path = tree_path(self, tree, va, vb)
+        for i, (p, q) in enumerate(path):
+            cont = path[i + 1][0] if i + 1 < len(path) else b
+            assert p != a and self._vertex_of[q] not in self.frozen
+            self.apply(choice_for(self, (p, q), {a, cont}))
+        va = self._vertex_of[a]
+        assert va == self._vertex_of[b], "planner failed to converge"
+        return va
 
 
 def ih_apply(
@@ -246,52 +406,10 @@ def ih_apply(
     Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four B(beta)
     components at (x,u'), (y,v'), (z,u'), (w,v'), so B'(beta') = B(beta).
     """
-    u, v, x, y, z, w = _labels(g, move.edge)
-    if move.pairing_choice == "c":
-        x, y = y, x
-    taken = set(g.half_edges())
-    u_new = _fresh_name(u, taken)
-    taken.add(u_new)
-    v_new = _fresh_name(v, taken)
-
-    vu, vv = g.vertex_of(u), g.vertex_of(v)
-    new_vertices = {}
-    for name, triple in g.vertices:
-        if name == vu:
-            new_vertices[name] = (x, z, u_new)
-        elif name == vv:
-            new_vertices[name] = (y, w, v_new)
-        else:
-            new_vertices[name] = triple
-    new_edges = [(a, b) for a, b in g.edges if a != u] + [(u_new, v_new)]
-    g2 = build_graph(new_vertices, new_edges, boundary=g.boundary)
-
-    if dec is None:
-        B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
-        return g2, None, IhTrace(u, v, x, y, z, w, u_new, v_new, B)
-
-    B = _local_B_labelled(dec, u, v, x, y, z, w)
-    a_unew = B.alpha_uprime
-    alpha = dec.alpha_map()
-    del alpha[u], alpha[v]
-    alpha[u_new] = a_unew
-    alpha[v_new] = -a_unew
-    beta = {
-        p: val
-        for p, val in dec.beta_map().items()
-        if u not in p and v not in p and not (
-            {p[0], p[1]} <= {x, y, u} or {p[0], p[1]} <= {z, w, v}
-        )
-    }
-    bx, by, bz, bw = B.lifts
-    beta[(u_new, x)] = 0
-    beta[(v_new, w)] = 0
-    beta[(x, u_new)] = bx
-    beta[(y, v_new)] = by
-    beta[(z, u_new)] = bz
-    beta[(w, v_new)] = bw
-    dec2 = make_decoration(g2, alpha, beta)
-    return g2, dec2, IhTrace(u, v, x, y, z, w, u_new, v_new, B)
+    state = _PlanState(g, dec)
+    trace = state.apply(move)
+    g2, dec2 = state.freeze()
+    return g2, dec2, trace
 
 
 def choice_for(
@@ -331,93 +449,49 @@ def apply_script(
     check = bool(script.hashes)
     if check and len(script.hashes) != len(script.steps):
         raise ScriptError("hash count does not match step count")
+    state = _PlanState(g, dec)
     for idx, step in enumerate(script.steps):
         try:
-            if isinstance(step, TrivialMod):
-                if dec is None:
-                    raise ScriptError("trivial modification needs a decoration")
-                dec = apply_trivial_mod(g, dec, step)
-            elif isinstance(step, IhMove):
-                g, dec, _ = ih_apply(g, dec, step)
-            else:
-                raise ScriptError(f"unknown step type {type(step).__name__}")
+            state.apply(step)
         except (MoveError, GraphError, ValueError) as exc:
             raise ScriptError(f"step {idx} failed: {exc}") from exc
-        if check and script.hashes[idx] != snapshot_hash(g, dec):
+        if check and script.hashes[idx] != snapshot_hash(*state.freeze()):
             raise ScriptError(f"step {idx}: snapshot hash mismatch")
-    return g, dec
+    return state.freeze()
 
 
 def with_hashes(
     g: TrivalentGraph, dec: Optional[Decoration], script: MoveScript
 ) -> MoveScript:
     """Attach snapshot hashes by replaying on (g, dec)."""
+    state = _PlanState(g, dec)
     hashes = []
     for step in script.steps:
-        if isinstance(step, TrivialMod):
-            dec = apply_trivial_mod(g, dec, step)
-        else:
-            g, dec, _ = ih_apply(g, dec, step)
-        hashes.append(snapshot_hash(g, dec))
+        state.apply(step)
+        hashes.append(snapshot_hash(*state.freeze()))
     return MoveScript(steps=script.steps, hashes=tuple(hashes))
 
 
 # -- planner -------------------------------------------------------------
 
 
-class _PlanState:
-    """Mutable planning state: current graph, recorded moves, frozen region."""
-
-    def __init__(self, g: TrivalentGraph):
-        self.g = g
-        self.steps: list[IhMove] = []
-        self.traces: list[IhTrace] = []
-        self.frozen: set[str] = set()  # vertex names
-        self.cut: set[tuple[str, str]] = set()  # sorted half pairs
-
-    def _path(self, va: str, vb: str) -> list[tuple[str, str]]:
-        """Oriented path of non-cut internal edges between vertices."""
-        tree = {e for e in self.g.edges if e not in self.cut}
-        return tree_path(self.g, tree, va, vb)
-
-    def apply(self, move: IhMove) -> IhTrace:
-        g2, _, trace = ih_apply(self.g, None, move)
-        self.g = g2
-        self.steps.append(move)
-        self.traces.append(trace)
-        return trace
-
-    def meet(self, a: str, b: str) -> str:
-        """IH moves until a and b share a vertex; returns the vertex name."""
-        guard = 0
-        while True:
-            va, vb = self.g.vertex_of(a), self.g.vertex_of(b)
-            if va == vb:
-                return va
-            assert va not in self.frozen and vb not in self.frozen
-            path = self._path(va, vb)
-            guard += 1
-            assert guard <= 10_000, "planner failed to converge"
-            p, q = path[0]
-            cont = path[1][0] if len(path) > 1 else b
-            assert p != a and self.g.vertex_of(q) not in self.frozen
-            self.apply(choice_for(self.g, (p, q), {a, cont}))
-
-
 def normalize_to_apple_tree(
-    g: TrivalentGraph, external_order: Optional[Sequence[str]] = None
+    g: TrivalentGraph,
+    dec: Optional[Decoration] = None,
+    external_order: Optional[Sequence[str]] = None,
 ) -> tuple[_PlanState, list[tuple[str, str, Optional[str]]]]:
     """Normalize a connected graph to the canonical apple-tree shape.
 
     Cuts one non-tree edge per basis cycle, gathers each cut pair into a
     terminal loop vertex, then assembles a straight spine over the external
     edges (in ``external_order``, default sorted) followed by the loop
-    stems.  Returns the final plan state and the loop records (m, o, stem
-    half at the loop vertex; stem is None for the bare wheel).
+    stems.  The decoration, if given, is transported along.  Returns the
+    final plan state and the loop records (m, o, stem half at the loop
+    vertex; stem is None for the bare wheel).
     """
     if not is_connected(g):
         raise NotConnected("planner requires a connected graph")
-    state = _PlanState(g)
+    state = _PlanState(g, dec)
     _, non_tree = spanning_tree(g)
     state.cut = set(non_tree)
     order = list(external_order) if external_order is not None else sorted(g.boundary)
@@ -428,34 +502,32 @@ def normalize_to_apple_tree(
     stems: list[str] = []
     for m, o in non_tree:
         wv = state.meet(m, o)
-        (t,) = [h for h in state.g.triple(wv) if h not in (m, o)]
+        (t,) = [h for h in state.triple(wv) if h not in (m, o)]
         state.frozen.add(wv)
-        if state.g.partner(t) is None:
+        if state.partner(t) is None:
             loops.append((m, o, None))  # bare wheel: stem slot is external
         else:
             loops.append((m, o, t))
-            stems.append(state.g.partner(t))
+            stems.append(state.partner(t))
 
     leaves = order + stems
-    n_unfrozen = len(state.g.vertices) - len(state.frozen)
+    n_unfrozen = len(state._triple_of) - len(state.frozen)
     if n_unfrozen == 0 or len(leaves) < 2:
         return state, loops
     if len(leaves) == 2:
-        assert n_unfrozen == 0 or state.g.vertex_of(leaves[0]) == state.g.vertex_of(
-            leaves[1]
-        )
+        assert state.vertex_of(leaves[0]) == state.vertex_of(leaves[1])
         return state, loops
     vtx = state.meet(leaves[0], leaves[1])
     state.frozen.add(vtx)
-    (cur,) = [h for h in state.g.triple(vtx) if h not in leaves[:2]]
+    (cur,) = [h for h in state.triple(vtx) if h not in leaves[:2]]
     pending = leaves[2:]
     while len(pending) > 1:
-        d = state.g.partner(cur)
-        assert d is not None and state.g.vertex_of(d) not in state.frozen
+        d = state.partner(cur)
+        assert d is not None and state.vertex_of(d) not in state.frozen
         leaf = pending.pop(0)
         vtx = state.meet(d, leaf)
         state.frozen.add(vtx)
-        (cur,) = [h for h in state.g.triple(vtx) if h not in (d, leaf)]
+        (cur,) = [h for h in state.triple(vtx) if h not in (d, leaf)]
     assert cur == pending[0], "spine assembly left a dangling leaf"
     return state, loops
 
@@ -487,21 +559,17 @@ def ih_plan(
     state2, _ = normalize_to_apple_tree(g2, external_order=order2)
 
     inv_map = {boundary_map[h]: h for h in boundary_map}
-    psi = boundary_isomorphism(state2.g, state1.g, inv_map)
+    psi = boundary_isomorphism(state2.freeze()[0], state1.freeze()[0], inv_map)
     assert psi is not None, "canonical forms failed to match (planner bug)"
 
-    G = state1.g
-    steps = list(state1.steps)
     for trace in reversed(state2.traces):
         edge = (psi[trace.u_new], psi[trace.v_new])
-        move = choice_for(G, edge, {psi[trace.x], psi[trace.y]})
-        G, _, tr2 = ih_apply(G, None, move)
-        steps.append(move)
+        tr2 = state1.apply(choice_for(state1, edge, {psi[trace.x], psi[trace.y]}))
         del psi[trace.u_new], psi[trace.v_new]
         # The new half sharing a vertex with psi(x), psi(y) replays trace.u.
-        vx = G.vertex_of(psi[trace.x])
-        if tr2.u_new in G.triple(vx):
+        vx = state1.vertex_of(psi[trace.x])
+        if tr2.u_new in state1.triple(vx):
             psi[trace.u], psi[trace.v] = tr2.u_new, tr2.v_new
         else:
             psi[trace.u], psi[trace.v] = tr2.v_new, tr2.u_new
-    return MoveScript(steps=tuple(steps))
+    return MoveScript(steps=tuple(state1.steps))

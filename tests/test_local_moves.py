@@ -1,0 +1,304 @@
+"""Local moves against whole-graph rebuilds, and pinned outputs.
+
+IH moves and trivial modifications edit a working state in place and freeze
+it once.  The reference functions below rebuild the whole graph and
+decoration per move (``build_graph`` + ``make_decoration``); the local edits
+must give equal values.  The pinned SHA-256 digests hold normal forms,
+normal-form scripts and planner scripts as the whole-graph rebuild produced
+them, so the byte-level outputs cannot drift.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from decograph import (
+    IhMove,
+    MoveScript,
+    TrivialMod,
+    apply_script,
+    apply_trivial_mod,
+    build_graph,
+    ih_apply,
+    ih_plan,
+    make_decoration,
+    normal_form,
+    serialize_decorated_graph,
+    serialize_script,
+)
+from decograph.decoration import BadTarget
+from decograph.moves import (
+    IhTrace,
+    LocalB,
+    _fresh_name,
+    _labels,
+    _local_B_labelled,
+    normalize_to_apple_tree,
+    with_hashes,
+)
+from conftest import random_connected_graph, random_decoration
+
+
+# -- references: one whole-graph rebuild per move --------------------------
+
+
+def reference_ih_apply(g, dec, move):
+    u, v, x, y, z, w = _labels(g, move.edge)
+    if move.pairing_choice == "c":
+        x, y = y, x
+    taken = set(g.half_edges())
+    u_new = _fresh_name(u, taken)
+    taken.add(u_new)
+    v_new = _fresh_name(v, taken)
+
+    vu, vv = g.vertex_of(u), g.vertex_of(v)
+    new_vertices = {}
+    for name, triple in g.vertices:
+        if name == vu:
+            new_vertices[name] = (x, z, u_new)
+        elif name == vv:
+            new_vertices[name] = (y, w, v_new)
+        else:
+            new_vertices[name] = triple
+    new_edges = [(a, b) for a, b in g.edges if a != u] + [(u_new, v_new)]
+    g2 = build_graph(new_vertices, new_edges, boundary=g.boundary)
+
+    if dec is None:
+        B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
+        return g2, None, IhTrace(u, v, x, y, z, w, u_new, v_new, B)
+
+    B = _local_B_labelled(dec, u, v, x, y, z, w)
+    a_unew = B.alpha_uprime
+    alpha = dec.alpha_map()
+    del alpha[u], alpha[v]
+    alpha[u_new] = a_unew
+    alpha[v_new] = -a_unew
+    beta = {
+        p: val
+        for p, val in dec.beta_map().items()
+        if u not in p and v not in p and not (
+            {p[0], p[1]} <= {x, y, u} or {p[0], p[1]} <= {z, w, v}
+        )
+    }
+    bx, by, bz, bw = B.lifts
+    beta[(u_new, x)] = 0
+    beta[(v_new, w)] = 0
+    beta[(x, u_new)] = bx
+    beta[(y, v_new)] = by
+    beta[(z, u_new)] = bz
+    beta[(w, v_new)] = bw
+    dec2 = make_decoration(g2, alpha, beta)
+    return g2, dec2, IhTrace(u, v, x, y, z, w, u_new, v_new, B)
+
+
+def reference_apply_trivial_mod(g, dec, mod):
+    beta = dec.beta_map()
+    n = mod.amount
+    if mod.kind == "V":
+        if mod.target not in dict(g.vertices):
+            raise BadTarget(f"no vertex named {mod.target!r}")
+        triple = g.triple(mod.target)
+        for s in triple:
+            for t in triple:
+                if s != t:
+                    beta[(s, t)] += n
+    elif mod.kind == "I":
+        x1, y1 = mod.target
+        if g.partner(x1) != y1:
+            raise BadTarget(f"{mod.target!r} is not an internal edge")
+        for h in (x1, y1):
+            for t in g.others_at_vertex(h):
+                beta[(h, t)] += n
+    else:
+        x = mod.target
+        if x not in set(g.half_edges()):
+            raise BadTarget(f"no half-edge named {x!r}")
+        if g.partner(x) is not None:
+            raise BadTarget(f"half-edge {x!r} is not external")
+        for t in g.others_at_vertex(x):
+            beta[(x, t)] += n
+    return make_decoration(g, dec.alpha_map(), beta)
+
+
+def reference_replay(g, dec, steps):
+    for step in steps:
+        if isinstance(step, TrivialMod):
+            dec = reference_apply_trivial_mod(g, dec, step)
+        else:
+            g, dec, _ = reference_ih_apply(g, dec, step)
+    return g, dec
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+def tree_with_chords(rng, v, genus):
+    """Random connected graph: a random spanning tree plus ``genus`` chords
+    between free half-edges (works at any size, unlike rejection sampling)."""
+    triples = {f"v{k}": tuple(f"h{3 * k + j}" for j in range(3)) for k in range(v)}
+    free = list(triples["v0"])
+    edges = []
+    for k in range(1, v):
+        a = free.pop(rng.randrange(len(free)))
+        b, *rest = rng.sample(triples[f"v{k}"], 3)
+        edges.append((a, b))
+        free.extend(rest)
+    for _ in range(genus):
+        a, b = rng.sample(free, 2)
+        free.remove(a)
+        free.remove(b)
+        edges.append((a, b))
+    return build_graph(triples, edges)
+
+
+def decorated_inputs(v, count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        genus = rng.randint(0, min(v // 2, 10))
+        g = tree_with_chords(rng, v, genus)
+        out.append((rng, g, random_decoration(g, rng, 5)))
+    return out
+
+
+def random_mods(rng, g, count):
+    mods = []
+    for _ in range(count):
+        kind = rng.choice("VIE")
+        if kind == "V":
+            target = rng.choice(g.vertex_names())
+        elif kind == "I":
+            target = rng.choice(g.edges)
+            if rng.random() < 0.5:
+                target = target[::-1]
+        else:
+            target = rng.choice(g.boundary)
+        mods.append(TrivialMod(kind, target, rng.randint(-7, 7)))
+    return mods
+
+
+def movable_edges(g):
+    return [e for e in g.edges if g.vertex_of(e[0]) != g.vertex_of(e[1])]
+
+
+SIZES = (4, 40, 200)
+
+
+# -- differential tests -------------------------------------------------------
+
+
+class TestLocalIhMove:
+    @pytest.mark.parametrize("v", SIZES)
+    def test_matches_rebuild(self, v):
+        for rng, g, dec in decorated_inputs(v, 4, seed=31 + v):
+            edges = movable_edges(g)
+            for edge in rng.sample(edges, min(8, len(edges))):
+                for choice in "bc":
+                    move = IhMove(edge, choice)
+                    assert ih_apply(g, dec, move) == reference_ih_apply(g, dec, move)
+                    assert ih_apply(g, None, move) == reference_ih_apply(g, None, move)
+
+    @pytest.mark.parametrize("v", SIZES)
+    def test_chains_match_rebuild(self, v):
+        for rng, g, dec in decorated_inputs(v, 2, seed=47 + v):
+            steps = []
+            gr, dr = g, dec
+            for _ in range(25):
+                edges = movable_edges(gr)
+                if edges and rng.random() < 0.6:
+                    step = IhMove(rng.choice(edges), rng.choice("bc"))
+                else:
+                    (step,) = random_mods(rng, gr, 1)
+                steps.append(step)
+                gr, dr = reference_replay(gr, dr, [step])
+            assert apply_script(g, dec, MoveScript(tuple(steps))) == (gr, dr)
+
+
+class TestLocalTrivialMod:
+    @pytest.mark.parametrize("v", SIZES)
+    def test_matches_rebuild(self, v):
+        for rng, g, dec in decorated_inputs(v, 4, seed=53 + v):
+            for mod in random_mods(rng, g, 15) + [TrivialMod("V", g.vertex_names()[0], 0)]:
+                assert apply_trivial_mod(g, dec, mod) == reference_apply_trivial_mod(g, dec, mod)
+
+    def test_bad_targets_match_rebuild(self):
+        (rng, g, dec), = decorated_inputs(40, 1, seed=59)
+        internal = g.edges[0][0]
+        bad = [
+            TrivialMod("V", "nope", 1),
+            TrivialMod("I", (g.edges[0][0], g.boundary[0]), 1),
+            TrivialMod("I", ("nope", "nada"), 1),
+            TrivialMod("E", internal, 1),
+            TrivialMod("E", "nope", 1),
+        ]
+        for mod in bad:
+            with pytest.raises(BadTarget) as want:
+                reference_apply_trivial_mod(g, dec, mod)
+            with pytest.raises(BadTarget) as got:
+                apply_trivial_mod(g, dec, mod)
+            assert str(got.value) == str(want.value)
+
+
+class TestSinglePassNormalForm:
+    @pytest.mark.parametrize("v", (4, 40))
+    def test_replay_reaches_frozen_state(self, v):
+        for _, g, dec in decorated_inputs(v, 3, seed=61 + v):
+            state, _ = normalize_to_apple_tree(g, dec, external_order=sorted(g.boundary))
+            script = normal_form(g, dec).script
+            assert script == MoveScript(tuple(state.steps))
+            assert apply_script(g, dec, script) == state.freeze()
+            assert reference_replay(g, dec, script.steps) == state.freeze()
+
+
+# -- pinned outputs -----------------------------------------------------------
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (v, genus) -> (normal form digest, normal-form script digest)
+PINNED_NORMAL_FORMS = {
+    (24, 0): ("9dfcf5493d79417c89cd0ea5e57e0d7e6020bc0fb0d2742ce13a3dc8ae256fcf",
+              "5c72fbb37c8efb5f664bad2b69d98af465d8acb3bf37b0074e14e73aa0ed797d"),
+    (30, 1): ("72429dc817f55fe6a3855d70e2358e0cebb5e11e5e7b063ded2d1716cb9b7619",
+              "0399b99bb4e8f3f1298e7fed71022cad6c4302a8407c83870de96ee61ceca898"),
+    (36, 2): ("e985fee59ff702537d477b98c538d01d6ecf4ccc17cb80300f91a8037098bdfb",
+              "44e49c04353fe196e584fd77f1b195e84e31b12902164b002c85e17f016bf5e5"),
+    (44, 3): ("5d8a5c8533e2ba204e344b3ae96e3dc07bd8ad8777e111f9afbb38c49a4112ea",
+              "b94f19159f0ae4e67c5080130cef1a6ba03d34405f64b63ec768accf0d6034cd"),
+    (52, 5): ("f5cd3ad1d92d075b22690f09a4c4d5d7e90c71f6b48e5f39e07435833a11c76d",
+              "ce697a55ac1d8ce62c1e9ca77da510f8599b186c1c40d72d7c9a088676cb4705"),
+    (60, 6): ("40272afa53aff25aec96e5f5dac2f7b0c4cff856a4f3ed04c8105e62615625d1",
+              "cabf84a23b34b00414b2d6cb06d2ab2846d703a07538bbe10da504c9d035fdea"),
+}
+
+# v of a genus-2 pair -> digest of its hashed ih_plan script
+PINNED_PLANS = {
+    8: "bd9cf0a8b484936619bee53287dfa1c43b44018b1b81dd58e2e74308ce057fbd",
+    10: "8bc3fbabe1f64d8a07282a97a8a8ea7c270c56b773bab07648f0bd001f1423b5",
+    12: "57c58838282a5fda12724521de89965716995ebb69610788cb04ca602ce81c95",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("k, key", list(enumerate(PINNED_NORMAL_FORMS)))
+    def test_normal_form(self, k, key):
+        rng = random.Random(2100 + k)
+        g = random_connected_graph(rng, *key)
+        dec = random_decoration(g, rng, 5)
+        nf = normal_form(g, dec)
+        got = (_sha(serialize_decorated_graph(nf.graph, nf.decoration)),
+               _sha(serialize_script(nf.script)))
+        assert got == PINNED_NORMAL_FORMS[key]
+
+    @pytest.mark.parametrize("k, v", list(enumerate(PINNED_PLANS)))
+    def test_plan(self, k, v):
+        rng = random.Random(2200 + k)
+        g1 = random_connected_graph(rng, v, 2)
+        g2 = random_connected_graph(rng, v, 2)
+        dec1 = random_decoration(g1, rng, 5)
+        bmap = dict(zip(sorted(g1.boundary), sorted(g2.boundary)))
+        script = with_hashes(g1, dec1, ih_plan(g1, g2, bmap))
+        assert _sha(serialize_script(script)) == PINNED_PLANS[v]

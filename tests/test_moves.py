@@ -100,11 +100,12 @@ class TestLocalEquivalent:
 
     def test_mod4_subtlety_detected(self):
         # all external alpha 0 mod 4, alpha_u = 2: the (0,0,1,1) shift is
-        # NOT an equivalence even though epsilon cannot see it
+        # NOT an equivalence, and the refined epsilon tells the two apart:
+        # (1,0,0,0,0,3) against (1,1,1,1,1,3)
         B = LocalB((0, 0, 0, 0), (4, 4, 4, 4), 2, -6)
         B2 = LocalB((0, 0, 1, 1), (4, 4, 4, 4), 2, -6)
         assert not local_equivalent(B, B2)
-        assert tuple(refined_epsilon(B)) != tuple(refined_epsilon(B2)) or True
+        assert tuple(refined_epsilon(B)) != tuple(refined_epsilon(B2))
 
     def test_moduli_mismatch(self):
         B = LocalB((0, 0, 0, 0), (4, 4, 4, 4), 2, -6)

@@ -38,6 +38,7 @@ from .graph import (
     GraphError,
     GraphStats,
     HalfEdgeInTwoVertices,
+    InternalError,
     InvalidCycle,
     NotConnected,
     OrientedCycle,

@@ -13,8 +13,8 @@ import sys
 import tempfile
 from typing import Optional
 
-from .decoration import DecorationError, validate_decoration
-from .graph import GraphError, graph_stats
+from .decoration import DecorationError
+from .graph import GraphError, InternalError, graph_stats
 from .invariants import InvariantError, classify, equivalent, normal_form
 from .moves import (
     IhMove,
@@ -159,7 +159,8 @@ def _cmd_orbit(args) -> int:
         orbit = exc.partial
         print(f"frontier exceeded after {len(orbit)} states")
     records = {classify(g, d).key() for d in orbit}
-    assert len(records) == 1, "classification not constant on orbit"
+    if len(records) != 1:
+        raise InternalError("classification not constant on orbit")
     print("classification constant on orbit: yes")
     return 0
 
@@ -244,7 +245,7 @@ def run_command(argv) -> int:
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except InternalError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
 

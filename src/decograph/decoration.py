@@ -7,6 +7,9 @@ the vertex congruence
 
     beta_{xz} == beta_{xy} + alpha_z - 1   (mod alpha_x).
 
+So each source half-edge has one free lift; a Decoration stores that one
+and derives the other.
+
 All residues live in Z modulo a nonnegative modulus, with modulus 0 meaning
 the integers, and gcd(0, n) = |n| throughout.
 """
@@ -15,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .graph import (
-    GraphError,
     OrientedCycle,
     TrivalentGraph,
     cycle_basis,
@@ -106,16 +108,18 @@ class Residue:
 
 @dataclass(frozen=True)
 class Decoration:
-    """Immutable alpha/beta data on a graph.
+    """Immutable alpha/beta data on a graph; build it with make_decoration.
 
-    ``beta`` holds all six lifts per vertex, each stored as the minimal
-    nonnegative lift modulo |alpha of the source| (raw integer when the
-    source alpha is 0), so equality of Decoration values is exactly equality
-    modulo the relevant alpha.
+    ``beta`` holds one lift per source half-edge, as (source, (least
+    co-half, other co-half, lift)) with the lift taken toward the least
+    co-half and stored as the minimal nonnegative lift modulo |alpha of the
+    source| (raw integer when the source alpha is 0), so equality of
+    Decoration values is exactly equality of decorations.  The lift toward
+    the other co-half follows from the vertex congruence (see ``b``).
     """
 
     alpha: tuple[tuple[str, int], ...]
-    beta: tuple[tuple[tuple[str, str], int], ...]
+    beta: tuple[tuple[str, tuple[str, str, int]], ...]
     _alpha: dict = field(default_factory=dict, compare=False, repr=False)
     _beta: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -127,21 +131,62 @@ class Decoration:
         return self._alpha[h]
 
     def b(self, src: str, tgt: str) -> int:
-        return self._beta[(src, tgt)]
+        least, other, lift = self._beta[src]
+        if tgt == least:
+            return lift
+        if tgt != other:
+            raise KeyError((src, tgt))
+        return _companion(lift, self._alpha[tgt], self._alpha[src])
 
     def beta_map(self) -> dict[tuple[str, str], int]:
-        return dict(self.beta)
+        """All six lifts per vertex, derived from the stored ones."""
+        return {
+            (s, t): self.b(s, t) for s, (t0, t1, _) in self.beta for t in (t0, t1)
+        }
 
     def alpha_map(self) -> dict[str, int]:
         return dict(self.alpha)
 
 
-def _ordered_pairs(g: TrivalentGraph):
-    for _, triple in g.vertices:
-        for s in triple:
-            for t in triple:
-                if s != t:
-                    yield (s, t)
+def _companion(lift: int, a_to: int, a_src: int) -> int:
+    """The vertex congruence: from a source's lift toward one co-half, its
+    minimal lift toward the other co-half, whose alpha is ``a_to``.  The
+    rule reads the same in both directions because the vertex sum is 2."""
+    return reduce_lift(lift + a_to - 1, a_src)
+
+
+def stored_lift(
+    alpha: Mapping[str, int], src: str, tgt: str, other: str, lift: int
+) -> tuple[str, str, int]:
+    """The stored entry (least co-half, other co-half, lift) of ``src``
+    given its lift toward ``tgt``, with ``other`` its remaining co-half."""
+    if tgt < other:
+        return tgt, other, reduce_lift(lift, alpha[src])
+    return other, tgt, _companion(lift, alpha[other], alpha[src])
+
+
+def _alpha_problems(g: TrivalentGraph, alpha: Mapping[str, int]) -> list[str]:
+    """Violations of the alpha rules on g, each naming its half-edges or
+    vertex: the domain, the vertex sums and edge antisymmetry."""
+    halves = set(g.half_edges())
+    missing = sorted(halves - set(alpha))
+    if missing:
+        return [f"alpha missing for half-edges {missing}"]
+    extra = sorted(set(alpha) - halves)
+    if extra:
+        return [f"alpha given for unknown half-edges {extra}"]
+    problems = []
+    for name, triple in g.vertices:
+        total = sum(alpha[h] for h in triple)
+        if total != 2:
+            problems.append(f"vertex {name!r}: alpha sum {total} != 2")
+    for a, b in g.edges:
+        if alpha[a] + alpha[b] != 0:
+            problems.append(
+                f"edge {a!r}~{b!r}: alpha_{a} + alpha_{b} = "
+                f"{alpha[a] + alpha[b]} != 0"
+            )
+    return problems
 
 
 def make_decoration(
@@ -149,39 +194,42 @@ def make_decoration(
     alpha: Mapping[str, int],
     beta: Mapping[tuple[str, str], int],
 ) -> Decoration:
-    """Build a Decoration, completing missing beta entries.
+    """Build a Decoration, checking it once.
 
-    At each vertex, at least one lift per source half-edge must be supplied;
-    the companion entry is completed through the vertex congruence with the
-    minimal nonnegative lift.  Supplied entries are kept (reduced).
+    ``beta`` supplies at least one lift per source half-edge; a source's
+    lift toward its least co-half is stored, derived through the vertex
+    congruence when only the other one is given.  Raises DecorationError,
+    naming the half-edges or vertex at fault, when alpha is not given on
+    exactly the half-edges of g, a vertex sum is not 2, the alphas of an
+    edge do not cancel, a source has no lift, or a source's two supplied
+    lifts break the congruence.
     """
-    missing = [h for h in g.half_edges() if h not in alpha]
-    if missing:
-        raise DecorationError(f"alpha missing for half-edges {missing}")
-    amap = {h: int(alpha[h]) for h in g.half_edges()}
-    bmap: dict[tuple[str, str], int] = {}
-    for _, triple in g.vertices:
+    amap = {h: int(a) for h, a in alpha.items()}
+    problems = _alpha_problems(g, amap)
+    if problems:
+        raise DecorationError("; ".join(problems))
+    lifts: dict[str, tuple[str, str, int]] = {}
+    for name, triple in g.vertices:
         for s in triple:
-            t1, t2 = (t for t in triple if t != s)
-            given = [(t, beta[(s, t)]) for t in (t1, t2) if (s, t) in beta]
+            t0, t1 = sorted(t for t in triple if t != s)
+            given = {
+                stored_lift(amap, s, t, o, int(beta[(s, t)]))
+                for t, o in ((t0, t1), (t1, t0))
+                if (s, t) in beta
+            }
             if not given:
                 raise DecorationError(
                     f"no beta lift supplied for source half-edge {s!r}"
                 )
-            for t, lift in given:
-                bmap[(s, t)] = reduce_lift(int(lift), amap[s])
-            if len(given) == 1:
-                t_known, lift = given[0]
-                t_other = t2 if t_known == t1 else t1
-                # beta_{s,t_other} = beta_{s,t_known} + alpha_{t_other} - 1
-                bmap[(s, t_other)] = reduce_lift(
-                    lift + amap[t_other] - 1, amap[s]
+            if len(given) > 1:
+                raise DecorationError(
+                    f"vertex {name!r}: beta_({s},{t1}) != beta_({s},{t0}) "
+                    f"+ alpha_{t1} - 1 mod {amap[s]}"
                 )
-    dec = Decoration(
-        alpha=tuple(sorted(amap.items())),
-        beta=tuple(sorted(bmap.items())),
+            (lifts[s],) = given
+    return Decoration(
+        alpha=tuple(sorted(amap.items())), beta=tuple(sorted(lifts.items()))
     )
-    return dec
 
 
 def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
@@ -195,38 +243,12 @@ def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
 
 
 def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
-    """Structured list of violated constraints; empty means valid."""
-    problems = []
-    have = set(dec.alpha_map())
-    want = set(g.half_edges())
-    if have != want:
-        problems.append(f"alpha domain mismatch: {sorted(have ^ want)}")
-        return problems
-    for name, triple in g.vertices:
-        total = sum(dec.a(h) for h in triple)
-        if total != 2:
-            problems.append(f"vertex {name!r}: alpha sum {total} != 2")
-    for a, b in g.edges:
-        if dec.a(a) + dec.a(b) != 0:
-            problems.append(
-                f"edge {a!r}~{b!r}: alpha_{a} + alpha_{b} = "
-                f"{dec.a(a) + dec.a(b)} != 0"
-            )
-    pairs = set(_ordered_pairs(g))
-    if set(dec.beta_map()) != pairs:
-        problems.append("beta domain mismatch")
-        return problems
-    for name, triple in g.vertices:
-        for s in triple:
-            t1, t2 = sorted(t for t in triple if t != s)
-            lhs = dec.b(s, t2)
-            rhs = dec.b(s, t1) + dec.a(t2) - 1
-            if reduce_lift(lhs - rhs, dec.a(s)) != 0:
-                problems.append(
-                    f"vertex {name!r}: beta_({s},{t2}) != beta_({s},{t1}) "
-                    f"+ alpha_{t2} - 1 mod {dec.a(s)}"
-                )
-    return problems
+    """Structured list of the alpha rules dec breaks on g; empty means valid.
+
+    make_decoration runs the same check when it builds dec; the beta lifts
+    satisfy the vertex congruence by construction.
+    """
+    return _alpha_problems(g, dec._alpha)
 
 
 # -- invariants ----------------------------------------------------------
@@ -259,57 +281,23 @@ def delta_edge(
     for xi in xs:
         for yj in ys:
             out[(xi, yj)] = Residue(dec.b(x1, xi) - dec.b(y1, yj), mod)
-    # Assert the paper's relation among the four values:
-    # delta_{x2 y3} = delta_{x2 y2} - alpha_{y3} + 1 (any fixed x_i, both y_j).
-    for xi in xs:
-        lhs = out[(xi, ys[1])]
-        rhs = Residue(out[(xi, ys[0])].value - dec.a(ys[1]) + 1, mod)
-        assert lhs == rhs, "delta relation violated (internal bug)"
     return out
 
 
 def cycle_b(g: TrivalentGraph, dec: Decoration, c: OrientedCycle) -> Residue:
-    """The cycle invariant b_c modulo the ideal I_c = (alpha on the cycle).
-
-    Computed three ways (alternating beta sum, gamma sum over vertices,
-    delta sum over edges) and asserted equal.
-    """
+    """The cycle invariant b_c modulo the ideal I_c = (alpha on the cycle),
+    as the alternating beta sum along the cycle.  The gamma sum over its
+    vertices and the delta sum over its edges give the same residue."""
     c.validate(g)
     modulus = gcd_all(dec.a(h) for h in c.half_edges())
     k = len(c.steps)
-    # alternating beta sum, read directly off the stored lifts.
     beta_sum = 0
     for j in range(k):
         _, inn = c.steps[j]
         out_next, _ = c.steps[(j + 1) % k]
         beta_sum += dec.b(out_next, inn)
         beta_sum -= dec.b(inn, out_next)
-    # gamma-sum over vertices: at the vertex where edge j arrives (in-half
-    # y) and edge j+1 leaves (out-half x), add the residue gamma_{x y}.
-    # Each gamma lift differs from the raw difference by a multiple of
-    # gcd(alpha_x, alpha_y), which I_c divides, so the sums agree mod I_c.
-    gamma_sum = 0
-    for j in range(k):
-        _, inn = c.steps[j]
-        out_next, _ = c.steps[(j + 1) % k]
-        gamma_sum += gamma(g, dec, g.vertex_of(inn), out_next, inn).value
-    # delta-sum over edges: for edge j = (out, inn), the term is
-    # delta_{y_j x_{j+1}} = beta_{out y_j} - beta_{inn x_{j+1}} where y_j is
-    # the in-half arriving at out's vertex and x_{j+1} the out-half leaving
-    # inn's vertex; each term reduced mod alpha of the edge first.
-    delta_sum = 0
-    for j in range(k):
-        out, inn = c.steps[j]
-        y_prev = c.steps[(j - 1) % k][1]
-        x_next = c.steps[(j + 1) % k][0]
-        delta_sum += reduce_lift(
-            dec.b(out, y_prev) - dec.b(inn, x_next), dec.a(out)
-        )
-    r1 = Residue(beta_sum, modulus)
-    r2 = Residue(gamma_sum, modulus)
-    r3 = Residue(delta_sum, modulus)
-    assert r1 == r2 == r3, "cycle_b formulas disagree (internal bug)"
-    return r1
+    return Residue(beta_sum, modulus)
 
 
 # -- trivial modifications ----------------------------------------------
@@ -332,7 +320,7 @@ def apply_trivial_mod(
     g: TrivalentGraph, dec: Decoration, mod: TrivialMod
 ) -> Decoration:
     """The decoration after one V/I/E modification, a local edit of at most
-    six beta lifts."""
+    three beta lifts."""
     from .moves import _PlanState
 
     state = _PlanState(g, dec)
@@ -342,37 +330,28 @@ def apply_trivial_mod(
 
 def trivial_mod_generators(
     g: TrivalentGraph,
-) -> tuple[list[tuple[str, Union[str, tuple[str, str]]]], list[list[int]], list[tuple[str, str]]]:
-    """Move vectors of the V/I/E modifications over the beta-entry basis.
+) -> tuple[list[tuple[str, Union[str, tuple[str, str]]]], list[list[int]], list[str]]:
+    """Move vectors of the V/I/E modifications over the basis of source
+    half-edges (one stored lift each).
 
-    Returns (move labels, move vectors, entry order).
+    Returns (move labels, move vectors, source order).
     """
-    entries = sorted(_ordered_pairs(g))
-    index = {p: i for i, p in enumerate(entries)}
+    sources = sorted(g.half_edges())
+    index = {h: i for i, h in enumerate(sources)}
     labels: list[tuple[str, Union[str, tuple[str, str]]]] = []
     vectors: list[list[int]] = []
-    for name, triple in g.vertices:
-        vec = [0] * len(entries)
-        for s in triple:
-            for t in triple:
-                if s != t:
-                    vec[index[(s, t)]] = 1
-        labels.append(("V", name))
+    moved = (
+        [(("V", name), triple) for name, triple in g.vertices]
+        + [(("I", (a, b)), (a, b)) for a, b in g.edges]
+        + [(("E", x), (x,)) for x in g.boundary]
+    )
+    for label, halves in moved:
+        vec = [0] * len(sources)
+        for h in halves:
+            vec[index[h]] = 1
+        labels.append(label)
         vectors.append(vec)
-    for a, b in g.edges:
-        vec = [0] * len(entries)
-        for h in (a, b):
-            for t in g.others_at_vertex(h):
-                vec[index[(h, t)]] = 1
-        labels.append(("I", (a, b)))
-        vectors.append(vec)
-    for x in g.boundary:
-        vec = [0] * len(entries)
-        for t in g.others_at_vertex(x):
-            vec[index[(x, t)]] = 1
-        labels.append(("E", x))
-        vectors.append(vec)
-    return labels, vectors, entries
+    return labels, vectors, sources
 
 
 def trivial_mod_equivalent(
@@ -380,24 +359,25 @@ def trivial_mod_equivalent(
 ):
     """Witness MoveScript turning dec1 into dec2, or None.
 
-    Decided by integer-lattice membership: the beta difference must lie in
-    the span of the V/I/E move vectors together with the per-entry moduli
-    vectors alpha_src * e.
+    Decided by integer-lattice membership: the difference of the stored
+    lifts must lie in the span of the V/I/E move vectors together with the
+    per-source moduli vectors alpha_src * e.  One row per source suffices,
+    because every modification moves both lifts of a source together.
     """
     from .lattice import solve_lattice
     from .moves import MoveScript
 
     if dec1.alpha != dec2.alpha:
         raise AlphaMismatch("decorations have different alpha data")
-    labels, vectors, entries = trivial_mod_generators(g)
+    labels, vectors, sources = trivial_mod_generators(g)
     columns = list(vectors)
-    for p in entries:
-        a = dec1.a(p[0])
+    for i, s in enumerate(sources):
+        a = dec1.a(s)
         if a != 0:
-            vec = [0] * len(entries)
-            vec[entries.index(p)] = abs(a)
+            vec = [0] * len(sources)
+            vec[i] = abs(a)
             columns.append(vec)
-    target = [dec2.b(*p) - dec1.b(*p) for p in entries]
+    target = [dec2._beta[s][2] - dec1._beta[s][2] for s in sources]
     coeffs = solve_lattice(columns, target)
     if coeffs is None:
         return None
@@ -413,19 +393,26 @@ def trivial_mod_equivalent(
 
 @dataclass(frozen=True)
 class WeakDecoration:
-    """Mod-2 beta data with beta_{xz} = beta_{xy} + 1 at each vertex."""
+    """Mod-2 beta data with beta_{xz} = beta_{xy} + 1 at each vertex,
+    stored as in Decoration: one lift per source, toward its least co-half."""
 
-    beta2: tuple[tuple[tuple[str, str], int], ...]
+    beta2: tuple[tuple[str, tuple[str, str, int]], ...]
 
     def b(self, src: str, tgt: str) -> int:
-        return dict(self.beta2)[(src, tgt)]
+        least, other, lift = dict(self.beta2)[src]
+        if tgt == least:
+            return lift
+        if tgt != other:
+            raise KeyError((src, tgt))
+        # every alpha is even: the congruence taken modulo 2
+        return _companion(lift, 0, 2)
 
 
 def weaken(g: TrivalentGraph, dec: Decoration) -> WeakDecoration:
     if any(a % 2 for _, a in dec.alpha):
         raise OddAlpha("weak decorations require all alpha even")
     return WeakDecoration(
-        beta2=tuple(sorted((p, v % 2) for p, v in dec.beta))
+        beta2=tuple((s, (t0, t1, v % 2)) for s, (t0, t1, v) in dec.beta)
     )
 
 

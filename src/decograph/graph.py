@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in decograph, never bad input."""
+
+
 class GraphError(ValueError):
     """Base class for structural errors in graph construction."""
 
@@ -162,7 +166,8 @@ def build_graph(
             )
     g = TrivalentGraph(vertices=vertices, edges=edges, boundary=bound)
     v, i, e = len(g.vertices), len(g.edges), len(g.boundary)
-    assert 3 * v == 2 * i + e
+    if 3 * v != 2 * i + e:
+        raise InternalError(f"half-edge count {2 * i + e} != 3 * {v} vertices")
     return g
 
 

@@ -14,22 +14,20 @@ from typing import Optional
 
 from .decoration import (
     Decoration,
-    Residue,
     cycle_b,
     gcd_all,
     make_decoration,
     reduce_lift,
-    validate_decoration,
 )
 from .graph import (
     BadBoundaryMap,
+    InternalError,
     NotConnected,
     OrientedCycle,
     TrivalentGraph,
     build_graph,
     cycle_basis,
     graph_stats,
-    is_connected,
 )
 from .moves import MoveScript, normalize_to_apple_tree
 
@@ -107,7 +105,8 @@ def frak_C(g: TrivalentGraph, dec: Decoration) -> list[OrientedCycle]:
             sub.add(b)
     for name, triple in g.vertices:
         deg = sum(1 for h in triple if h in sub)
-        assert deg in (0, 2), f"vertex {name!r} has degree {deg} in frak_C"
+        if deg not in (0, 2):
+            raise InternalError(f"vertex {name!r} has degree {deg} in frak_C")
     cycles = []
     unused = set(sub)
     while unused:
@@ -138,7 +137,8 @@ def arf(g: TrivalentGraph, dec: Decoration) -> int:
     total = 0
     for c in frak_C(g, dec):
         b4 = reduce_lift(cycle_b(g, dec, c).value, 4)
-        assert b4 % 2 == 0
+        if b4 % 2:
+            raise InternalError("odd b_c on a frak_C cycle after condition (3)")
         total += b4 // 2 + 1
     return total % 2
 
@@ -359,7 +359,8 @@ def build_canonical_apple(
             edges.append((sa, sb))
             leaves.append(sa)
         m = len(leaves)
-        assert m >= 3
+        if m < 3:
+            raise InternalError(f"apple tree spine over {m} leaves")
         if m == 3:
             new_vertex(tuple(leaves))
         else:
@@ -392,13 +393,7 @@ def build_canonical_apple(
         for s in triple:
             if s not in loop_sources:
                 beta[(s, min(x for x in triple if x != s))] = 0
-    dec = make_decoration(graph, alpha, beta)
-    problems = validate_decoration(graph, dec)
-    if problems:
-        raise InvariantError(
-            "canonical apple tree decoration invalid: " + "; ".join(problems)
-        )
-    return graph, dec
+    return graph, make_decoration(graph, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -432,9 +427,6 @@ def normal_form(g: TrivalentGraph, dec: Decoration) -> NormalForm:
     Two decorated graphs with identically-named boundaries are equivalent()
     iff their NormalForm records compare equal.
     """
-    problems = validate_decoration(g, dec)
-    if problems:
-        raise InvariantError("invalid decoration: " + "; ".join(problems))
     genus = _connected_genus(g)
     state, loops = normalize_to_apple_tree(g, dec, external_order=sorted(g.boundary))
     script = MoveScript(tuple(state.steps))
@@ -445,8 +437,6 @@ def normal_form(g: TrivalentGraph, dec: Decoration) -> NormalForm:
     boundary = [(h, dec.a(h)) for h in sorted(g.boundary)]
     g_can, dec_can = build_canonical_apple(boundary, list(t_red.pairs))
     report = classify(g_can, dec_can)
-    if genus >= 2:
-        assert report.cls == cls, "normal form changed class (internal bug)"
-    elif genus == 1:
-        assert report.a_tilde == a_tilde(g, dec)
+    if genus >= 2 and report.cls != cls:
+        raise InternalError("normal form changed class (internal bug)")
     return NormalForm(g_can, dec_can, report, script)

@@ -15,17 +15,16 @@ The canonical transport gauge sets beta'_{u'x} = beta'_{v'w} = 0 so that
 B'(beta') = B(beta) holds identically on minimal lifts.
 
 Moves are local edits on one mutable working state (``_PlanState``): an IH
-move rewrites the two vertex triples, the moved edge and the twelve beta
-entries at its two vertices, a trivial modification at most six beta
-entries.  The state is frozen back into an immutable graph and decoration
-once, where a value is needed.
+move rewrites the two vertex triples, the moved edge and the six beta lifts
+at its two vertices, a trivial modification at most three beta lifts.  The
+state is frozen back into an immutable graph and decoration once, where a
+value is needed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Container, Optional, Sequence, Union
 
 from .decoration import (
@@ -35,10 +34,12 @@ from .decoration import (
     Residue,
     TrivialMod,
     reduce_lift,
+    stored_lift,
 )
 from .graph import (
     BadBoundaryMap,
     GraphError,
+    InternalError,
     NotConnected,
     TrivalentGraph,
     boundary_isomorphism,
@@ -243,7 +244,7 @@ class _PlanState:
     """The mutable working state that moves edit in place.
 
     The graph is held as vertex/triple/partner lookups and, when decorated,
-    the decoration as alpha and beta dicts with every lift kept reduced.
+    the decoration as alpha and stored-lift dicts laid out as in Decoration.
     ``freeze`` builds the immutable graph and decoration, and keeps them
     until the next move changes the state.  Applied steps are recorded in
     ``steps``, with one trace per IH move in ``traces``; the planner also
@@ -278,7 +279,7 @@ class _PlanState:
             edges = [(h, p) for h, p in self._partner.items() if h < p]
             self.g = build_graph(self._triple_of, edges, boundary=self.boundary)
         if self.dec is None and self._beta is not None:
-            # Complete and reduced already, as make_decoration would leave it.
+            # Reduced already, as make_decoration would leave it.
             self.dec = Decoration(
                 alpha=tuple(sorted(self._alpha.items())),
                 beta=tuple(sorted(self._beta.items())),
@@ -325,23 +326,17 @@ class _PlanState:
         self.g = self.dec = None
 
         if decorated:
-            alpha, beta = self._alpha, self._beta
-            for s, t in permutations((x, y, u), 2):
-                del beta[(s, t)]
-            for s, t in permutations((z, w, v), 2):
-                del beta[(s, t)]
-            del alpha[u], alpha[v]
+            alpha, lifts = self._alpha, self._beta
+            del alpha[u], alpha[v], lifts[u], lifts[v]
             alpha[u_new], alpha[v_new] = B.alpha_uprime, -B.alpha_uprime
             # Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four
-            # B(beta) components, so B'(beta') = B(beta); each companion
-            # lift follows from the vertex congruence.
+            # B(beta) components, so B'(beta') = B(beta).
             bx, by, bz, bw = B.lifts
             for s, t, other, lift in (
                 (u_new, x, z, 0), (x, u_new, z, bx), (z, u_new, x, bz),
                 (v_new, w, y, 0), (y, v_new, w, by), (w, v_new, y, bw),
             ):
-                beta[(s, t)] = lift
-                beta[(s, other)] = reduce_lift(lift + alpha[other] - 1, alpha[s])
+                lifts[s] = stored_lift(alpha, s, t, other, lift)
         return IhTrace(u, v, x, y, z, w, u_new, v_new, B)
 
     def _trivial_mod(self, mod: TrivialMod) -> None:
@@ -350,22 +345,23 @@ class _PlanState:
         if mod.kind == "V":
             if mod.target not in self._triple_of:
                 raise BadTarget(f"no vertex named {mod.target!r}")
-            entries = permutations(self._triple_of[mod.target], 2)
+            sources = self._triple_of[mod.target]
         elif mod.kind == "I":
             x1, y1 = mod.target
             if self.partner(x1) != y1:
                 raise BadTarget(f"{mod.target!r} is not an internal edge")
-            entries = [(h, t) for h in (x1, y1) for t in self.others_at_vertex(h)]
+            sources = (x1, y1)
         else:  # 'E'
             x = mod.target
             if x not in self._vertex_of:
                 raise BadTarget(f"no half-edge named {x!r}")
             if self.partner(x) is not None:
                 raise BadTarget(f"half-edge {x!r} is not external")
-            entries = [(x, t) for t in self.others_at_vertex(x)]
-        beta = self._beta
-        for s, t in entries:
-            beta[(s, t)] = reduce_lift(beta[(s, t)] + mod.amount, self._alpha[s])
+            sources = (x,)
+        lifts = self._beta
+        for s in sources:
+            least, other, lift = lifts[s]
+            lifts[s] = (least, other, reduce_lift(lift + mod.amount, self._alpha[s]))
         self.dec = None
 
     def meet(self, a: str, b: str) -> str:
@@ -378,7 +374,8 @@ class _PlanState:
         va, vb = self._vertex_of[a], self._vertex_of[b]
         if va == vb:
             return va
-        assert va not in self.frozen and vb not in self.frozen
+        if va in self.frozen or vb in self.frozen:
+            raise InternalError(f"planner met at a frozen vertex {va!r}/{vb!r}")
         tree = {
             (h, p) for h, p in self._partner.items()
             if h < p and (h, p) not in self.cut
@@ -386,10 +383,12 @@ class _PlanState:
         path = tree_path(self, tree, va, vb)
         for i, (p, q) in enumerate(path):
             cont = path[i + 1][0] if i + 1 < len(path) else b
-            assert p != a and self._vertex_of[q] not in self.frozen
+            if p == a or self._vertex_of[q] in self.frozen:
+                raise InternalError(f"planner path crosses {p!r}~{q!r}")
             self.apply(choice_for(self, (p, q), {a, cont}))
         va = self._vertex_of[a]
-        assert va == self._vertex_of[b], "planner failed to converge"
+        if va != self._vertex_of[b]:
+            raise InternalError("planner failed to converge")
         return va
 
 
@@ -515,7 +514,8 @@ def normalize_to_apple_tree(
     if n_unfrozen == 0 or len(leaves) < 2:
         return state, loops
     if len(leaves) == 2:
-        assert state.vertex_of(leaves[0]) == state.vertex_of(leaves[1])
+        if state.vertex_of(leaves[0]) != state.vertex_of(leaves[1]):
+            raise InternalError("the two leaves do not share a vertex")
         return state, loops
     vtx = state.meet(leaves[0], leaves[1])
     state.frozen.add(vtx)
@@ -523,12 +523,14 @@ def normalize_to_apple_tree(
     pending = leaves[2:]
     while len(pending) > 1:
         d = state.partner(cur)
-        assert d is not None and state.vertex_of(d) not in state.frozen
+        if d is None or state.vertex_of(d) in state.frozen:
+            raise InternalError(f"spine ends at {cur!r}")
         leaf = pending.pop(0)
         vtx = state.meet(d, leaf)
         state.frozen.add(vtx)
         (cur,) = [h for h in state.triple(vtx) if h not in (d, leaf)]
-    assert cur == pending[0], "spine assembly left a dangling leaf"
+    if cur != pending[0]:
+        raise InternalError("spine assembly left a dangling leaf")
     return state, loops
 
 
@@ -560,7 +562,8 @@ def ih_plan(
 
     inv_map = {boundary_map[h]: h for h in boundary_map}
     psi = boundary_isomorphism(state2.freeze()[0], state1.freeze()[0], inv_map)
-    assert psi is not None, "canonical forms failed to match (planner bug)"
+    if psi is None:
+        raise InternalError("canonical forms failed to match (planner bug)")
 
     for trace in reversed(state2.traces):
         edge = (psi[trace.u_new], psi[trace.v_new])

@@ -12,16 +12,16 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .decoration import (
     Decoration,
     TrivialMod,
     apply_trivial_mod,
     make_decoration,
-    validate_decoration,
+    stored_lift,
 )
-from .graph import NotConnected, TrivalentGraph, build_graph, is_connected
+from .graph import InternalError, NotConnected, TrivalentGraph, is_connected
 from .invariants import classify
 from .moves import InvalidMove, IhMove, ih_apply, invert_move
 
@@ -65,16 +65,18 @@ def sl2_orbit(a: int, b: int, bound: int) -> set[tuple[int, int]]:
 
 
 def _rename_halves(dec: Decoration, mapping: dict[str, str]) -> Decoration:
-    alpha = tuple(
-        sorted((mapping.get(h, h), a) for h, a in dec.alpha)
+    def ren(h: str) -> str:
+        return mapping.get(h, h)
+
+    alpha = {ren(h): a for h, a in dec.alpha}
+    # renaming may change which co-half is least
+    beta = {
+        ren(s): stored_lift(alpha, ren(s), ren(t0), ren(t1), lift)
+        for s, (t0, t1, lift) in dec.beta
+    }
+    return Decoration(
+        alpha=tuple(sorted(alpha.items())), beta=tuple(sorted(beta.items()))
     )
-    beta = tuple(
-        sorted(
-            ((mapping.get(s, s), mapping.get(t, t)), v)
-            for (s, t), v in dec.beta
-        )
-    )
-    return Decoration(alpha=alpha, beta=beta)
 
 
 def ih_round_trips(
@@ -103,17 +105,15 @@ def ih_round_trips(
                     ren = {tr2.u_new: tr1.u, tr2.v_new: tr1.v}
                 else:
                     ren = {tr2.v_new: tr1.u, tr2.u_new: tr1.v}
-                out = _rename_halves(dec2, ren)
                 restored = {
                     frozenset(ren.get(h, h) for h in triple)
                     for _, triple in g2.vertices
                 }
-                assert restored == {
-                    frozenset(t) for _, t in g.vertices
-                }, "IH round trip did not restore the graph (internal bug)"
-                problems = validate_decoration(g, out)
-                assert not problems, f"round trip broke the decoration: {problems}"
-                yield out
+                if restored != {frozenset(t) for _, t in g.vertices}:
+                    raise InternalError(
+                        "IH round trip did not restore the graph (internal bug)"
+                    )
+                yield _rename_halves(dec2, ren)
 
 
 def _neighbors(
@@ -211,9 +211,8 @@ def enumerate_decorations(
     for combo in itertools.product(*ranges):
         beta = {pair: v for pair, v in zip(sources, combo)}
         out.append(make_decoration(g, alpha, beta))
-    # distinct seeds can complete to the same reduced decoration only when
-    # alpha is 0 on no source, where seeds are already reduced reps
-    return sorted(set(out), key=lambda d: (d.alpha, d.beta))
+    # every lift ranged over is already reduced, so the decorations differ
+    return sorted(out, key=lambda d: (d.alpha, d.beta))
 
 
 @dataclass

@@ -10,21 +10,20 @@ Graph file grammar (one statement per line, '#' starts a comment):
 
 A file with no alpha statements describes a bare graph.  With alpha
 statements present, beta statements are optional per source half-edge
-(missing sources default to lift 0 toward their least co-half), and the
-decoration is validated.  The serializer is canonical: parse-serialize is a
-projection and serialize-parse is the identity.
+(missing sources default to lift 0 toward their least co-half), and
+make_decoration checks the decoration.  The serializer is canonical:
+parse-serialize is a projection and serialize-parse is the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .decoration import (
     Decoration,
+    DecorationError,
     TrivialMod,
     make_decoration,
-    validate_decoration,
 )
 from .graph import GraphError, TrivalentGraph, build_graph
 from .moves import IhMove, MoveScript
@@ -145,23 +144,16 @@ def parse_decorated_graph(
         if beta:
             raise SemanticError("beta statements require alpha statements")
         return g, None
-    missing = [h for h in g.half_edges() if h not in alpha]
-    if missing:
-        raise SemanticError(f"alpha missing for half-edges {missing}")
-    extra = [h for h in alpha if h not in set(g.half_edges())]
-    if extra:
-        raise SemanticError(f"alpha given for unknown half-edges {extra}")
     # default gauge: sources with no supplied lift get 0 toward the least co-half
     for _, triple in g.vertices:
         for s in triple:
             others = [t for t in triple if t != s]
             if not any((s, t) in beta for t in others):
                 beta[(s, min(others))] = 0
-    dec = make_decoration(g, alpha, beta)
-    problems = validate_decoration(g, dec)
-    if problems:
-        raise SemanticError("invalid decoration: " + "; ".join(problems))
-    return g, dec
+    try:
+        return g, make_decoration(g, alpha, beta)
+    except DecorationError as exc:
+        raise SemanticError(f"invalid decoration: {exc}") from exc
 
 
 def serialize_decorated_graph(

@@ -285,6 +285,25 @@ def random_connected_graph(
     raise RuntimeError("failed to sample a connected graph (test bug)")
 
 
+def tree_with_chords(rng, v, genus):
+    """Random connected graph: a random spanning tree plus ``genus`` chords
+    between free half-edges (works at any size, unlike rejection sampling)."""
+    triples = {f"v{k}": tuple(f"h{3 * k + j}" for j in range(3)) for k in range(v)}
+    free = list(triples["v0"])
+    edges = []
+    for k in range(1, v):
+        a = free.pop(rng.randrange(len(free)))
+        b, *rest = rng.sample(triples[f"v{k}"], 3)
+        edges.append((a, b))
+        free.extend(rest)
+    for _ in range(genus):
+        a, b = rng.sample(free, 2)
+        free.remove(a)
+        free.remove(b)
+        edges.append((a, b))
+    return build_graph(triples, edges)
+
+
 # -- fixtures -------------------------------------------------------------
 
 

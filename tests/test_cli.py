@@ -80,6 +80,12 @@ class TestInvariants:
         p.write_text("vertex W : x y z\nedge x y\n")
         assert run_command(["invariants", str(p)]) == 2
 
+    def test_invalid_decoration_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "wheel_z7.dg"
+        p.write_text(WHEEL30.replace("alpha z 2", "alpha z 7"))
+        assert run_command(["invariants", str(p)]) == 2
+        assert "alpha sum 7 != 2" in capsys.readouterr().err
+
 
 class TestEquiv:
     def test_equivalent_pair(self, files, capsys):
@@ -144,6 +150,21 @@ class TestOrbitAndDot:
             ["orbit", files["wheel30"], "--bound", "1", "--depth", "2"]
         ) == 0
         assert "classification constant on orbit: yes" in capsys.readouterr().out
+
+    def test_orbit_check_is_an_internal_error(self, files, capsys, monkeypatch):
+        # a classification that varies on the orbit is an internal error
+        calls = iter(range(10**6))
+
+        class Varying:
+            def key(self):
+                return next(calls)
+
+        monkeypatch.setattr("decograph.cli.classify", lambda g, d: Varying())
+        assert run_command(
+            ["orbit", files["wheel30"], "--bound", "1", "--depth", "1"]
+        ) == 3
+        err = capsys.readouterr().err
+        assert "internal invariant breach: classification not constant" in err
 
     def test_dot_stdout(self, files, capsys):
         assert run_command(["dot", files["wheel46"]]) == 0

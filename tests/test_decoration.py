@@ -6,6 +6,7 @@ from decograph import (
     AlphaMismatch,
     BadTarget,
     ConditionFails,
+    DecorationError,
     NotAtVertex,
     OddAlpha,
     Residue,
@@ -27,9 +28,12 @@ from decograph import (
     zero_beta,
 )
 from decograph.graph import OrientedCycle
+from decograph.textio import parse_decorated_graph, serialize_decorated_graph
 from conftest import (
     fig_a_graph,
+    random_alpha,
     random_decoration,
+    tree_with_chords,
     triangle_graph,
     wheel_decoration,
     wheel_graph,
@@ -62,9 +66,8 @@ class TestValidation:
 
     def test_vertex_sum_violation(self):
         g = build_graph([("a", "b", "c")])
-        dec = zero_beta(g, {"a": 1, "b": 1, "c": 1})
-        problems = validate_decoration(g, dec)
-        assert any("alpha sum 3" in p for p in problems)
+        with pytest.raises(DecorationError, match="alpha sum"):
+            zero_beta(g, {"a": 1, "b": 1, "c": 1})
 
     def test_closed_graph_undecoratable(self):
         # no external edges: vertex sums force sum(alpha) = 2v over internal
@@ -74,20 +77,30 @@ class TestValidation:
             [("a1", "a2"), ("b1", "b2"), ("c1", "c2")],
         )
         alpha = {"a1": 1, "a2": -1, "b1": 1, "b2": -1, "c1": 0, "c2": 0}
-        dec = zero_beta(g, alpha)
-        assert any(
-            "alpha sum" in p for p in validate_decoration(g, dec)
-        )
+        with pytest.raises(DecorationError, match="alpha sum"):
+            zero_beta(g, alpha)
+
+    def test_wheel_alpha_sum_rejected(self):
+        with pytest.raises(DecorationError, match="vertex 'W': alpha sum 7"):
+            make_decoration(
+                wheel_graph(), {"x": 3, "y": -3, "z": 7},
+                {("x", "y"): 1, ("y", "x"): 0, ("z", "x"): 0},
+            )
+
+    def test_antisymmetry_violation(self):
+        alpha = {"x": 2, "y": 0, "u": 0, "z": 0, "w": 1, "v": 1}
+        with pytest.raises(DecorationError, match="edge 'u'~'v'"):
+            zero_beta(fig_a_graph(), alpha)
 
     def test_congruence_violation(self):
+        # two supplied lifts of source a that break the vertex congruence
         g = build_graph([("a", "b", "c")])
-        dec = zero_beta(g, {"a": 4, "b": -4, "c": 2})
-        bad = dec.beta_map()
-        bad[("a", "c")] = dec.b("a", "c") + 1
-        from decograph.decoration import Decoration
-
-        broken = Decoration(alpha=dec.alpha, beta=tuple(sorted(bad.items())))
-        assert any("beta" in p for p in validate_decoration(g, broken))
+        alpha = {"a": 4, "b": -4, "c": 2}
+        dec = zero_beta(g, alpha)
+        beta = {("a", "b"): 0, ("a", "c"): dec.b("a", "c") + 1,
+                ("b", "a"): 0, ("c", "a"): 0}
+        with pytest.raises(DecorationError, match=r"vertex 'v0': beta_\(a,c\)"):
+            make_decoration(g, alpha, beta)
 
 
 class TestGammaDeltaB:
@@ -124,6 +137,12 @@ class TestGammaDeltaB:
             dec = random_decoration(g, rng, mag=5)
             out = delta_edge(g, dec, ("u", "v"))
             assert len(out) == 4
+            # delta_{x_i y_j'} = delta_{x_i y_j} - alpha_{y_j'} + 1
+            (y2, y3) = sorted(t for t in g.triple("B") if t != "v")
+            for xi in ("x", "y"):
+                assert out[(xi, y3)] == Residue(
+                    out[(xi, y2)].value - dec.a(y3) + 1, abs(dec.a("u"))
+                )
 
     def test_wheel_cycle_b(self):
         g, dec = wheel_decoration(3, 1)
@@ -255,3 +274,51 @@ class TestCanonicalPlanar:
         alpha = {"x": 1, "y": -1, "u": 2, "v": -2, "z": 2, "w": 2}
         with pytest.raises(ConditionFails):
             canonical_beta_planar(g, rot, alpha)
+
+
+# -- one stored lift per source against the six-entry completion -----------
+
+
+def reference_completion(g, alpha, beta):
+    """All six lifts per vertex as a six-entry decoration completed them:
+    supplied lifts reduced, a missing companion through the congruence."""
+    out = {}
+    for _, triple in g.vertices:
+        for s in triple:
+            t1, t2 = (t for t in triple if t != s)
+            given = [(t, beta[(s, t)]) for t in (t1, t2) if (s, t) in beta]
+            for t, lift in given:
+                out[(s, t)] = lift % abs(alpha[s]) if alpha[s] else lift
+            if len(given) == 1:
+                t_known, lift = given[0]
+                t_other = t2 if t_known == t1 else t1
+                lift += alpha[t_other] - 1
+                out[(s, t_other)] = lift % abs(alpha[s]) if alpha[s] else lift
+    return out
+
+
+class TestStoredLifts:
+    @pytest.mark.parametrize("v", (4, 40, 200))
+    def test_b_matches_six_entry_completion(self, v):
+        rng = random.Random(71 + v)
+        for _ in range(4):
+            g = tree_with_chords(rng, v, rng.randint(0, min(v // 2, 10)))
+            alpha = random_alpha(g, rng, 5)
+            beta = {}
+            for _, triple in g.vertices:
+                for s in triple:
+                    known, other = rng.sample([t for t in triple if t != s], 2)
+                    beta[(s, known)] = rng.randint(-20, 20)
+                    if rng.random() < 0.2:  # both lifts, consistent
+                        beta[(s, other)] = (
+                            beta[(s, known)] + alpha[other] - 1
+                            + rng.randint(-2, 2) * alpha[s]
+                        )
+            dec = make_decoration(g, alpha, beta)
+            want = reference_completion(g, alpha, beta)
+            assert dec.beta_map() == want
+            assert all(dec.b(s, t) == lift for (s, t), lift in want.items())
+            assert len(dec.beta) == 3 * v
+            text = serialize_decorated_graph(g, dec)
+            assert parse_decorated_graph(text) == (g, dec)
+            assert serialize_decorated_graph(*parse_decorated_graph(text)) == text

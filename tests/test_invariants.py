@@ -13,6 +13,7 @@ from decograph import (
     decoration_class,
     equivalent,
     frak_C,
+    graph_stats,
     make_decoration,
     normal_form,
     tuple_reduce,
@@ -164,6 +165,14 @@ class TestNormalFormAndEquivalence:
         g, dec = apple2_decoration(4, 2, 4, 0)
         nf = normal_form(g, dec)
         assert nf.report.cls == decoration_class(g, dec) == "IV"
+
+    def test_report_keeps_a_tilde(self, decorated_corpus):
+        checked = 0
+        for g, dec in decorated_corpus:
+            if graph_stats(g).genus == (1,):
+                assert normal_form(g, dec).report.a_tilde == a_tilde(g, dec)
+                checked += 1
+        assert checked
 
     def test_wheel_normal_forms_coincide(self):
         g, dec = wheel_decoration(4, 6)

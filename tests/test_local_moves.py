@@ -37,7 +37,7 @@ from decograph.moves import (
     normalize_to_apple_tree,
     with_hashes,
 )
-from conftest import random_connected_graph, random_decoration
+from conftest import random_connected_graph, random_decoration, tree_with_chords
 
 
 # -- references: one whole-graph rebuild per move --------------------------
@@ -131,25 +131,6 @@ def reference_replay(g, dec, steps):
 
 
 # -- inputs -------------------------------------------------------------------
-
-
-def tree_with_chords(rng, v, genus):
-    """Random connected graph: a random spanning tree plus ``genus`` chords
-    between free half-edges (works at any size, unlike rejection sampling)."""
-    triples = {f"v{k}": tuple(f"h{3 * k + j}" for j in range(3)) for k in range(v)}
-    free = list(triples["v0"])
-    edges = []
-    for k in range(1, v):
-        a = free.pop(rng.randrange(len(free)))
-        b, *rest = rng.sample(triples[f"v{k}"], 3)
-        edges.append((a, b))
-        free.extend(rest)
-    for _ in range(genus):
-        a, b = rng.sample(free, 2)
-        free.remove(a)
-        free.remove(b)
-        edges.append((a, b))
-    return build_graph(triples, edges)
 
 
 def decorated_inputs(v, count, seed):

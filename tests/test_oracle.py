@@ -79,7 +79,7 @@ class TestMoveOrbit:
         small = [
             d
             for d in enumerate_decorations(g, alpha, 2)
-            if all(abs(v) <= 1 for _, v in d.beta)
+            if all(abs(v) <= 1 for v in d.beta_map().values())
         ]
         assert small and all(d in orbit for d in small)
 
@@ -106,7 +106,7 @@ class TestEnumerators:
         # lifts: beta_{xy} in range(3), beta_{yx} in range(3), beta_{zx} in
         # range(2), but completion reduces to canonical reps
         assert len(decs) == len(set(decs))
-        assert all(0 <= dict(d.beta)[("x", "y")] < 3 for d in decs)
+        assert all(0 <= d.beta_map()[("x", "y")] < 3 for d in decs)
 
 
 class TestCheckClassification:

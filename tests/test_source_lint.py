@@ -1,0 +1,42 @@
+"""Static checks on the library source.
+
+The library's behaviour must not depend on ``assert`` (stripped under
+``python -O``), and modules import only what they use.  ``__init__.py``
+re-exports names, so its imports are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "decograph").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = _tree(path)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_top_level_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(name for name in imported if name not in used)
+    assert unused == [], f"{path.name}: unused imports {unused}"

@@ -24,6 +24,7 @@ from .graph import (
     OrientedCycle,
     TrivalentGraph,
     cycle_basis,
+    spanning_tree,
 )
 
 
@@ -153,6 +154,13 @@ def _companion(lift: int, a_to: int, a_src: int) -> int:
     minimal lift toward the other co-half, whose alpha is ``a_to``.  The
     rule reads the same in both directions because the vertex sum is 2."""
     return reduce_lift(lift + a_to - 1, a_src)
+
+
+def _nearest(value: int, modulus: int) -> int:
+    """The residue of value modulo |modulus| nearest 0, in [-m/2, m/2);
+    value itself when modulus is 0."""
+    half = abs(modulus) // 2
+    return reduce_lift(value + half, modulus) - half
 
 
 def stored_lift(
@@ -328,64 +336,80 @@ def apply_trivial_mod(
     return state.freeze()[1]
 
 
-def trivial_mod_generators(
-    g: TrivalentGraph,
-) -> tuple[list[tuple[str, Union[str, tuple[str, str]]]], list[list[int]], list[str]]:
-    """Move vectors of the V/I/E modifications over the basis of source
-    half-edges (one stored lift each).
-
-    Returns (move labels, move vectors, source order).
-    """
-    sources = sorted(g.half_edges())
-    index = {h: i for i, h in enumerate(sources)}
-    labels: list[tuple[str, Union[str, tuple[str, str]]]] = []
-    vectors: list[list[int]] = []
-    moved = (
-        [(("V", name), triple) for name, triple in g.vertices]
-        + [(("I", (a, b)), (a, b)) for a, b in g.edges]
-        + [(("E", x), (x,)) for x in g.boundary]
-    )
-    for label, halves in moved:
-        vec = [0] * len(sources)
-        for h in halves:
-            vec[index[h]] = 1
-        labels.append(label)
-        vectors.append(vec)
-    return labels, vectors, sources
-
-
 def trivial_mod_equivalent(
     g: TrivalentGraph, dec1: Decoration, dec2: Decoration
 ):
     """Witness MoveScript turning dec1 into dec2, or None.
 
-    Decided by integer-lattice membership: the difference of the stored
-    lifts must lie in the span of the V/I/E move vectors together with the
-    per-source moduli vectors alpha_src * e.  One row per source suffices,
-    because every modification moves both lifts of a source together.
+    Let d be the difference of the stored lifts.  E-modifications absorb
+    every external half-edge, and an internal edge a~b (a the smaller half)
+    only asks for vertex potentials n with
+
+        n_{v(a)} - n_{v(b)} = d_a - d_b + |alpha_a| * t_e
+
+    for some integer t_e.  Along the spanning forest each potential is
+    first the one nearest 0 that its tree edge allows (0 at the least
+    vertex of each component).  Around a fundamental cycle of
+    ``cycle_basis`` the potentials cancel, which leaves one lattice row per
+    cycle, its b_c condition: entries +-|alpha_e| on the cycle's edges and,
+    as right-hand side, what its chord still misses.  The solution corrects
+    the potentials along the forest.  The witness is V by n_v at each
+    vertex, then I by d_a - n_{v(a)} on each internal edge a~b, then E by
+    d_x - n_{v(x)} on each external x, each I and E amount nearest 0 modulo
+    its |alpha| (the lifts it reaches are the same); zero amounts are left
+    out, so there are at most v + i + e steps.
     """
     from .lattice import solve_lattice
     from .moves import MoveScript
 
+    halves = g._vertex_of.keys()
+    if dec1._alpha.keys() != halves:
+        missing = sorted(halves - dec1._alpha.keys())
+        unknown = sorted(dec1._alpha.keys() - halves)
+        problems = [f"no alpha on half-edges {missing}"] if missing else []
+        if unknown:
+            problems.append(f"alpha on unknown half-edges {unknown}")
+        raise DecorationError(
+            "decoration does not fit the graph: " + "; ".join(problems)
+        )
     if dec1.alpha != dec2.alpha:
         raise AlphaMismatch("decorations have different alpha data")
-    labels, vectors, sources = trivial_mod_generators(g)
-    columns = list(vectors)
-    for i, s in enumerate(sources):
-        a = dec1.a(s)
-        if a != 0:
-            vec = [0] * len(sources)
-            vec[i] = abs(a)
-            columns.append(vec)
-    target = [dec2._beta[s][2] - dec1._beta[s][2] for s in sources]
-    coeffs = solve_lattice(columns, target)
+    d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in halves}
+    vertex_of = g.vertex_of
+
+    tree, _ = spanning_tree(g)
+    n0 = dict.fromkeys(g.vertex_names(), 0)
+    for h, p in tree.values():
+        n0[vertex_of(p)] = _nearest(n0[vertex_of(h)] - d[h] + d[p], dec1.a(h))
+    cycles = cycle_basis(g)
+    columns: dict[tuple[str, str], list[int]] = {}
+    target = []
+    for row, c in enumerate(cycles):
+        for out, inn in c.steps:
+            if dec1.a(out):
+                edge, sign = ((out, inn), 1) if out < inn else ((inn, out), -1)
+                entry = sign * abs(dec1.a(out))
+                columns.setdefault(edge, [0] * len(cycles))[row] = entry
+        a, b = c.steps[0]
+        miss = n0[vertex_of(a)] - n0[vertex_of(b)] - d[a] + d[b]
+        target.append(_nearest(miss, dec1.a(a)))
+    coeffs = solve_lattice(list(columns.values()), target)
     if coeffs is None:
         return None
-    steps = []
-    for (kind, tgt), c in zip(labels, coeffs[: len(labels)]):
-        if c:
-            steps.append(TrivialMod(kind, tgt, c))
-    return MoveScript(steps=tuple(steps))
+    t = dict(zip(columns, coeffs))
+
+    n = dict(n0)
+    for edge, (h, p) in tree.items():
+        shift = (1 if h < p else -1) * abs(dec1.a(h)) * t.get(edge, 0)
+        n[vertex_of(p)] += n[vertex_of(h)] - n0[vertex_of(h)] - shift
+    steps = [TrivialMod("V", name, n[name]) for name, _ in g.vertices]
+    for a, b in g.edges:
+        amount = _nearest(d[a] - n[vertex_of(a)], dec1.a(a))
+        steps.append(TrivialMod("I", (a, b), amount))
+    for x in g.boundary:
+        amount = _nearest(d[x] - n[vertex_of(x)], dec1.a(x))
+        steps.append(TrivialMod("E", x, amount))
+    return MoveScript(steps=tuple(m for m in steps if m.amount))
 
 
 # -- weak decorations ----------------------------------------------------
@@ -397,9 +421,13 @@ class WeakDecoration:
     stored as in Decoration: one lift per source, toward its least co-half."""
 
     beta2: tuple[tuple[str, tuple[str, str, int]], ...]
+    _beta2: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._beta2.update(dict(self.beta2))
 
     def b(self, src: str, tgt: str) -> int:
-        least, other, lift = dict(self.beta2)[src]
+        least, other, lift = self._beta2[src]
         if tgt == least:
             return lift
         if tgt != other:

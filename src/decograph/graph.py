@@ -8,8 +8,10 @@ some half-edges into internal edges.  Unpaired half-edges form the boundary
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 
 class InternalError(RuntimeError):
@@ -271,21 +273,25 @@ class OrientedCycle:
         return OrientedCycle(self.steps[best:] + self.steps[:best])
 
 
-def spanning_tree(g: TrivalentGraph) -> tuple[set[tuple[str, str]], list[tuple[str, str]]]:
-    """Deterministic BFS spanning forest.
+def spanning_tree(
+    g: TrivalentGraph,
+) -> tuple[dict[tuple[str, str], tuple[str, str]], list[tuple[str, str]]]:
+    """Deterministic BFS spanning forest, rooted at the least vertex of each
+    component.
 
-    Returns (tree edge set, sorted non-tree internal edges), edges as sorted
-    pairs.
+    Returns (tree edges, sorted non-tree internal edges), edges as sorted
+    pairs.  The tree maps each of its edges to the same edge oriented away
+    from the root, (parent half, child half), in the order the search
+    reaches them, so each comes after the edge that reaches its parent.
     """
-    tree: set[tuple[str, str]] = set()
+    tree: dict[tuple[str, str], tuple[str, str]] = {}
     visited: set[str] = set()
     for comp in _component_partition(g):
         root = comp[0]
         visited.add(root)
         frontier = [root]
         while frontier:
-            frontier.sort()
-            vtx = frontier.pop(0)
+            vtx = heapq.heappop(frontier)
             for h in sorted(g.triple(vtx)):
                 p = g.partner(h)
                 if p is None:
@@ -293,15 +299,15 @@ def spanning_tree(g: TrivalentGraph) -> tuple[set[tuple[str, str]], list[tuple[s
                 w = g.vertex_of(p)
                 if w not in visited:
                     visited.add(w)
-                    tree.add(tuple(sorted((h, p))))
-                    frontier.append(w)
+                    tree[(h, p) if h < p else (p, h)] = (h, p)
+                    heapq.heappush(frontier, w)
     non_tree = sorted(e for e in g.edges if e not in tree)
     return tree, non_tree
 
 
 def tree_path(
     g: TrivalentGraph,
-    tree: set[tuple[str, str]],
+    tree: Container[tuple[str, str]],
     start_vertex: str,
     end_vertex: str,
 ) -> list[tuple[str, str]]:
@@ -310,9 +316,9 @@ def tree_path(
         return []
     prev: dict[str, tuple[str, str]] = {}
     visited = {start_vertex}
-    frontier = [start_vertex]
+    frontier = deque([start_vertex])
     while frontier:
-        vtx = frontier.pop(0)
+        vtx = frontier.popleft()
         for h in sorted(g.triple(vtx)):
             p = g.partner(h)
             if p is None or tuple(sorted((h, p))) not in tree:
@@ -323,7 +329,7 @@ def tree_path(
                 prev[w] = (h, p)
                 frontier.append(w)
                 if w == end_vertex:
-                    frontier = []
+                    frontier.clear()
                     break
     if end_vertex not in prev:
         raise GraphError(f"no tree path from {start_vertex!r} to {end_vertex!r}")

@@ -8,6 +8,7 @@ there are no overflow or conditioning concerns.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 
@@ -17,7 +18,9 @@ def solve_lattice(
     """Solve sum_j x_j * columns[j] == target over the integers.
 
     Returns a coefficient list, or None when the target is not in the
-    lattice spanned by the columns.
+    lattice spanned by the columns.  Among the solutions it returns a short
+    one: the one found by column reduction, shortened by the kernel vectors
+    the reduction leaves (0 for a zero target).
     """
     m = len(target)
     n = len(columns)
@@ -77,7 +80,49 @@ def solve_lattice(
         if y[j]:
             for k in range(n):
                 x[k] += y[j] * U[k][j]
-    return x
+    # The columns of U past the pivots span the kernel.
+    kernel = [[row[j] for row in U] for j in range(len(pivots), n)]
+    return _shortened(x, kernel)
+
+
+def _shortened(x: list[int], kernel: list[list[int]]) -> list[int]:
+    """x moved by kernel vectors while that makes it shorter.
+
+    Column reduction lets the coefficients grow far past the size of the
+    data.  One pass reduces each kernel vector against the shorter ones,
+    then x is reduced against them all until no step shortens it; a step
+    is taken only when it shortens a vector, so the loop ends.
+    """
+    if not any(x):
+        return x
+    basis = sorted(([k, _dot(k, k)] for k in kernel), key=lambda e: e[1])
+    for i, entry in enumerate(basis):
+        for by in basis[:i]:
+            _reduce(entry, by)
+    out = [x, _dot(x, x)]
+    changed = True
+    while changed:
+        changed = False
+        for by in basis:
+            changed |= _reduce(out, by)
+    return out[0]
+
+
+def _reduce(entry: list, by: list) -> bool:
+    """Subtract from entry's vector the multiple of by's vector nearest
+    their projection, if that makes it shorter; True when it does."""
+    (v, vv), (k, kk) = entry, by
+    vk = _dot(v, k)
+    q = (2 * vk + kk) // (2 * kk)
+    shorter = vv - 2 * q * vk + q * q * kk
+    if not q or shorter >= vv:
+        return False
+    entry[0], entry[1] = [a - q * b for a, b in zip(v, k)], shorter
+    return True
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
 
 
 def in_lattice(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

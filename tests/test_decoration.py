@@ -237,6 +237,12 @@ class TestWeak:
         _, dec1 = wheel_decoration(4, 1)
         assert weak_class(g, dec1) == (1,)
 
+    def test_weakened_class_at_scale(self):
+        rng = random.Random(400)
+        g = tree_with_chords(rng, 400, 10)
+        dec = random_decoration(g, rng, 4, even=True)
+        assert weak_class(g, weaken(g, dec)) == weak_class(g, dec)
+
 
 class TestCanonicalPlanar:
     def test_straight_tree_any_admissible_alpha(self):

@@ -1,0 +1,327 @@
+"""trivial_mod_equivalent against the dense lattice construction.
+
+The library decides trivial-mod equivalence on the cycle space: one lattice
+row per fundamental cycle.  The reference below is the construction it
+replaced, kept here as an oracle: one row per source half-edge, one column
+per V/I/E modification and one modulus column |alpha_s| * e_s per source,
+solved by column Hermite reduction as the library did before it shortened
+its solutions.  Both must give the same None/non-None answer.  The
+library's witness must replay to dec2, use at most one step per vertex,
+internal edge and external half-edge, keep each I and E amount within
+|alpha|/2, and over the positive pairs of a test its largest amount may be
+no larger than the oracle's.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from decograph import (
+    DecorationError,
+    MoveScript,
+    TrivialMod,
+    apply_script,
+    build_graph,
+    cycle_b,
+    make_decoration,
+    trivial_mod_equivalent,
+)
+from decograph.graph import cycle_basis
+from decograph.lattice import solve_lattice
+
+from conftest import (
+    random_alpha,
+    random_decoration,
+    small_graph_corpus,
+    tree_with_chords,
+    wheel_decoration,
+)
+
+
+def hermite_solve(columns, target):
+    """Column Hermite reduction, the lattice solver as it was before it
+    shortened its solutions.  Each column carries its coefficients over
+    the given columns after its first m entries."""
+    m, n = len(target), len(columns)
+    cols = [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(columns)]
+    pivots = {}
+    for r in range(m):
+        j0 = len(pivots)
+        while True:
+            nz = [j for j in range(j0, n) if cols[j][r]]
+            if len(nz) <= 1:
+                if nz:
+                    cols[j0], cols[nz[0]] = cols[nz[0]], cols[j0]
+                    pivots[r] = j0
+                break
+            jmin = min(nz, key=lambda j: abs(cols[j][r]))
+            for j in nz:
+                q = cols[j][r] // cols[jmin][r]
+                if j != jmin and q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
+    x, residual = [0] * n, list(target)
+    for r in range(m):
+        if r not in pivots:
+            if residual[r]:
+                return None
+            continue
+        col = cols[pivots[r]]
+        if residual[r] % col[r]:
+            return None
+        q = residual[r] // col[r]
+        residual = [a - q * b for a, b in zip(residual, col)]
+        x = [a + q * b for a, b in zip(x, col[m:])]
+    return x
+
+
+def dense_witness(g, dec1, dec2):
+    """The dense V/I/E system over the stored lifts, solved as one lattice."""
+    sources = sorted(g.half_edges())
+    index = {h: i for i, h in enumerate(sources)}
+    moved = (
+        [(("V", name), triple) for name, triple in g.vertices]
+        + [(("I", (a, b)), (a, b)) for a, b in g.edges]
+        + [(("E", x), (x,)) for x in g.boundary]
+    )
+    columns = []
+    for _, halves in moved:
+        vec = [0] * len(sources)
+        for h in halves:
+            vec[index[h]] = 1
+        columns.append(vec)
+    for i, s in enumerate(sources):
+        if dec1.a(s):
+            vec = [0] * len(sources)
+            vec[i] = abs(dec1.a(s))
+            columns.append(vec)
+    target = [dec2._beta[s][2] - dec1._beta[s][2] for s in sources]
+    coeffs = hermite_solve(columns, target)
+    if coeffs is None:
+        return None
+    return MoveScript(
+        steps=tuple(
+            TrivialMod(kind, tgt, c)
+            for ((kind, tgt), _), c in zip(moved, coeffs)
+            if c
+        )
+    )
+
+
+def random_script(rng, g, count):
+    steps = []
+    for _ in range(count):
+        kind = rng.choice("VIE" if g.edges else "VE")
+        if kind == "V":
+            target = rng.choice(g.vertex_names())
+        elif kind == "I":
+            target = rng.choice(g.edges)
+        else:
+            target = rng.choice(g.boundary)
+        steps.append(TrivialMod(kind, target, rng.choice([-1, 1]) * rng.randint(1, 5)))
+    return MoveScript(steps=tuple(steps))
+
+
+def shifted(g, dec, src, delta):
+    """dec with the stored lift of ``src`` moved by ``delta``."""
+    beta = {(s, t0): lift for s, (t0, _, lift) in dec.beta}
+    beta[(src, dec._beta[src][0])] += delta
+    return make_decoration(g, dec.alpha_map(), beta)
+
+
+def off_class(g, dec):
+    """dec with one lift moved off its b_c class, or None when every cycle
+    ideal is the unit ideal (then no b_c can differ)."""
+    for c in cycle_basis(g):
+        if cycle_b(g, dec, c).modulus == 1:
+            continue
+        # b_c counts -beta_{in, out_next}: one more on that source's lift
+        # moves b_c by -1, nonzero modulo I_c.
+        moved = shifted(g, dec, c.steps[0][1], 1)
+        if cycle_b(g, moved, c) == cycle_b(g, dec, c):
+            raise AssertionError("shifted lift kept its b_c (test bug)")
+        return moved
+    return None
+
+
+def max_amount(script):
+    return max((abs(m.amount) for m in script.steps), default=0)
+
+
+class Tally:
+    """Positive/negative counts and the largest positive witness amounts."""
+
+    def __init__(self):
+        self.positive = self.negative = 0
+        self.largest = self.largest_oracle = 0
+
+    def check(self, g, dec1, dec2):
+        got = trivial_mod_equivalent(g, dec1, dec2)
+        want = dense_witness(g, dec1, dec2)
+        assert (got is None) == (want is None)
+        if got is None:
+            self.negative += 1
+            return
+        self.positive += 1
+        assert apply_script(g, dec1, got)[1] == dec2
+        assert apply_script(g, dec1, want)[1] == dec2
+        assert len(got.steps) <= len(g.vertices) + len(g.edges) + len(g.boundary)
+        for m in got.steps:  # I and E amounts are nearest 0 modulo |alpha|
+            if m.kind != "V":
+                a = dec1.a(m.target[0] if m.kind == "I" else m.target)
+                assert not a or 2 * abs(m.amount) <= abs(a)
+        self.largest = max(self.largest, max_amount(got))
+        self.largest_oracle = max(self.largest_oracle, max_amount(want))
+
+
+def decorations_sharing_alpha(g, rng, alpha, count=2):
+    """Random decorations with one alpha, each with a random script image
+    and an off-class copy."""
+    out = []
+    for _ in range(count):
+        dec = random_decoration(g, rng, 3, alpha=alpha)
+        out.append(dec)
+        out.append(apply_script(g, dec, random_script(rng, g, 8))[1])
+        moved = off_class(g, dec)
+        if moved is not None:
+            out.append(moved)
+    return out
+
+
+def disjoint_union(rng, g1, g2, mag):
+    """g1 + g2 with half-edges and vertices prefixed a/b, and a random alpha
+    drawn on each component."""
+    triples, edges, alpha = {}, [], {}
+    for tag, g in (("a", g1), ("b", g2)):
+        triples.update({tag + n: tuple(tag + h for h in t) for n, t in g.vertices})
+        edges += [(tag + x, tag + y) for x, y in g.edges]
+        alpha.update({tag + h: a for h, a in random_alpha(g, rng, mag).items()})
+    return build_graph(triples, edges), alpha
+
+
+def chord_graphs(v, seed):
+    rng = random.Random(seed)
+    top = min(10, (3 * v - 2 * (v - 1) - 1) // 2)  # leave one external
+    return [(rng, tree_with_chords(rng, v, genus)) for genus in range(top + 1)]
+
+
+# -- the solver ------------------------------------------------------------
+
+
+def test_solver_solutions_are_exact_and_no_longer_than_hermite():
+    rng = random.Random(3)
+    solved = shorter = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 4), rng.randint(1, 8)
+        columns = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.5:
+            target = [rng.randint(-9, 9) for _ in range(m)]
+        else:
+            coeffs = [rng.randint(-3, 3) for _ in range(n)]
+            target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(m)]
+        got, want = solve_lattice(columns, target), hermite_solve(columns, target)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        solved += 1
+        assert [sum(c * col[i] for c, col in zip(got, columns)) for i in range(m)] == target
+        assert sum(c * c for c in got) <= sum(c * c for c in want)
+        shorter += sum(c * c for c in got) < sum(c * c for c in want)
+    assert solved > 200 and shorter > 100
+
+
+# -- the <= 4-vertex corpus ---------------------------------------------------
+
+
+def test_corpus_pairs_agree_with_dense_oracle():
+    rng = random.Random(41)
+    tally = Tally()
+    for g in small_graph_corpus():
+        if not g.boundary:
+            continue
+        for mag in (0, 3):
+            decs = decorations_sharing_alpha(g, rng, random_alpha(g, rng, mag))
+            for dec1 in decs:
+                for dec2 in decs:
+                    tally.check(g, dec1, dec2)
+    assert tally.positive > 500 and tally.negative > 100
+    assert tally.largest <= tally.largest_oracle
+
+
+# -- larger graphs ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("v", (10, 40, 200))
+def test_chord_graphs_agree_with_dense_oracle(v):
+    tally = Tally()
+    graphs = chord_graphs(v, seed=v)
+    # mag 0 puts alpha 0 on every chord; all-even alphas make every cycle
+    # ideal proper, so each of those graphs gets a negative pair.
+    kinds = ((0, False), (5, False), (4, True))
+    if v == 200:  # the dense oracle takes about a second a pair here
+        graphs, kinds = graphs[-1:], kinds[1:]
+    for rng, g in graphs:
+        for mag, even in kinds:
+            alpha = random_alpha(g, rng, mag, even=even)
+            dec = random_decoration(g, rng, 5, alpha=alpha)
+            tally.check(g, dec, apply_script(g, dec, random_script(rng, g, 20))[1])
+            moved = off_class(g, dec)
+            if moved is not None:
+                tally.check(g, dec, moved)
+    assert tally.positive == len(kinds) * len(graphs) and tally.negative > 0
+    assert tally.largest <= tally.largest_oracle
+
+
+def test_chord_graphs_have_loops_and_multi_edges():
+    graphs = [g for v in (10, 40) for _, g in chord_graphs(v, seed=v)]
+    assert any(g.vertex_of(a) == g.vertex_of(b) for g in graphs for a, b in g.edges)
+    assert any(
+        len({tuple(sorted((g.vertex_of(a), g.vertex_of(b)))) for a, b in g.edges})
+        < len(g.edges)
+        for g in graphs
+    )
+
+
+def test_two_components_agree_with_dense_oracle():
+    rng = random.Random(5)
+    g1, g2 = tree_with_chords(rng, 12, 3), tree_with_chords(rng, 9, 2)
+    tally = Tally()
+    for mag in (0, 4):
+        g, alpha = disjoint_union(rng, g1, g2, mag)
+        for dec1 in decorations_sharing_alpha(g, rng, alpha, 3):
+            for dec2 in decorations_sharing_alpha(g, rng, dec1.alpha_map(), 1):
+                tally.check(g, dec1, dec2)
+    assert tally.positive > 0 and tally.negative > 0
+    assert tally.largest <= tally.largest_oracle
+
+
+# -- edge cases -------------------------------------------------------------
+
+
+def test_zero_alpha_loop_needs_equal_lifts():
+    g, dec = wheel_decoration(0, 3)
+    assert trivial_mod_equivalent(g, dec, shifted(g, dec, "y", 1)) is None
+    both = shifted(g, shifted(g, dec, "x", -4), "y", -4)
+    script = trivial_mod_equivalent(g, dec, both)
+    assert script == MoveScript(steps=(TrivialMod("I", ("x", "y"), -4),))
+
+
+def test_foreign_decoration_rejected():
+    g, dec = wheel_decoration(3, 1)
+    smaller = build_graph({"W": ("x", "y", "q")}, [("x", "y")])
+    with pytest.raises(DecorationError, match=r"no alpha on half-edges \['q'\]"):
+        trivial_mod_equivalent(smaller, dec, dec)
+    larger = build_graph({"W": ("x", "y", "z"), "U": ("p", "q", "r")}, [("x", "y")])
+    with pytest.raises(DecorationError, match=r"no alpha on half-edges \['p', 'q', 'r'\]"):
+        trivial_mod_equivalent(larger, dec, dec)
+    extra = make_decoration(
+        larger,
+        {"x": 3, "y": -3, "z": 2, "p": 1, "q": 1, "r": 0},
+        {("x", "y"): 0, ("y", "x"): 0, ("z", "x"): 0,
+         ("p", "q"): 0, ("q", "p"): 0, ("r", "p"): 0},
+    )
+    with pytest.raises(
+        DecorationError, match=r"alpha on unknown half-edges \['p', 'q', 'r'\]"
+    ):
+        trivial_mod_equivalent(g, extra, extra)

@@ -9,6 +9,7 @@ some half-edges into internal edges.  Unpaired half-edges form the boundary
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -349,7 +350,15 @@ def cycle_basis(g: TrivalentGraph) -> list[OrientedCycle]:
     One cycle per non-tree internal edge; each cycle starts with that edge
     oriented from its smaller half-edge.
     """
-    tree, non_tree = spanning_tree(g)
+    return _fundamental_cycles(g, *spanning_tree(g))
+
+
+def _fundamental_cycles(
+    g: TrivalentGraph,
+    tree: Container[tuple[str, str]],
+    non_tree: Sequence[tuple[str, str]],
+) -> list[OrientedCycle]:
+    """cycle_basis on a forest that spanning_tree(g) already returned."""
     basis = []
     for a, b in non_tree:
         steps = [(a, b)]
@@ -368,7 +377,15 @@ def boundary_isomorphism(
     """Half-edge bijection g1 -> g2 extending boundary_map, or None.
 
     The bijection maps vertices to vertices and commutes with the pairing.
-    Plain backtracking over vertex assignments; instances are desk-scale.
+    This is a depth-first search.  Each mapped half-edge forces its partner
+    onto the image's partner and its vertex onto the image's vertex, and
+    a vertex with two mapped half-edges forces its third; every choice is
+    propagated that way before the next.  The search branches only on the
+    least-named g1 vertex with an unmapped half-edge: target vertices by
+    name, then the permutations of the target's sorted triple.  So the map
+    returned is the first in that order.  The search can still blow up: a
+    wrong choice may surface only at a vertex branched on much later, and
+    one v=200, genus-20 pair of aligned normal forms took over 60 s.
     """
     b1, b2 = set(g1.boundary), set(g2.boundary)
     if set(boundary_map) != b1 or set(boundary_map.values()) != b2 or len(
@@ -378,77 +395,79 @@ def boundary_isomorphism(
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
 
-    order = g1.vertex_names()
-    targets = g2.vertex_names()
-    hmap: dict[str, str] = dict(boundary_map)
-    used_vertices: set[str] = set()
+    hmap: dict[str, str] = {}
+    vmap: dict[str, str] = {}
+    used: set[str] = set()  # mapped-to half-edges
+    vused: set[str] = set()  # mapped-to vertices
+    trail: list[str] = []  # mapped half-edges, in order
+    vtrail: list[str] = []  # mapped vertices, in order
 
-    def consistent(h: str, h2: str) -> bool:
-        p = g1.partner(h)
-        if p is None:
-            return g2.partner(h2) is None
-        q = g2.partner(h2)
-        if q is None:
-            return False
-        if p in hmap:
-            return hmap[p] == q
-        # Partner not yet mapped: its vertex is unassigned or is this one (a
-        # loop); the final check in extend() covers it.
+    def assign(h: str, h2: str) -> bool:
+        """Map h to h2 and everything that forces; False on a conflict."""
+        todo = [(h, h2)]
+        while todo:
+            h, h2 = todo.pop()
+            if h in hmap:
+                if hmap[h] != h2:
+                    return False
+                continue
+            if h2 in used:
+                return False
+            p, q = g1.partner(h), g2.partner(h2)
+            if (p is None) != (q is None):
+                return False
+            vtx, tgt = g1.vertex_of(h), g2.vertex_of(h2)
+            if vtx not in vmap:
+                if tgt in vused:
+                    return False
+                vmap[vtx] = tgt
+                vused.add(tgt)
+                vtrail.append(vtx)
+            elif vmap[vtx] != tgt:
+                return False
+            hmap[h] = h2
+            used.add(h2)
+            trail.append(h)
+            if p is not None:
+                todo.append((p, q))
+            rest = [x for x in g1.triple(vtx) if x not in hmap]
+            if len(rest) == 1:
+                # Only vtx's half-edges map into tgt, so one is left there.
+                (left,) = [y for y in g2.triple(tgt) if y not in used]
+                todo.append((rest[0], left))
         return True
 
+    def undo(mark: int, vmark: int) -> None:
+        while len(trail) > mark:
+            used.discard(hmap.pop(trail.pop()))
+        while len(vtrail) > vmark:
+            vused.discard(vmap.pop(vtrail.pop()))
+
+    order = g1.vertex_names()
+    targets = g2.vertex_names()
+
     def extend(idx: int) -> bool:
+        while idx < len(order) and all(h in hmap for h in g1.triple(order[idx])):
+            idx += 1
         if idx == len(order):
-            # final check: pairing fully respected
-            return all(
-                hmap[g1.partner(h)] == g2.partner(hmap[h])
-                for h in hmap
-                if g1.partner(h) is not None
-            )
+            return True
         vtx = order[idx]
         triple = g1.triple(vtx)
-        # forced target vertex when some half-edge at vtx is already matched
-        forced = None
-        for h in triple:
-            if h in hmap:
-                w = g2.vertex_of(hmap[h])
-                if forced is not None and forced != w:
-                    return False
-                forced = w
-        candidates = [forced] if forced is not None else [
-            t for t in targets if t not in used_vertices
+        candidates = [vmap[vtx]] if vtx in vmap else [
+            t for t in targets if t not in vused
         ]
         for tgt in candidates:
-            if tgt is None or tgt in used_vertices:
-                continue
-            t2 = g2.triple(tgt)
-            for perm in _triple_bijections(triple, t2, hmap):
-                ok = all(consistent(h, h2) for h, h2 in perm)
-                if not ok:
+            for perm in itertools.permutations(g2.triple(tgt)):
+                if any(hmap.get(h, h2) != h2 for h, h2 in zip(triple, perm)):
                     continue
-                added = [h for h, _ in perm if h not in hmap]
-                for h, h2 in perm:
-                    hmap.setdefault(h, h2)
-                used_vertices.add(tgt)
-                if len(set(hmap.values())) == len(hmap) and extend(idx + 1):
+                mark, vmark = len(trail), len(vtrail)
+                if all(assign(h, h2) for h, h2 in zip(triple, perm)) and extend(
+                    idx + 1
+                ):
                     return True
-                used_vertices.discard(tgt)
-                for h in added:
-                    del hmap[h]
+                undo(mark, vmark)
         return False
 
-    if extend(0):
-        result = dict(hmap)
-        return result
+    if all(assign(h, h2) for h, h2 in boundary_map.items()) and extend(0):
+        return dict(hmap)
     return None
-
-
-def _triple_bijections(t1, t2, hmap):
-    """All bijections t1 -> t2 compatible with the partial map hmap."""
-    import itertools
-
-    out = []
-    for perm in itertools.permutations(t2):
-        pairs = list(zip(t1, perm))
-        if all(hmap.get(h, h2) == h2 for h, h2 in pairs):
-            out.append(pairs)
-    return out

@@ -42,7 +42,6 @@ from .graph import (
     InternalError,
     NotConnected,
     TrivalentGraph,
-    boundary_isomorphism,
     build_graph,
     graph_stats,
     is_connected,
@@ -534,6 +533,63 @@ def normalize_to_apple_tree(
     return state, loops
 
 
+def _read_off_psi(
+    state2: _PlanState,
+    state1: _PlanState,
+    inv_map: dict[str, str],
+    loops2: list[tuple[str, str, Optional[str]]],
+    loops1: list[tuple[str, str, Optional[str]]],
+) -> dict[str, str]:
+    """The half-edge bijection state2 -> state1 of two aligned apple trees.
+
+    Both come from normalize_to_apple_tree with the externals in matching
+    order, so the boundary map and loop k's (m, o, stem) seed psi.  Partners
+    go to partners, and a vertex with two mapped half-edges sends its third
+    to the one left at the image vertex; that reaches every half-edge.  The
+    finished psi is checked, not trusted: a psi that is not total and
+    injective, or that breaks the pairing or a vertex, raises InternalError.
+    """
+    psi = dict(inv_map)
+    for (m2, o2, t2), (m1, o1, t1) in zip(loops2, loops1):
+        psi[m2], psi[o2] = m1, o1
+        if t2 is not None:
+            psi[t2] = t1
+    todo = list(psi)
+    while todo:
+        h = todo.pop()
+        p, q = state2.partner(h), state1.partner(psi[h])
+        if p is not None and q is not None and p not in psi:
+            psi[p] = q
+            todo.append(p)
+        triple = state2.triple(state2.vertex_of(h))
+        rest = [x for x in triple if x not in psi]
+        if len(rest) == 1:
+            taken = {psi[x] for x in triple if x in psi}
+            left = [
+                y for y in state1.triple(state1.vertex_of(psi[h]))
+                if y not in taken
+            ]
+            if len(left) == 1:
+                psi[rest[0]] = left[0]
+                todo.append(rest[0])
+
+    # Every key is a half-edge of state2 and every value one of state1.
+    ok = (
+        len(psi) == len(state2._vertex_of) == len(state1._vertex_of)
+        and len(set(psi.values())) == len(psi)
+        and all(
+            state1.partner(psi[h]) == psi[p] for h, p in state2._partner.items()
+        )
+        and all(
+            len({state1.vertex_of(psi[x]) for x in triple}) == 1
+            for triple in state2._triple_of.values()
+        )
+    )
+    if not ok:
+        raise InternalError("canonical forms failed to match (planner bug)")
+    return psi
+
+
 def ih_plan(
     g1: TrivalentGraph,
     g2: TrivalentGraph,
@@ -542,8 +598,10 @@ def ih_plan(
     """A script of IH moves taking g1 to a graph boundary-isomorphic to g2.
 
     Both graphs are normalized to the canonical apple tree (g2 with its
-    externals ordered by boundary_map preimage), then g2's normalization is
-    inverted on top of g1's.
+    externals ordered by boundary_map preimage), which aligns the two
+    normal forms half-edge by half-edge; the bijection psi between them is
+    read off that alignment (no search), and g2's normalization is inverted
+    on top of g1's.
     """
     if set(boundary_map) != set(g1.boundary) or set(
         boundary_map.values()
@@ -556,14 +614,12 @@ def ih_plan(
     if s1.genus != s2.genus:
         raise GenusMismatch(f"genus {s1.genus} vs {s2.genus}")
 
-    state1, _ = normalize_to_apple_tree(g1, external_order=sorted(g1.boundary))
+    state1, loops1 = normalize_to_apple_tree(g1, external_order=sorted(g1.boundary))
     order2 = [boundary_map[h] for h in sorted(g1.boundary)]
-    state2, _ = normalize_to_apple_tree(g2, external_order=order2)
+    state2, loops2 = normalize_to_apple_tree(g2, external_order=order2)
 
     inv_map = {boundary_map[h]: h for h in boundary_map}
-    psi = boundary_isomorphism(state2.freeze()[0], state1.freeze()[0], inv_map)
-    if psi is None:
-        raise InternalError("canonical forms failed to match (planner bug)")
+    psi = _read_off_psi(state2, state1, inv_map, loops2, loops1)
 
     for trace in reversed(state2.traces):
         edge = (psi[trace.u_new], psi[trace.v_new])

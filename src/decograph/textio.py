@@ -174,8 +174,8 @@ def serialize_decorated_graph(
             lines.append(f"alpha {h} {a}")
         for name, triple in g.vertices:
             for s in triple:
-                t = min(x for x in triple if x != s)
-                lines.append(f"beta {name} {s} {t} {dec.b(s, t)}")
+                least, _, lift = dec._beta[s]
+                lines.append(f"beta {name} {s} {least} {lift}")
     return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,8 @@ it once.  The reference functions below rebuild the whole graph and
 decoration per move (``build_graph`` + ``make_decoration``); the local edits
 must give equal values.  The pinned SHA-256 digests hold normal forms,
 normal-form scripts and planner scripts as the whole-graph rebuild produced
-them, so the byte-level outputs cannot drift.
+them (two planner scripts re-taken since, see PINNED_PLANS), so the
+byte-level outputs cannot drift.
 """
 
 import hashlib
@@ -255,11 +256,16 @@ PINNED_NORMAL_FORMS = {
               "cabf84a23b34b00414b2d6cb06d2ab2846d703a07538bbe10da504c9d035fdea"),
 }
 
-# v of a genus-2 pair -> digest of its hashed ih_plan script
+# v of a genus-2 pair -> digest of its hashed ih_plan script.  The v=10 and
+# v=12 digests were re-taken when ih_plan began to read its bijection off the
+# two normalizations: in both pairs the two loops hang off the last spine
+# vertex, a boundary-fixing automorphism of the normal form, and the read-off
+# sends loop k to loop k where the search it replaced sent it to the other
+# loop.  Both scripts replay to g2; v=8 and the normal forms did not change.
 PINNED_PLANS = {
     8: "bd9cf0a8b484936619bee53287dfa1c43b44018b1b81dd58e2e74308ce057fbd",
-    10: "8bc3fbabe1f64d8a07282a97a8a8ea7c270c56b773bab07648f0bd001f1423b5",
-    12: "57c58838282a5fda12724521de89965716995ebb69610788cb04ca602ce81c95",
+    10: "e02e069dda07e1e9356a416f915b0ec408bb2c9c8060f9c51f22c2ee6d98736d",
+    12: "606b80d8f35bb8159c1c3c587b5df263122d95624d65ac220d2f6e7531ed8d84",
 }
 
 

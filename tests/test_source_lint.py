@@ -2,7 +2,8 @@
 
 The library's behaviour must not depend on ``assert`` (stripped under
 ``python -O``), and modules import only what they use.  ``__init__.py``
-re-exports names, so its imports are not checked.
+re-exports names, so its imports are not checked.  The planner in
+``moves.py`` stays free of the isomorphism search.
 """
 
 import ast
@@ -40,3 +41,20 @@ def test_no_unused_top_level_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_planner_does_not_search():
+    """ih_plan reads its bijection off the normalizations; moves.py must not
+    import or call the isomorphism search."""
+    path = next(p for p in SOURCES if p.name == "moves.py")
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "boundary_isomorphism" not in names

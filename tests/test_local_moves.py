@@ -268,6 +268,13 @@ PINNED_PLANS = {
     12: "606b80d8f35bb8159c1c3c587b5df263122d95624d65ac220d2f6e7531ed8d84",
 }
 
+# v of the same pairs -> digest of the plan's steps alone, without hashes.
+PINNED_PLAN_STEPS = {
+    8: "1c0fc5672cea6cfdcba18c6cdff0d1e3854b5297c7dff6063f2225c2c03e3c5c",
+    10: "69168c2ca12db6c88aacd9f129486b852d9a7f58b42414d67b3653f8384202bc",
+    12: "d5e0cec898efb0582c7700e6b247fa6b2eab03a7be9a61dafbb6d618a31d57c1",
+}
+
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("k, key", list(enumerate(PINNED_NORMAL_FORMS)))
@@ -288,4 +295,5 @@ class TestPinnedOutputs:
         dec1 = random_decoration(g1, rng, 5)
         bmap = dict(zip(sorted(g1.boundary), sorted(g2.boundary)))
         script = with_hashes(g1, dec1, ih_plan(g1, g2, bmap))
+        assert _sha(serialize_script(MoveScript(script.steps))) == PINNED_PLAN_STEPS[v]
         assert _sha(serialize_script(script)) == PINNED_PLANS[v]

@@ -125,8 +125,8 @@ class IhTrace:
 class MoveScript:
     """Replayable sequence of trivial modifications and IH moves.
 
-    ``hashes``, when nonempty, holds one hex snapshot digest per step;
-    replaying verifies them.
+    ``hashes``, when nonempty, holds one snapshot_hash digest per step, of
+    the state after that step; replaying verifies them.
     """
 
     steps: tuple[Union[TrivialMod, IhMove], ...]
@@ -247,7 +247,9 @@ class _PlanState:
     ``freeze`` builds the immutable graph and decoration, and keeps them
     until the next move changes the state.  Applied steps are recorded in
     ``steps``, with one trace per IH move in ``traces``; the planner also
-    keeps its frozen vertices and cut edges here.
+    keeps its frozen vertices and cut edges here.  A state made with
+    ``hashed`` keeps the hash of each line of its canonical text and their
+    sum, its snapshot_hash; each edit replaces the lines it rewrites.
     """
 
     # Read access as on TrivalentGraph and Decoration, so that _labels,
@@ -259,7 +261,7 @@ class _PlanState:
     a = Decoration.a
     b = Decoration.b
 
-    def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None):
+    def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None, hashed=False):
         self.g, self.dec = g, dec
         self.boundary = g.boundary
         self._vertex_of = dict(g._vertex_of)
@@ -271,6 +273,36 @@ class _PlanState:
         self.traces: list[IhTrace] = []
         self.frozen: set[str] = set()  # vertex names
         self.cut: set[tuple[str, str]] = set()  # sorted half pairs
+        self._hashes = self._sum = None
+        if hashed:
+            self._hashes = {h: _line_hash(h) for h in _canonical_lines(g, dec)}
+            self._sum = sum(self._hashes.values())
+
+    def snapshot_hash(self) -> str:
+        """snapshot_hash of the current state, read off the kept sum."""
+        return _digest(self._sum)
+
+    def _swap_lines(self, old: list[str], new: list[str]) -> None:
+        """Replace canonical lines in the kept hashes and sum."""
+        for line in old:
+            self._sum -= self._hashes.pop(line)
+        for line in new:
+            self._hashes[line] = h = _line_hash(line)
+            self._sum += h
+
+    def _lines(self, vertices=(), edge=(), sources=()) -> list[str]:
+        """The vertex and beta lines at ``vertices``, the edge and alpha
+        lines of ``edge`` and the beta lines of ``sources``."""
+        from .textio import alpha_line, beta_line, edge_line, vertex_line
+
+        lines = [vertex_line(n, self._triple_of[n]) for n in vertices]
+        lines += [edge_line(*sorted(edge))] if edge else []
+        if self._beta is not None:
+            lines += [alpha_line(h, self._alpha[h]) for h in edge]
+            sources = [*sources, *(s for n in vertices for s in self._triple_of[n])]
+            beta, vertex_of = self._beta, self._vertex_of
+            lines += [beta_line(vertex_of[s], s, beta[s]) for s in sources]
+        return lines
 
     def freeze(self) -> tuple[TrivalentGraph, Optional[Decoration]]:
         """The current graph and decoration as immutable values."""
@@ -312,6 +344,8 @@ class _PlanState:
 
         vertex_of, partner = self._vertex_of, self._partner
         vu, vv = vertex_of[u], vertex_of[v]
+        if self._hashes is not None:
+            old = self._lines((vu, vv), (u, v))
         # New names avoid every current half-edge, u and v included.
         u_new = _fresh_name(u, vertex_of)
         vertex_of[u_new] = vu
@@ -336,6 +370,8 @@ class _PlanState:
                 (v_new, w, y, 0), (y, v_new, w, by), (w, v_new, y, bw),
             ):
                 lifts[s] = stored_lift(alpha, s, t, other, lift)
+        if self._hashes is not None:
+            self._swap_lines(old, self._lines((vu, vv), (u_new, v_new)))
         return IhTrace(u, v, x, y, z, w, u_new, v_new, B)
 
     def _trivial_mod(self, mod: TrivialMod) -> None:
@@ -358,9 +394,13 @@ class _PlanState:
                 raise BadTarget(f"half-edge {x!r} is not external")
             sources = (x,)
         lifts = self._beta
+        if self._hashes is not None:
+            old = self._lines(sources=sources)
         for s in sources:
             least, other, lift = lifts[s]
             lifts[s] = (least, other, reduce_lift(lift + mod.amount, self._alpha[s]))
+        if self._hashes is not None:
+            self._swap_lines(old, self._lines(sources=sources))
         self.dec = None
 
     def meet(self, a: str, b: str) -> str:
@@ -431,11 +471,32 @@ def invert_move(g_after: TrivalentGraph, trace: IhTrace) -> IhMove:
     return choice_for(g_after, (trace.u_new, trace.v_new), {trace.x, trace.y})
 
 
-def snapshot_hash(g: TrivalentGraph, dec: Optional[Decoration]) -> str:
+HASH_TAG = "m1:"
+
+
+def _line_hash(line: str) -> int:
+    return int.from_bytes(hashlib.sha256(line.encode()).digest(), "big")
+
+
+def _canonical_lines(g: TrivalentGraph, dec: Optional[Decoration]) -> list[str]:
     from .textio import serialize_decorated_graph
 
-    text = serialize_decorated_graph(g, dec)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return serialize_decorated_graph(g, dec).splitlines()
+
+
+def _digest(total: int) -> str:
+    return HASH_TAG + f"{total % (1 << 256):064x}"[:16]
+
+
+def snapshot_hash(g: TrivalentGraph, dec: Optional[Decoration]) -> str:
+    """Multiset hash of the canonical text of (g, dec): the sum, modulo
+    2^256, of the SHA-256 of each line of serialize_decorated_graph(g, dec),
+    as the first 16 of its 64 hex digits behind HASH_TAG.  The canonical lines
+    are distinct and sorted, so they determine the text; as a sum, the hash
+    can follow an edit by subtracting the lines it removes and adding those
+    it writes (AdHash, Bellare and Micciancio, 1997), as _PlanState does.
+    """
+    return _digest(sum(map(_line_hash, _canonical_lines(g, dec))))
 
 
 def apply_script(
@@ -447,13 +508,13 @@ def apply_script(
     check = bool(script.hashes)
     if check and len(script.hashes) != len(script.steps):
         raise ScriptError("hash count does not match step count")
-    state = _PlanState(g, dec)
+    state = _PlanState(g, dec, hashed=check)
     for idx, step in enumerate(script.steps):
         try:
             state.apply(step)
         except (MoveError, GraphError, ValueError) as exc:
             raise ScriptError(f"step {idx} failed: {exc}") from exc
-        if check and script.hashes[idx] != snapshot_hash(*state.freeze()):
+        if check and script.hashes[idx] != state.snapshot_hash():
             raise ScriptError(f"step {idx}: snapshot hash mismatch")
     return state.freeze()
 
@@ -462,11 +523,11 @@ def with_hashes(
     g: TrivalentGraph, dec: Optional[Decoration], script: MoveScript
 ) -> MoveScript:
     """Attach snapshot hashes by replaying on (g, dec)."""
-    state = _PlanState(g, dec)
+    state = _PlanState(g, dec, hashed=True)
     hashes = []
     for step in script.steps:
         state.apply(step)
-        hashes.append(snapshot_hash(*state.freeze()))
+        hashes.append(state.snapshot_hash())
     return MoveScript(steps=script.steps, hashes=tuple(hashes))
 
 

@@ -26,7 +26,7 @@ from .decoration import (
     make_decoration,
 )
 from .graph import GraphError, TrivalentGraph, build_graph
-from .moves import IhMove, MoveScript
+from .moves import HASH_TAG, IhMove, MoveScript, ScriptError
 
 
 class TextError(ValueError):
@@ -48,16 +48,9 @@ class SemanticError(TextError):
 
 def _tokenize(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        tokens = []
-        col = 1
-        for tok in line.split():
-            col = line.index(tok, col - 1) + 1
-            tokens.append((tok, col))
-            col += len(tok)
-        yield lineno, tokens
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
 
 
 def parse_decorated_graph(
@@ -71,44 +64,54 @@ def parse_decorated_graph(
     beta: dict[tuple[str, str], int] = {}
     beta_lines: list[tuple[int, str, str, str]] = []
 
-    def need(tokens, lineno, count, what):
+    # The helpers read the current line's lineno, raw and tokens.
+    def fail(i, expected, got=""):
+        """Raise at tokens[i], or just past the last token; only errors
+        need columns, so they are found here."""
+        end = 0
+        for tok in tokens[:i]:
+            end = raw.index(tok, end) + len(tok)
+        col = raw.index(tokens[i], end) if i < len(tokens) else end
+        raise FileSyntaxError(lineno, col + 1, expected, got)
+
+    def need(count, what):
         if len(tokens) != count:
-            col = tokens[-1][1] + len(tokens[-1][0]) if len(tokens) < count else tokens[count][1]
-            raise FileSyntaxError(lineno, col, what)
+            fail(min(len(tokens), count), what)
 
-    def intval(tok, col, lineno):
+    def intval(i):
         try:
-            return int(tok)
+            return int(tokens[i])
         except ValueError:
-            raise FileSyntaxError(lineno, col, "an integer", tok) from None
+            pass
+        fail(i, "an integer", tokens[i])
 
-    for lineno, tokens in _tokenize(text):
-        head, col0 = tokens[0]
+    for lineno, raw, tokens in _tokenize(text):
+        head = tokens[0]
         if head == "vertex":
-            need(tokens, lineno, 6, "'vertex <name> : <h1> <h2> <h3>'")
-            name = tokens[1][0]
-            if tokens[2][0] != ":":
-                raise FileSyntaxError(lineno, tokens[2][1], "':'", tokens[2][0])
+            need(6, "'vertex <name> : <h1> <h2> <h3>'")
+            name = tokens[1]
+            if tokens[2] != ":":
+                fail(2, "':'", tokens[2])
             if name in vertices:
                 raise SemanticError(f"line {lineno}: duplicate vertex {name!r}")
-            vertices[name] = (tokens[3][0], tokens[4][0], tokens[5][0])
+            vertices[name] = (tokens[3], tokens[4], tokens[5])
         elif head == "edge":
-            need(tokens, lineno, 3, "'edge <h1> <h2>'")
-            edges.append((tokens[1][0], tokens[2][0]))
+            need(3, "'edge <h1> <h2>'")
+            edges.append((tokens[1], tokens[2]))
         elif head == "boundary":
             if boundary is not None:
                 raise SemanticError(f"line {lineno}: duplicate boundary statement")
-            boundary = [t for t, _ in tokens[1:]]
+            boundary = tokens[1:]
         elif head == "alpha":
-            need(tokens, lineno, 3, "'alpha <half-edge> <int>'")
-            h = tokens[1][0]
+            need(3, "'alpha <half-edge> <int>'")
+            h = tokens[1]
             if h in alpha:
                 raise SemanticError(f"line {lineno}: duplicate alpha for {h!r}")
-            alpha[h] = intval(tokens[2][0], tokens[2][1], lineno)
+            alpha[h] = intval(2)
         elif head == "beta":
-            need(tokens, lineno, 5, "'beta <vertex> <h_from> <h_to> <int>'")
-            v, s, t = tokens[1][0], tokens[2][0], tokens[3][0]
-            val = intval(tokens[4][0], tokens[4][1], lineno)
+            need(5, "'beta <vertex> <h_from> <h_to> <int>'")
+            v, s, t = tokens[1], tokens[2], tokens[3]
+            val = intval(4)
             if (s, t) in beta:
                 raise SemanticError(
                     f"line {lineno}: duplicate beta for ({s!r}, {t!r})"
@@ -116,10 +119,7 @@ def parse_decorated_graph(
             beta[(s, t)] = val
             beta_lines.append((lineno, v, s, t))
         else:
-            raise FileSyntaxError(
-                lineno, col0,
-                "one of 'vertex', 'edge', 'boundary', 'alpha', 'beta'", head,
-            )
+            fail(0, "one of 'vertex', 'edge', 'boundary', 'alpha', 'beta'", head)
 
     if not vertices:
         raise SemanticError("file declares no vertices")
@@ -156,26 +156,40 @@ def parse_decorated_graph(
         raise SemanticError(f"invalid decoration: {exc}") from exc
 
 
+# The canonical line of each statement; moves hashes the lines one by one.
+def vertex_line(name: str, triple: tuple[str, str, str]) -> str:
+    return f"vertex {name} : {' '.join(triple)}"
+
+
+def edge_line(a: str, b: str) -> str:
+    return f"edge {a} {b}"
+
+
+def alpha_line(h: str, a: int) -> str:
+    return f"alpha {h} {a}"
+
+
+def beta_line(name: str, s: str, entry: tuple[str, str, int]) -> str:
+    least, _, lift = entry  # the stored (least co-half, other, lift)
+    return f"beta {name} {s} {least} {lift}"
+
+
 def serialize_decorated_graph(
     g: TrivalentGraph, dec: Optional[Decoration] = None
 ) -> str:
     """Canonical text form: statements sorted, one beta lift per source
     (toward the least co-half), minimal lifts.  Byte-stable under
     parse-serialize round trips."""
-    lines = []
-    for name, triple in g.vertices:
-        lines.append(f"vertex {name} : {' '.join(triple)}")
-    for a, b in g.edges:
-        lines.append(f"edge {a} {b}")
+    lines = [vertex_line(name, triple) for name, triple in g.vertices]
+    lines += [edge_line(a, b) for a, b in g.edges]
     if g.boundary:
         lines.append("boundary " + " ".join(g.boundary))
     if dec is not None:
-        for h, a in dec.alpha:
-            lines.append(f"alpha {h} {a}")
-        for name, triple in g.vertices:
-            for s in triple:
-                least, _, lift = dec._beta[s]
-                lines.append(f"beta {name} {s} {least} {lift}")
+        lines += [alpha_line(h, a) for h, a in dec.alpha]
+        lines += [
+            beta_line(name, s, dec._beta[s])
+            for name, triple in g.vertices for s in triple
+        ]
     return "\n".join(lines) + "\n"
 
 
@@ -201,31 +215,29 @@ def serialize_script(script: MoveScript) -> str:
 
 
 def parse_script(text: str) -> MoveScript:
-    steps = []
-    hashes = []
+    """Parse a move script.  A comment that starts with HASH_TAG is the
+    step's snapshot hash: either every step carries one or none does.  A
+    bare 16-hex-digit comment is a hash of the old whole-text scheme, which
+    replays cannot check, and is rejected.  Other comments are free."""
+    steps, hashes = [], []
+    unhashed = None  # (line, step index) of the first step without a hash
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
         if not line.strip():
             continue
         tokens = line.split()
         head = tokens[0]
-        if head in ("V", "E"):
-            if len(tokens) != 3:
-                raise FileSyntaxError(lineno, 1, f"'{head} <target> <int>'")
+        if head in ("V", "I", "E"):
+            edge = head == "I"
+            if len(tokens) != 3 or (edge and "-" not in tokens[1]):
+                form = "'I <x>-<y> <int>'" if edge else f"'{head} <target> <int>'"
+                raise FileSyntaxError(lineno, 1, form)
             try:
                 amount = int(tokens[2])
             except ValueError:
                 raise FileSyntaxError(lineno, 1, "an integer", tokens[2]) from None
-            steps.append(TrivialMod(head, tokens[1], amount))
-        elif head == "I":
-            if len(tokens) != 3 or "-" not in tokens[1]:
-                raise FileSyntaxError(lineno, 1, "'I <x>-<y> <int>'")
-            x, _, y = tokens[1].partition("-")
-            try:
-                amount = int(tokens[2])
-            except ValueError:
-                raise FileSyntaxError(lineno, 1, "an integer", tokens[2]) from None
-            steps.append(TrivialMod("I", (x, y), amount))
+            target = tuple(tokens[1].split("-", 1)) if edge else tokens[1]
+            steps.append(TrivialMod(head, target, amount))
         elif head == "IH":
             if len(tokens) != 3 or "-" not in tokens[1]:
                 raise FileSyntaxError(lineno, 1, "'IH <u>-<v> <b|c>'")
@@ -235,10 +247,22 @@ def parse_script(text: str) -> MoveScript:
             steps.append(IhMove((u, v), tokens[2]))
         else:
             raise FileSyntaxError(lineno, 1, "one of 'V', 'I', 'E', 'IH'", head)
-        hashes.append(comment.strip())
-    if all(hashes) and hashes:
-        return MoveScript(steps=tuple(steps), hashes=tuple(hashes))
-    return MoveScript(steps=tuple(steps))
+        comment = comment.strip()
+        if comment.startswith(HASH_TAG):
+            hashes.append(comment)
+        elif len(comment) == 16 and set(comment) <= set("0123456789abcdef"):
+            raise ScriptError(
+                f"line {lineno}: {comment!r} is a snapshot hash of the old"
+                " whole-text scheme, which cannot be checked; re-run 'decograph plan'"
+            )
+        elif unhashed is None:
+            unhashed = (lineno, len(steps) - 1)
+    if hashes and unhashed:
+        raise ScriptError(
+            f"line {unhashed[0]}: step {unhashed[1]} has no snapshot hash,"
+            " but other steps have one"
+        )
+    return MoveScript(steps=tuple(steps), hashes=tuple(hashes))
 
 
 # -- DOT export -----------------------------------------------------------

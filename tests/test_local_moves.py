@@ -5,8 +5,8 @@ it once.  The reference functions below rebuild the whole graph and
 decoration per move (``build_graph`` + ``make_decoration``); the local edits
 must give equal values.  The pinned SHA-256 digests hold normal forms,
 normal-form scripts and planner scripts as the whole-graph rebuild produced
-them (two planner scripts re-taken since, see PINNED_PLANS), so the
-byte-level outputs cannot drift.
+them (planner scripts re-taken since, for the reasons at PINNED_PLANS), so
+the byte-level outputs cannot drift.
 """
 
 import hashlib
@@ -262,10 +262,20 @@ PINNED_NORMAL_FORMS = {
 # vertex, a boundary-fixing automorphism of the normal form, and the read-off
 # sends loop k to loop k where the search it replaced sent it to the other
 # loop.  Both scripts replay to g2; v=8 and the normal forms did not change.
+# All three were re-taken again when snapshot_hash became a tagged sum of
+# per-line SHA-256 hashes, which changes only the hash comment of each line:
+#   8: bd9cf0a8b484936619bee53287dfa1c43b44018b1b81dd58e2e74308ce057fbd
+#   -> 061da6557145845efcc6149c071edfea8228db597f1884fb3fcc22a6f9e1363e
+#   10: e02e069dda07e1e9356a416f915b0ec408bb2c9c8060f9c51f22c2ee6d98736d
+#   -> 161340cdb39f036c6aa63e59405130f44f8e89289547d9dc4bc1f4cb1f4b2a09
+#   12: 606b80d8f35bb8159c1c3c587b5df263122d95624d65ac220d2f6e7531ed8d84
+#   -> c460c0ea8412a711baa53213144829b766dc59f87ed41736c627e6b6521b20e7
+# PINNED_PLAN_STEPS, taken before that change, pins the steps without hashes
+# and did not change with it.
 PINNED_PLANS = {
-    8: "bd9cf0a8b484936619bee53287dfa1c43b44018b1b81dd58e2e74308ce057fbd",
-    10: "e02e069dda07e1e9356a416f915b0ec408bb2c9c8060f9c51f22c2ee6d98736d",
-    12: "606b80d8f35bb8159c1c3c587b5df263122d95624d65ac220d2f6e7531ed8d84",
+    8: "061da6557145845efcc6149c071edfea8228db597f1884fb3fcc22a6f9e1363e",
+    10: "161340cdb39f036c6aa63e59405130f44f8e89289547d9dc4bc1f4cb1f4b2a09",
+    12: "c460c0ea8412a711baa53213144829b766dc59f87ed41736c627e6b6521b20e7",
 }
 
 # v of the same pairs -> digest of the plan's steps alone, without hashes.

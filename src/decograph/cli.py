@@ -19,7 +19,6 @@ from .invariants import InvariantError, classify, equivalent, normal_form
 from .moves import (
     IhMove,
     MoveError,
-    MoveScript,
     apply_script,
     ih_apply,
     ih_plan,
@@ -120,9 +119,7 @@ def _cmd_plan(args) -> int:
     g1, dec1 = _load(args.file1)
     g2, _ = _load(args.file2)
     bmap = _parse_map(args.map, g1, g2)
-    script = ih_plan(g1, g2, bmap)
-    if dec1 is not None:
-        script = with_hashes(g1, dec1, script)
+    script = with_hashes(g1, dec1, ih_plan(g1, g2, bmap))
     _atomic_write(args.output, serialize_script(script))
     print(f"wrote {args.output} ({len(script.steps)} moves)")
     return 0
@@ -132,8 +129,6 @@ def _cmd_run(args) -> int:
     g, dec = _load(args.file)
     with open(args.script) as fh:
         script = parse_script(fh.read())
-    if dec is None:
-        script = MoveScript(steps=script.steps)  # cannot verify hashes
     g2, dec2 = apply_script(g, dec, script)
     _atomic_write(args.output, serialize_decorated_graph(g2, dec2))
     print(f"wrote {args.output}")

@@ -20,13 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
-from .graph import (
-    OrientedCycle,
-    TrivalentGraph,
-    _fundamental_cycles,
-    cycle_basis,
-    spanning_tree,
-)
+from .graph import OrientedCycle, TrivalentGraph, cycle_basis, spanning_tree
 
 
 class DecorationError(ValueError):
@@ -378,11 +372,11 @@ def trivial_mod_equivalent(
     d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in halves}
     vertex_of = g.vertex_of
 
-    tree, non_tree = spanning_tree(g)
+    tree, _ = spanning_tree(g)
     n0 = dict.fromkeys(g.vertex_names(), 0)
     for h, p in tree.values():
         n0[vertex_of(p)] = _nearest(n0[vertex_of(h)] - d[h] + d[p], dec1.a(h))
-    cycles = _fundamental_cycles(g, tree, non_tree)
+    cycles = cycle_basis(g)
     columns: dict[tuple[str, str], list[int]] = {}
     target = []
     for row, c in enumerate(cycles):

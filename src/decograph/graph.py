@@ -8,6 +8,7 @@ some half-edges into internal edges.  Unpaired half-edges form the boundary
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import deque
@@ -57,7 +58,8 @@ class TrivalentGraph:
 
     ``vertices`` maps vertex names to sorted half-edge triples; ``pairing``
     is stored as a sorted tuple of sorted internal-edge pairs; ``boundary``
-    is the stable declared order of the unpaired half-edges.
+    is the stable declared order of the unpaired half-edges.  ``_memo``
+    keeps topology computed once per graph (see ``_per_graph``).
     """
 
     vertices: tuple[tuple[str, tuple[str, str, str]], ...]
@@ -67,6 +69,7 @@ class TrivalentGraph:
     _vertex_of: dict = field(default_factory=dict, compare=False, repr=False)
     _partner: dict = field(default_factory=dict, compare=False, repr=False)
     _triple_of: dict = field(default_factory=dict, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for name, triple in self.vertices:
@@ -183,7 +186,24 @@ class GraphStats:
     genus: tuple[int, ...]  # per component, in component order
 
 
-def _component_partition(g: TrivalentGraph) -> list[list[str]]:
+def _per_graph(compute):
+    """compute(g) once per (immutable) graph, kept in g._memo; the value must
+    be immutable or copied for callers.  ``__wrapped__`` recomputes it."""
+    key = compute.__name__
+
+    @functools.wraps(compute)
+    def once(g: TrivalentGraph):
+        try:
+            return g._memo[key]
+        except KeyError:
+            value = g._memo[key] = compute(g)
+            return value
+
+    return once
+
+
+@_per_graph
+def _component_partition(g: TrivalentGraph) -> tuple[tuple[str, ...], ...]:
     """Vertex names grouped into connected components (sorted, deterministic)."""
     remaining = set(g.vertex_names())
     comps = []
@@ -201,10 +221,11 @@ def _component_partition(g: TrivalentGraph) -> list[list[str]]:
                         comp.add(w)
                         frontier.append(w)
         remaining -= comp
-        comps.append(sorted(comp))
-    return comps
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
+@_per_graph
 def graph_stats(g: TrivalentGraph) -> GraphStats:
     comps = _component_partition(g)
     genus = []
@@ -285,6 +306,12 @@ def spanning_tree(
     from the root, (parent half, child half), in the order the search
     reaches them, so each comes after the edge that reaches its parent.
     """
+    tree, non_tree = _spanning_tree(g)
+    return dict(tree), list(non_tree)
+
+
+@_per_graph
+def _spanning_tree(g: TrivalentGraph):
     tree: dict[tuple[str, str], tuple[str, str]] = {}
     visited: set[str] = set()
     for comp in _component_partition(g):
@@ -350,15 +377,12 @@ def cycle_basis(g: TrivalentGraph) -> list[OrientedCycle]:
     One cycle per non-tree internal edge; each cycle starts with that edge
     oriented from its smaller half-edge.
     """
-    return _fundamental_cycles(g, *spanning_tree(g))
+    return list(_cycle_basis(g))
 
 
-def _fundamental_cycles(
-    g: TrivalentGraph,
-    tree: Container[tuple[str, str]],
-    non_tree: Sequence[tuple[str, str]],
-) -> list[OrientedCycle]:
-    """cycle_basis on a forest that spanning_tree(g) already returned."""
+@_per_graph
+def _cycle_basis(g: TrivalentGraph) -> tuple[OrientedCycle, ...]:
+    tree, non_tree = _spanning_tree(g)
     basis = []
     for a, b in non_tree:
         steps = [(a, b)]
@@ -366,7 +390,7 @@ def _fundamental_cycles(
         cyc = OrientedCycle(tuple(steps))
         cyc.validate(g)
         basis.append(cyc)
-    return basis
+    return tuple(basis)
 
 
 def boundary_isomorphism(

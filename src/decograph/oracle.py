@@ -23,7 +23,7 @@ from .decoration import (
 )
 from .graph import InternalError, NotConnected, TrivalentGraph, is_connected
 from .invariants import classify
-from .moves import InvalidMove, IhMove, ih_apply, invert_move
+from .moves import InvalidMove, IhMove, _PlanState, invert_move
 
 
 class FrontierExceeded(RuntimeError):
@@ -64,60 +64,71 @@ def sl2_orbit(a: int, b: int, bound: int) -> set[tuple[int, int]]:
     return seen
 
 
-def _rename_halves(dec: Decoration, mapping: dict[str, str]) -> Decoration:
-    def ren(h: str) -> str:
-        return mapping.get(h, h)
-
-    alpha = {ren(h): a for h, a in dec.alpha}
-    # renaming may change which co-half is least
-    beta = {
-        ren(s): stored_lift(alpha, ren(s), ren(t0), ren(t1), lift)
-        for s, (t0, t1, lift) in dec.beta
-    }
-    return Decoration(
-        alpha=tuple(sorted(alpha.items())), beta=tuple(sorted(beta.items()))
-    )
+def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
+    """(move, inverse, rename, ends) per IH round trip on g, by edge then
+    choice, worked out once on a bare state: the rename takes the inverse's
+    fresh halves back to u, v; ends are the half-edges at their vertices."""
+    out = []
+    for edge in g.edges:
+        for choice in ("b", "c"):
+            state = _PlanState(g)
+            try:
+                tr1 = state.apply(IhMove(edge, choice))
+            except InvalidMove:
+                break  # loop edge: no IH move either way
+            inverse = invert_move(state, tr1)
+            tr2 = state.apply(inverse)
+            # The fresh half at the vertex rejoining {x, y} replays u.
+            if tr2.u_new in state.triple(state.vertex_of(tr1.x)):
+                ren = {tr2.u_new: tr1.u, tr2.v_new: tr1.v}
+            else:
+                ren = {tr2.v_new: tr1.u, tr2.u_new: tr1.v}
+            restored = {
+                frozenset(ren.get(h, h) for h in triple)
+                for triple in state._triple_of.values()
+            }
+            if restored != {frozenset(t) for _, t in g.vertices}:
+                raise InternalError(
+                    "IH round trip did not restore the graph (internal bug)"
+                )
+            ends = g.triple(g.vertex_of(tr1.u)) + g.triple(g.vertex_of(tr1.v))
+            out.append((IhMove(edge, choice), inverse, ren, ends))
+    return out
 
 
 def ih_round_trips(
     g: TrivalentGraph, dec: Decoration, max_param: int
 ) -> Iterable[Decoration]:
     """Decorations obtained by an IH move, an optional I-modification on
-    the fresh edge, and the inverse IH move, renamed back onto g."""
+    the fresh edge, and the inverse IH move, renamed back onto g.  Each is
+    one in-place edit of a working state; no graph is built."""
+    return _round_trips(g, dec, max_param, _round_trip_moves(g))
+
+
+def _round_trips(g, dec, max_param, trips) -> Iterable[Decoration]:
     amounts = [0] + [s * k for k in range(1, max_param + 1) for s in (1, -1)]
-    for edge in g.edges:
-        for choice in ("b", "c"):
-            try:
-                g1, dec1, tr1 = ih_apply(g, dec, IhMove(edge, choice))
-            except InvalidMove:
-                break  # loop edge: no IH move either way
-            for m in amounts:
-                d1 = dec1
-                if m:
-                    d1 = apply_trivial_mod(
-                        g1, d1, TrivialMod("I", (tr1.u_new, tr1.v_new), m)
-                    )
-                g2, dec2, tr2 = ih_apply(g1, d1, invert_move(g1, tr1))
-                # Rename the two fresh halves back to u, v: the one at the
-                # vertex rejoining {x, y} replays u.
-                vx = g2.vertex_of(tr1.x)
-                if tr2.u_new in g2.triple(vx):
-                    ren = {tr2.u_new: tr1.u, tr2.v_new: tr1.v}
-                else:
-                    ren = {tr2.v_new: tr1.u, tr2.u_new: tr1.v}
-                restored = {
-                    frozenset(ren.get(h, h) for h in triple)
-                    for _, triple in g2.vertices
-                }
-                if restored != {frozenset(t) for _, t in g.vertices}:
-                    raise InternalError(
-                        "IH round trip did not restore the graph (internal bug)"
-                    )
-                yield _rename_halves(dec2, ren)
+    for move, inverse, ren, ends in trips:
+        for m in amounts:
+            state = _PlanState(g, dec)
+            tr1 = state.apply(move)
+            if m:
+                state.apply(TrivialMod("I", (tr1.u_new, tr1.v_new), m))
+            state.apply(inverse)
+            alpha, beta = state._alpha, state._beta
+            for new, old in ren.items():
+                alpha[old], beta[old] = alpha.pop(new), beta.pop(new)
+            # Only lifts at the two end vertices name a renamed half, and
+            # renaming may change which co-half is least.
+            for s in ends:
+                t0, t1, lift = beta[s]
+                beta[s] = stored_lift(alpha, s, ren.get(t0, t0), ren.get(t1, t1), lift)
+            yield Decoration(
+                alpha=tuple(sorted(alpha.items())), beta=tuple(sorted(beta.items()))
+            )
 
 
 def _neighbors(
-    g: TrivalentGraph, dec: Decoration, bounds: OrbitBounds
+    g: TrivalentGraph, dec: Decoration, bounds: OrbitBounds, trips: list
 ) -> Iterable[Decoration]:
     amounts = [s * k for k in range(1, bounds.max_param + 1) for s in (1, -1)]
     for name, _ in g.vertices:
@@ -129,7 +140,7 @@ def _neighbors(
     for x in g.boundary:
         for n in amounts:
             yield apply_trivial_mod(g, dec, TrivialMod("E", x, n))
-    yield from ih_round_trips(g, dec, bounds.max_param)
+    yield from _round_trips(g, dec, bounds.max_param, trips)
 
 
 def move_orbit(
@@ -140,11 +151,12 @@ def move_orbit(
     frontier cap; the exception carries the partial orbit."""
     seen = {dec}
     frontier = deque([(dec, 0)])
+    trips = _round_trip_moves(g)
     while frontier:
         cur, depth = frontier.popleft()
         if depth >= bounds.max_depth:
             continue
-        for nxt in _neighbors(g, cur, bounds):
+        for nxt in _neighbors(g, cur, bounds, trips):
             if nxt not in seen:
                 seen.add(nxt)
                 if len(seen) > bounds.max_frontier:

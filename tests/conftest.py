@@ -21,7 +21,9 @@ from decograph import (
     make_decoration,
     zero_beta,
 )
-from decograph.graph import spanning_tree
+from decograph.decoration import TrivialMod, apply_trivial_mod, stored_lift
+from decograph.graph import InternalError, spanning_tree
+from decograph.moves import IhMove, InvalidMove, ih_apply, invert_move
 
 
 # -- exhaustive small-graph enumeration ----------------------------------
@@ -302,6 +304,56 @@ def tree_with_chords(rng, v, genus):
         free.remove(b)
         edges.append((a, b))
     return build_graph(triples, edges)
+
+
+# -- reference IH round trips ---------------------------------------------
+
+
+def _rename_halves(dec: Decoration, mapping: dict[str, str]) -> Decoration:
+    def ren(h: str) -> str:
+        return mapping.get(h, h)
+
+    alpha = {ren(h): a for h, a in dec.alpha}
+    # renaming may change which co-half is least
+    beta = {
+        ren(s): stored_lift(alpha, ren(s), ren(t0), ren(t1), lift)
+        for s, (t0, t1, lift) in dec.beta
+    }
+    return Decoration(
+        alpha=tuple(sorted(alpha.items())), beta=tuple(sorted(beta.items()))
+    )
+
+
+def reference_ih_round_trips(g, dec, max_param):
+    """oracle.ih_round_trips as two whole ih_apply calls per round trip and
+    a rename of every lift: the differential reference for the in-place
+    walk."""
+    amounts = [0] + [s * k for k in range(1, max_param + 1) for s in (1, -1)]
+    for edge in g.edges:
+        for choice in ("b", "c"):
+            try:
+                g1, dec1, tr1 = ih_apply(g, dec, IhMove(edge, choice))
+            except InvalidMove:
+                break  # loop edge: no IH move either way
+            for m in amounts:
+                d1 = dec1
+                if m:
+                    d1 = apply_trivial_mod(
+                        g1, d1, TrivialMod("I", (tr1.u_new, tr1.v_new), m)
+                    )
+                g2, dec2, tr2 = ih_apply(g1, d1, invert_move(g1, tr1))
+                vx = g2.vertex_of(tr1.x)
+                if tr2.u_new in g2.triple(vx):
+                    ren = {tr2.u_new: tr1.u, tr2.v_new: tr1.v}
+                else:
+                    ren = {tr2.v_new: tr1.u, tr2.u_new: tr1.v}
+                restored = {
+                    frozenset(ren.get(h, h) for h in triple)
+                    for _, triple in g2.vertices
+                }
+                if restored != {frozenset(t) for _, t in g.vertices}:
+                    raise InternalError("IH round trip did not restore the graph")
+                yield _rename_halves(dec2, ren)
 
 
 # -- fixtures -------------------------------------------------------------

@@ -152,7 +152,7 @@ class TestIhApply:
         g2, dec2, tr2 = ih_apply(g1, dec1, invert_move(g1, tr1))
         iso = boundary_isomorphism(g2, g, {h: h for h in g.boundary})
         assert iso is not None
-        from decograph.oracle import _rename_halves
+        from conftest import _rename_halves
 
         back = _rename_halves(dec2, iso)
         assert trivial_mod_equivalent(g, dec, back) is not None

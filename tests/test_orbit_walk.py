@@ -1,0 +1,147 @@
+"""The orbit walk edits decorations in place, and graphs keep their topology.
+
+``oracle.ih_round_trips`` runs each IH round trip as one edit of a working
+state; ``reference_ih_round_trips`` (conftest) is the old form, two whole
+``ih_apply`` calls and a rename of every lift, kept as the differential
+reference.  ``graph_stats``, ``spanning_tree`` and ``cycle_basis`` are
+computed once per (immutable) graph and must hand out values that callers
+cannot use to change what is kept.
+"""
+
+import dataclasses
+import random
+import sys
+
+import pytest
+
+import decograph.graph as graph
+import decograph.moves as moves
+import decograph.oracle as oracle
+from decograph import OrbitBounds, build_graph, cycle_basis, graph_stats, move_orbit
+from decograph.graph import _component_partition, _cycle_basis, _spanning_tree, spanning_tree
+from conftest import (
+    corpus_decorations,
+    random_decoration,
+    reference_ih_round_trips,
+    small_graph_corpus,
+    tree_with_chords,
+)
+
+
+def _small_decorated():
+    return [(g, d) for g, d in corpus_decorations(seed=23) if len(g.vertices) <= 4]
+
+
+def _prefix_named(g):
+    """g with the half-edges at its k-th vertex named k, k#, k##.  A round
+    trip's primed names sort after their co-halves there, so renaming them
+    back changes which co-half of a source is least."""
+    name = {}
+    for k, (_, triple) in enumerate(g.vertices):
+        name.update((h, f"{k}" + "#" * j) for j, h in enumerate(triple))
+    return build_graph(
+        {v: [name[h] for h in t] for v, t in g.vertices},
+        [(name[a], name[b]) for a, b in g.edges],
+    )
+
+
+def _prefix_named_decorated():
+    rng = random.Random(29)
+    graphs = [_prefix_named(g) for g in small_graph_corpus() if g.boundary]
+    return [(g, random_decoration(g, rng)) for g in graphs for _ in range(2)]
+
+
+@pytest.mark.parametrize("max_param", [1, 2])
+def test_round_trips_match_reference(max_param):
+    pairs = _small_decorated() + _prefix_named_decorated()
+    assert len({g for g, _ in pairs}) >= 40
+    for g, dec in pairs:
+        new = list(oracle.ih_round_trips(g, dec, max_param))
+        assert new == list(reference_ih_round_trips(g, dec, max_param))
+
+
+def test_orbits_match_reference(monkeypatch):
+    bounds = OrbitBounds(max_param=1, max_depth=2)
+    seen = set()
+    pairs = []
+    for g, dec in _small_decorated():
+        if g not in seen:  # one decoration per graph keeps this quick
+            seen.add(g)
+            pairs.append((g, dec))
+    new = [move_orbit(g, dec, bounds) for g, dec in pairs]
+    monkeypatch.setattr(
+        oracle,
+        "_round_trips",
+        lambda g, dec, param, trips: reference_ih_round_trips(g, dec, param),
+    )
+    old = [move_orbit(g, dec, bounds) for g, dec in pairs]
+    assert [len(o) for o in new] == [len(o) for o in old]
+    assert new == old
+
+
+def _graphs():
+    rng = random.Random(31)
+    sizes = ((4, 2), (40, 8), (200, 20))
+    return small_graph_corpus() + [tree_with_chords(rng, v, k) for v, k in sizes]
+
+
+def _fresh(g):
+    """An equal graph with nothing computed on it yet."""
+    return build_graph(dict(g.vertices), g.edges, boundary=g.boundary)
+
+
+def test_memoized_topology_equals_fresh():
+    for g in _graphs():
+        for _ in range(2):  # first call computes, second reads the memo
+            fresh = _fresh(g)
+            assert graph_stats(g) == graph_stats.__wrapped__(g) == graph_stats(fresh)
+            tree = spanning_tree(g)
+            assert tree == _spanning_tree.__wrapped__(g) == spanning_tree(fresh)
+            basis = cycle_basis(g)
+            assert basis == list(_cycle_basis.__wrapped__(g)) == cycle_basis(fresh)
+            assert _component_partition(g) == _component_partition.__wrapped__(g)
+
+
+def test_memoized_values_cannot_be_changed():
+    g = _graphs()[-1]
+    stats, basis = graph_stats(g), cycle_basis(g)
+    tree, non_tree = spanning_tree(g)
+    tree_copy, non_tree_copy, basis_copy = dict(tree), list(non_tree), list(basis)
+    tree.clear()
+    non_tree.append(("x", "y"))
+    basis.reverse()
+    basis.pop()
+    assert spanning_tree(g) == (tree_copy, non_tree_copy)
+    assert cycle_basis(g) == basis_copy
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.v = 0
+    assert isinstance(stats.genus, tuple)
+    assert all(isinstance(c, tuple) for c in _component_partition(g))
+    assert isinstance(_component_partition(g), tuple)
+
+
+def _count_calls(monkeypatch):
+    """Wrap build_graph and ih_apply wherever a decograph module binds
+    them; returns the live call counts."""
+    calls = {"build_graph": 0, "ih_apply": 0}
+    for fn in (graph.build_graph, moves.ih_apply):
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("decograph") and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("index, depth", [(9, 2), (9, 3), (42, 2)])
+def test_orbit_builds_no_graph(monkeypatch, index, depth):
+    """Orbits of about 100 to 600 states, on 2 and 4 vertices."""
+    g, dec = _small_decorated()[index]
+    calls = _count_calls(monkeypatch)
+    orbit = move_orbit(g, dec, OrbitBounds(max_param=1, max_depth=depth))
+    assert len(orbit) > 100
+    assert calls["build_graph"] <= 1
+    assert calls["ih_apply"] <= 1

@@ -174,6 +174,8 @@ class TestParseHashes:
 
 
 class TestCli:
+    decorated = True
+
     @pytest.fixture
     def files(self, tmp_path):
         rng = random.Random(17)
@@ -182,6 +184,7 @@ class TestCli:
             "src": tmp_path / "g1.dg", "dst": tmp_path / "g2.dg",
             "script": tmp_path / "plan.moves", "out": tmp_path / "out.dg",
         }
+        dec1 = dec1 if self.decorated else None
         paths["src"].write_text(serialize_decorated_graph(g1, dec1))
         paths["dst"].write_text(serialize_decorated_graph(g2))
         spec = ",".join(f"{a}={b}" for a, b in bmap.items())
@@ -216,6 +219,12 @@ class TestCli:
         files["script"].write_text(text)
         assert self.run(files) == 2
         assert "old whole-text scheme" in capsys.readouterr().err
+
+
+class TestCliBare(TestCli):
+    """The same on a bare source: plan writes hashes and run checks them."""
+
+    decorated = False
 
 
 def test_hashing_does_not_serialize_per_step(monkeypatch):

@@ -3,7 +3,8 @@
 The library's behaviour must not depend on ``assert`` (stripped under
 ``python -O``), and modules import only what they use.  ``__init__.py``
 re-exports names, so its imports are not checked.  The planner in
-``moves.py`` stays free of the isomorphism search.
+``moves.py`` stays free of the isomorphism search, and the orbit walk in
+``oracle.py`` free of whole-graph rebuilds.
 """
 
 import ast
@@ -43,10 +44,9 @@ def test_no_unused_top_level_imports(path):
     assert unused == [], f"{path.name}: unused imports {unused}"
 
 
-def test_planner_does_not_search():
-    """ih_plan reads its bijection off the normalizations; moves.py must not
-    import or call the isomorphism search."""
-    path = next(p for p in SOURCES if p.name == "moves.py")
+def _names(filename):
+    """Every name a module imports, binds or reads, attributes included."""
+    path = next(p for p in SOURCES if p.name == filename)
     names = set()
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.ImportFrom):
@@ -57,4 +57,18 @@ def test_planner_does_not_search():
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    assert "boundary_isomorphism" not in names
+    return names
+
+
+def test_planner_does_not_search():
+    """ih_plan reads its bijection off the normalizations; moves.py must not
+    import or call the isomorphism search."""
+    assert "boundary_isomorphism" not in _names("moves.py")
+
+
+def test_oracle_does_not_rebuild():
+    """The orbit walk edits one working state per round trip; oracle.py
+    must not import or call the whole-graph move or the graph builder."""
+    names = _names("oracle.py")
+    assert "ih_apply" not in names
+    assert "build_graph" not in names

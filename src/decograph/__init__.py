@@ -16,7 +16,6 @@ from .decoration import (
     OddAlpha,
     Residue,
     TrivialMod,
-    WeakDecoration,
     apply_trivial_mod,
     canonical_beta_planar,
     cycle_b,

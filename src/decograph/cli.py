@@ -50,15 +50,22 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise TextError(f"{path}: does not decode as text ({exc.reason})") from None
+
+
 def _load(path: str, need_decoration: bool = False):
-    with open(path) as fh:
-        g, dec = parse_decorated_graph(fh.read())
+    g, dec = parse_decorated_graph(_read(path))
     if need_decoration and dec is None:
         raise TextError(f"{path}: file carries no decoration (alpha statements)")
     return g, dec
 
 
-def _parse_map(spec: Optional[str], g1, g2) -> dict:
+def _parse_map(spec: Optional[str], g1) -> dict:
     if not spec:
         return {h: h for h in g1.boundary}
     out = {}
@@ -66,6 +73,8 @@ def _parse_map(spec: Optional[str], g1, g2) -> dict:
         a, sep, b = item.partition("=")
         if not sep or not a or not b:
             raise TextError(f"bad map entry {item!r}; expected a=b")
+        if a in out:
+            raise TextError(f"map entry {item!r} repeats the source {a!r}")
         out[a] = b
     return out
 
@@ -96,7 +105,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_equiv(args) -> int:
     g1, dec1 = _load(args.file1, need_decoration=True)
     g2, dec2 = _load(args.file2, need_decoration=True)
-    bmap = _parse_map(args.map, g1, g2)
+    bmap = _parse_map(args.map, g1)
     if equivalent(g1, dec1, g2, dec2, bmap):
         print("equivalent")
         return 0
@@ -118,7 +127,7 @@ def _cmd_ih(args) -> int:
 def _cmd_plan(args) -> int:
     g1, dec1 = _load(args.file1)
     g2, _ = _load(args.file2)
-    bmap = _parse_map(args.map, g1, g2)
+    bmap = _parse_map(args.map, g1)
     script = with_hashes(g1, dec1, ih_plan(g1, g2, bmap))
     _atomic_write(args.output, serialize_script(script))
     print(f"wrote {args.output} ({len(script.steps)} moves)")
@@ -127,8 +136,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_run(args) -> int:
     g, dec = _load(args.file)
-    with open(args.script) as fh:
-        script = parse_script(fh.read())
+    script = parse_script(_read(args.script))
     g2, dec2 = apply_script(g, dec, script)
     _atomic_write(args.output, serialize_decorated_graph(g2, dec2))
     print(f"wrote {args.output}")

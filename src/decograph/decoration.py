@@ -90,14 +90,6 @@ class Residue:
     def __neg__(self) -> "Residue":
         return Residue(-self.value, self.modulus)
 
-    def reduce(self, modulus: int) -> "Residue":
-        """Push forward along Z/m -> Z/m' (m' must divide m, or m == 0)."""
-        if modulus and self.modulus and self.modulus % modulus != 0:
-            raise ValueError(f"Z/{self.modulus} does not surject onto Z/{modulus}")
-        if modulus == 0 and self.modulus != 0:
-            raise ValueError("cannot lift a torsion residue to Z")
-        return Residue(self.value, modulus)
-
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 
@@ -235,14 +227,22 @@ def make_decoration(
     )
 
 
-def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
-    """The gauge-zero decoration: lift 0 from each source to its least target."""
-    beta = {}
+def _zero_fill(
+    g: TrivalentGraph, beta: dict[tuple[str, str], int]
+) -> dict[tuple[str, str], int]:
+    """beta with lift 0 toward the least co-half added for every source
+    half-edge of g that has no lift in it (the gauge-zero default)."""
     for _, triple in g.vertices:
         for s in triple:
-            tgt = min(t for t in triple if t != s)
-            beta[(s, tgt)] = 0
-    return make_decoration(g, alpha, beta)
+            t0, t1 = [t for t in triple if t != s]  # sorted, as triple is
+            if (s, t0) not in beta and (s, t1) not in beta:
+                beta[(s, t0)] = 0
+    return beta
+
+
+def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
+    """The gauge-zero decoration: lift 0 from each source to its least target."""
+    return make_decoration(g, alpha, _zero_fill(g, {}))
 
 
 def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
@@ -410,54 +410,23 @@ def trivial_mod_equivalent(
 # -- weak decorations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakDecoration:
-    """Mod-2 beta data with beta_{xz} = beta_{xy} + 1 at each vertex,
-    stored as in Decoration: one lift per source, toward its least co-half."""
-
-    beta2: tuple[tuple[str, tuple[str, str, int]], ...]
-    _beta2: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._beta2.update(dict(self.beta2))
-
-    def b(self, src: str, tgt: str) -> int:
-        least, other, lift = self._beta2[src]
-        if tgt == least:
-            return lift
-        if tgt != other:
-            raise KeyError((src, tgt))
-        # every alpha is even: the congruence taken modulo 2
-        return _companion(lift, 0, 2)
-
-
-def weaken(g: TrivalentGraph, dec: Decoration) -> WeakDecoration:
+def weaken(g: TrivalentGraph, dec: Decoration) -> Decoration:
+    """The weak (mod 2) data of dec: a Decoration with the same alpha and
+    each stored lift taken mod 2.  Every alpha is even, so the parity of
+    every lift and of its companion stays that of dec."""
     if any(a % 2 for _, a in dec.alpha):
         raise OddAlpha("weak decorations require all alpha even")
-    return WeakDecoration(
-        beta2=tuple((s, (t0, t1, v % 2)) for s, (t0, t1, v) in dec.beta)
+    return Decoration(
+        alpha=dec.alpha,
+        beta=tuple((s, (t0, t1, v % 2)) for s, (t0, t1, v) in dec.beta),
     )
 
 
-def weak_class(
-    g: TrivalentGraph, dec: Union[Decoration, WeakDecoration]
-) -> tuple[int, ...]:
-    """The H^1(Gamma, Z_2) class: b_c mod 2 over the cycle basis."""
-    if isinstance(dec, Decoration):
-        weaken(g, dec)  # raises OddAlpha when inapplicable
-        getb = dec.b
-    else:
-        getb = dec.b
-    out = []
-    for c in cycle_basis(g):
-        total = 0
-        k = len(c.steps)
-        for j in range(k):
-            _, inn = c.steps[j]
-            out_next, _ = c.steps[(j + 1) % k]
-            total += getb(out_next, inn) - getb(inn, out_next)
-        out.append(total % 2)
-    return tuple(out)
+def weak_class(g: TrivalentGraph, dec: Decoration) -> tuple[int, ...]:
+    """The H^1(Gamma, Z_2) class: b_c mod 2 over the cycle basis.  Every
+    alpha is even, so I_c is even and b_c has a parity."""
+    weak = weaken(g, dec)  # raises OddAlpha when inapplicable
+    return tuple(cycle_b(g, weak, c).value % 2 for c in cycle_basis(g))
 
 
 # -- canonical planar beta ----------------------------------------------

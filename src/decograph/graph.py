@@ -94,20 +94,9 @@ class TrivalentGraph:
     def partner(self, h: str) -> Optional[str]:
         return self._partner.get(h)
 
-    def is_internal(self, h: str) -> bool:
-        return h in self._partner
-
     def others_at_vertex(self, h: str) -> tuple[str, ...]:
         """The other half-edges at h's vertex, in sorted order."""
         return tuple(x for x in self._triple_of[self._vertex_of[h]] if x != h)
-
-    def edge_of(self, h: str) -> tuple[str, str]:
-        """The sorted internal edge containing h."""
-        p = self._partner[h]
-        return (h, p) if h < p else (p, h)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return self._partner.get(a) == b
 
     def vertex_names(self) -> list[str]:
         return [name for name, _ in self.vertices]
@@ -285,15 +274,6 @@ class OrientedCycle:
             out.extend((a, b))
         return out
 
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(tuple(sorted(s)) for s in self.steps)
-
-    def canonical(self) -> "OrientedCycle":
-        """Rotate so the lexicographically least step comes first."""
-        k = len(self.steps)
-        best = min(range(k), key=lambda j: self.steps[j:] + self.steps[:j])
-        return OrientedCycle(self.steps[best:] + self.steps[:best])
-
 
 def spanning_tree(
     g: TrivalentGraph,
@@ -393,41 +373,42 @@ def _cycle_basis(g: TrivalentGraph) -> tuple[OrientedCycle, ...]:
     return tuple(basis)
 
 
-def boundary_isomorphism(
-    g1: TrivalentGraph,
-    g2: TrivalentGraph,
-    boundary_map: Mapping[str, str],
-) -> Optional[dict[str, str]]:
-    """Half-edge bijection g1 -> g2 extending boundary_map, or None.
-
-    The bijection maps vertices to vertices and commutes with the pairing.
-    This is a depth-first search.  Each mapped half-edge forces its partner
-    onto the image's partner and its vertex onto the image's vertex, and
-    a vertex with two mapped half-edges forces its third; every choice is
-    propagated that way before the next.  The search branches only on the
-    least-named g1 vertex with an unmapped half-edge: target vertices by
-    name, then the permutations of the target's sorted triple.  So the map
-    returned is the first in that order.  The search can still blow up: a
-    wrong choice may surface only at a vertex branched on much later, and
-    one v=200, genus-20 pair of aligned normal forms took over 60 s.
-    """
-    b1, b2 = set(g1.boundary), set(g2.boundary)
-    if set(boundary_map) != b1 or set(boundary_map.values()) != b2 or len(
-        boundary_map
-    ) != len(b2):
+def _check_boundary_map(
+    g1: TrivalentGraph, g2: TrivalentGraph, boundary_map: Mapping[str, str]
+) -> None:
+    """Raise BadBoundaryMap unless boundary_map is a bijection from g1's
+    boundary onto g2's."""
+    if set(boundary_map) != set(g1.boundary) or set(
+        boundary_map.values()
+    ) != set(g2.boundary) or len(boundary_map) != len(g2.boundary):
         raise BadBoundaryMap("boundary_map is not a bijection of the boundaries")
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return None
 
-    hmap: dict[str, str] = {}
-    vmap: dict[str, str] = {}
-    used: set[str] = set()  # mapped-to half-edges
-    vused: set[str] = set()  # mapped-to vertices
-    trail: list[str] = []  # mapped half-edges, in order
-    vtrail: list[str] = []  # mapped vertices, in order
 
-    def assign(h: str, h2: str) -> bool:
-        """Map h to h2 and everything that forces; False on a conflict."""
+class _PartialMap:
+    """A partial half-edge map g1 -> g2, closed under forcing.
+
+    Each mapped half-edge forces its partner onto the image's partner and
+    its vertex onto the image's vertex, and a vertex with two mapped
+    half-edges forces its third onto the one left at the image vertex.
+    The map stays injective on half-edges and on vertices and commutes with
+    the pairing, so a total map between graphs with as many half-edges is
+    an isomorphism.  g1 and g2 need only partner, vertex_of and triple.
+    """
+
+    def __init__(self, g1, g2):
+        self.g1, self.g2 = g1, g2
+        self.hmap: dict[str, str] = {}
+        self.vmap: dict[str, str] = {}
+        self.used: set[str] = set()  # mapped-to half-edges
+        self.vused: set[str] = set()  # mapped-to vertices
+        # (half-edge, vertex first mapped with it or None), in order
+        self.trail: list[tuple[str, Optional[str]]] = []
+
+    def assign(self, h: str, h2: str) -> bool:
+        """Map h to h2 and everything that forces; False on a conflict,
+        with what was mapped before the conflict left in place."""
+        g1, g2, hmap, vmap = self.g1, self.g2, self.hmap, self.vmap
+        used, vused = self.used, self.vused
         todo = [(h, h2)]
         while todo:
             h, h2 = todo.pop()
@@ -441,17 +422,17 @@ def boundary_isomorphism(
             if (p is None) != (q is None):
                 return False
             vtx, tgt = g1.vertex_of(h), g2.vertex_of(h2)
-            if vtx not in vmap:
+            new = vtx not in vmap
+            if new:
                 if tgt in vused:
                     return False
                 vmap[vtx] = tgt
                 vused.add(tgt)
-                vtrail.append(vtx)
             elif vmap[vtx] != tgt:
                 return False
             hmap[h] = h2
             used.add(h2)
-            trail.append(h)
+            self.trail.append((h, vtx if new else None))
             if p is not None:
                 todo.append((p, q))
             rest = [x for x in g1.triple(vtx) if x not in hmap]
@@ -461,12 +442,40 @@ def boundary_isomorphism(
                 todo.append((rest[0], left))
         return True
 
-    def undo(mark: int, vmark: int) -> None:
-        while len(trail) > mark:
-            used.discard(hmap.pop(trail.pop()))
-        while len(vtrail) > vmark:
-            vused.discard(vmap.pop(vtrail.pop()))
+    def mark(self) -> int:
+        return len(self.trail)
 
+    def undo(self, mark: int) -> None:
+        """Unmap everything assigned since ``mark``."""
+        while len(self.trail) > mark:
+            h, vtx = self.trail.pop()
+            self.used.discard(self.hmap.pop(h))
+            if vtx is not None:
+                self.vused.discard(self.vmap.pop(vtx))
+
+
+def boundary_isomorphism(
+    g1: TrivalentGraph,
+    g2: TrivalentGraph,
+    boundary_map: Mapping[str, str],
+) -> Optional[dict[str, str]]:
+    """Half-edge bijection g1 -> g2 extending boundary_map, or None.
+
+    The bijection maps vertices to vertices and commutes with the pairing.
+    This is a depth-first search over a _PartialMap, so every choice is
+    propagated through what it forces before the next.  The search branches
+    only on the least-named g1 vertex with an unmapped half-edge: target
+    vertices by name, then the permutations of the target's sorted triple.
+    So the map returned is the first in that order.  The search can still
+    blow up: a wrong choice may surface only at a vertex branched on much
+    later, and one v=200, genus-20 pair of aligned normal forms took over
+    60 s.
+    """
+    _check_boundary_map(g1, g2, boundary_map)
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return None
+    pmap = _PartialMap(g1, g2)
+    hmap, vmap, vused = pmap.hmap, pmap.vmap, pmap.vused
     order = g1.vertex_names()
     targets = g2.vertex_names()
 
@@ -484,14 +493,14 @@ def boundary_isomorphism(
             for perm in itertools.permutations(g2.triple(tgt)):
                 if any(hmap.get(h, h2) != h2 for h, h2 in zip(triple, perm)):
                     continue
-                mark, vmark = len(trail), len(vtrail)
-                if all(assign(h, h2) for h, h2 in zip(triple, perm)) and extend(
+                mark = pmap.mark()
+                if all(pmap.assign(h, h2) for h, h2 in zip(triple, perm)) and extend(
                     idx + 1
                 ):
                     return True
-                undo(mark, vmark)
+                pmap.undo(mark)
         return False
 
-    if all(assign(h, h2) for h, h2 in boundary_map.items()) and extend(0):
+    if all(pmap.assign(h, h2) for h, h2 in boundary_map.items()) and extend(0):
         return dict(hmap)
     return None

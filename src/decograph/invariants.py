@@ -10,21 +10,22 @@ disjoint cycle system frak_C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .decoration import (
     Decoration,
+    _zero_fill,
     cycle_b,
     gcd_all,
     make_decoration,
     reduce_lift,
 )
 from .graph import (
-    BadBoundaryMap,
     InternalError,
     NotConnected,
     OrientedCycle,
     TrivalentGraph,
+    _check_boundary_map,
     build_graph,
     cycle_basis,
     graph_stats,
@@ -55,17 +56,20 @@ def _connected_genus(g: TrivalentGraph) -> int:
     return stats.genus[0]
 
 
+def _a_tilde(boundary_alpha: Iterable[int], a: int, b: int) -> int:
+    """A~ = gcd({alpha_x - 2 : x external}, a, b) of a genus-1 graph whose
+    cycle has alpha a and b_c = b."""
+    return gcd_all([x - 2 for x in boundary_alpha] + [a, b])
+
+
 def a_tilde(g: TrivalentGraph, dec: Decoration) -> int:
     """The genus-1 invariant gcd({alpha_x - 2 : x external}, a, b)."""
     genus = _connected_genus(g)
     if genus != 1:
         raise WrongGenus(f"a_tilde requires genus 1, got {genus}")
     (cyc,) = cycle_basis(g)
-    a_lift = dec.a(cyc.steps[0][0])
-    b_lift = cycle_b(g, dec, cyc).value
-    return gcd_all(
-        [dec.a(h) - 2 for h in g.boundary] + [a_lift, b_lift]
-    )
+    b = cycle_b(g, dec, cyc).value
+    return _a_tilde((dec.a(h) for h in g.boundary), dec.a(cyc.steps[0][0]), b)
 
 
 def _check_conditions(
@@ -129,30 +133,52 @@ def frak_C(g: TrivalentGraph, dec: Decoration) -> list[OrientedCycle]:
     return cycles
 
 
+def _class_rule(
+    alphas: Iterable[int],
+    bs: Iterable[int],
+    boundary_alpha: Iterable[int],
+    frak_bs: Callable[[], Iterable[int]],
+) -> str:
+    """I if an alpha or a b_c is odd, II if a boundary alpha is 0 mod 4,
+    else III or IV as the Arf sum over frak_C of q_c = b_c/2 + 1 (b_c taken
+    mod 4) is 0 or 1 in Z_2; ``frak_bs`` gives those b_c, and is called only
+    then."""
+    if any(a % 2 for a in alphas) or any(b % 2 for b in bs):
+        return "I"
+    if any(a % 4 == 0 for a in boundary_alpha):
+        return "II"
+    total = 0
+    for b in frak_bs():
+        b4 = reduce_lift(b, 4)
+        if b4 % 2:
+            raise InternalError("odd b_c on a frak_C cycle after condition (3)")
+        total += b4 // 2 + 1
+    return ("III", "IV")[total % 2]
+
+
+def _graph_class(g: TrivalentGraph, dec: Decoration, bs: Iterable[int]) -> str:
+    """The class rule on (g, dec), given the basis b_c values ``bs``."""
+    return _class_rule(
+        (a for _, a in dec.alpha),
+        bs,
+        (dec.a(h) for h in g.boundary),
+        lambda: (cycle_b(g, dec, c).value for c in frak_C(g, dec)),
+    )
+
+
 def arf(g: TrivalentGraph, dec: Decoration) -> int:
     """A = sum over frak_C of q_c = b_c/2 + 1 in Z_2 (b_c taken mod 4)."""
     problems = _check_conditions(g, dec, through=3)
     if problems:
         raise ConditionsFail("; ".join(problems))
-    total = 0
-    for c in frak_C(g, dec):
-        b4 = reduce_lift(cycle_b(g, dec, c).value, 4)
-        if b4 % 2:
-            raise InternalError("odd b_c on a frak_C cycle after condition (3)")
-        total += b4 // 2 + 1
-    return total % 2
+    # Conditions (1)-(3) leave class III (A = 0) or IV (A = 1).
+    return ("III", "IV").index(_graph_class(g, dec, ()))
 
 
 def decoration_class(g: TrivalentGraph, dec: Decoration) -> str:
     """The four-way partition I | II | III | IV (total on connected graphs)."""
     _connected_genus(g)
-    if any(a % 2 for _, a in dec.alpha):
-        return "I"
-    if any(cycle_b(g, dec, c).value % 2 for c in cycle_basis(g)):
-        return "I"
-    if any(dec.a(h) % 4 == 0 for h in g.boundary):
-        return "II"
-    return "III" if arf(g, dec) == 0 else "IV"
+    return _graph_class(g, dec, (cycle_b(g, dec, c).value for c in cycle_basis(g)))
 
 
 @dataclass(frozen=True)
@@ -189,15 +215,17 @@ class InvariantReport:
 def classify(g: TrivalentGraph, dec: Decoration) -> InvariantReport:
     genus = _connected_genus(g)
     boundary_alpha = tuple((h, dec.a(h)) for h in g.boundary)
-    cycle_bs = tuple(str(cycle_b(g, dec, c)) for c in cycle_basis(g))
+    basis = cycle_basis(g)
+    bs = [cycle_b(g, dec, c) for c in basis]
+    cycle_bs = tuple(map(str, bs))
     if genus == 0:
         return InvariantReport(genus, boundary_alpha, cycle_bs)
     if genus == 1:
-        return InvariantReport(
-            genus, boundary_alpha, cycle_bs, a_tilde=a_tilde(g, dec)
-        )
-    cls = decoration_class(g, dec)
-    a = arf(g, dec) if cls in ("III", "IV") else None
+        a = dec.a(basis[0].steps[0][0])
+        at = _a_tilde((x for _, x in boundary_alpha), a, bs[0].value)
+        return InvariantReport(genus, boundary_alpha, cycle_bs, a_tilde=at)
+    cls = _graph_class(g, dec, [b.value for b in bs])
+    a = {"III": 0, "IV": 1}.get(cls)
     return InvariantReport(genus, boundary_alpha, cycle_bs, cls=cls, arf=a)
 
 
@@ -210,10 +238,7 @@ def equivalent(
 ) -> bool:
     """The theorems' decision rule: genus, boundary alpha, and the
     genus-appropriate invariant (nothing / A~ / class)."""
-    if set(boundary_map) != set(g1.boundary) or set(
-        boundary_map.values()
-    ) != set(g2.boundary) or len(boundary_map) != len(g2.boundary):
-        raise BadBoundaryMap("boundary_map is not a bijection of the boundaries")
+    _check_boundary_map(g1, g2, boundary_map)
     genus1, genus2 = _connected_genus(g1), _connected_genus(g2)
     if genus1 != genus2:
         return False
@@ -240,23 +265,19 @@ class LoopTuple:
 def _tuple_class(t: LoopTuple) -> str:
     """decoration_class recomputed at tuple level (on the apple tree all
     other alpha values are even combinations of these)."""
-    if any(a % 2 for a in t.boundary_alpha) or any(
-        a % 2 or b % 2 for a, b in t.pairs
-    ):
-        return "I"
-    if any(a % 4 == 0 for a in t.boundary_alpha):
-        return "II"
-    total = 0
-    for a, b in t.pairs:
-        if a % 4 == 0:
-            b4 = b % 4
-            total += b4 // 2 + 1
-    return "III" if total % 2 == 0 else "IV"
+    return _class_rule(
+        (*t.boundary_alpha, *(a for a, _ in t.pairs)),
+        (b for _, b in t.pairs),
+        t.boundary_alpha,
+        lambda: (b for a, b in t.pairs if a % 4 == 0),
+    )
 
 
 def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
     """Canonical representative of a LoopTuple under the proof's moves.
 
+    Euclid's moves (a, b) -> (b, -a) and b -> b mod a take each pair to
+    (gcd, 0), and the mod-4 moves reach the representative of the class.
     Genus >= 2 canonical tuples: class I ((1,0))^g, class II and III
     ((2,0))^g, class IV ((0,0),(2,0)^(g-1)).  Genus 1 has no mod-4 move
     (the double-apple needs two loops), so the canonical pair is (A~, 0)
@@ -265,11 +286,8 @@ def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
     g = len(t.pairs)
     if g == 0:
         return t
-    # Euclid's moves (a, b) -> (b, -a) and b -> b mod a take each pair to
-    # (gcd, 0).
-    d = [gcd_all(pair) for pair in t.pairs]
     if g == 1:
-        at = gcd_all([a - 2 for a in t.boundary_alpha] + d)
+        at = _a_tilde(t.boundary_alpha, *t.pairs[0])
         return LoopTuple(((at, 0),), t.boundary_alpha)
     if cls is None:
         cls = _tuple_class(t)
@@ -277,30 +295,12 @@ def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
         raise ReductionStuck(
             f"tuple {t.pairs} is in class {_tuple_class(t)}, not {cls}"
         )
-    m = gcd_all([4] + [a - 2 for a in t.boundary_alpha])
     if cls == "I":
-        if gcd_all(d + [m]) % 2 != 1:
-            raise ReductionStuck("class I tuple with even reachable gcd")
         pairs = ((1, 0),) * g
-    elif cls == "II":
-        if m != 2:
-            raise ReductionStuck("class II tuple without a 0 mod 4 boundary")
-        pairs = ((2, 0),) * g
+    elif cls == "IV":
+        pairs = ((0, 0),) + ((2, 0),) * (g - 1)
     else:
-        if m != 4:
-            raise ReductionStuck("class III/IV tuple with non-trivial boundary moves")
-        residues = [di % 4 for di in d]
-        if any(r % 2 for r in residues):
-            raise ReductionStuck("odd pair in class III/IV tuple")
-        zeros = sum(1 for r in residues if r == 0)
-        if zeros % 2 == 0:
-            if cls != "III":
-                raise ReductionStuck("pair parity disagrees with class III")
-            pairs = ((2, 0),) * g
-        else:
-            if cls != "IV":
-                raise ReductionStuck("pair parity disagrees with class IV")
-            pairs = ((0, 0),) + ((2, 0),) * (g - 1)
+        pairs = ((2, 0),) * g
     out = LoopTuple(pairs, t.boundary_alpha)
     if _tuple_class(out) != cls:
         raise ReductionStuck("reduced tuple changed class (internal bug)")
@@ -324,76 +324,57 @@ def build_canonical_apple(
     vertices: dict[str, tuple[str, str, str]] = {}
     edges: list[tuple[str, str]] = []
     alpha: dict[str, int] = {h: a for h, a in boundary}
-    vcount = 0
 
     def new_vertex(triple):
-        nonlocal vcount
-        vertices[f"{prefix}n{vcount}"] = tuple(triple)
-        vcount += 1
+        vertices[f"{prefix}n{len(vertices)}"] = tuple(triple)
 
     # loop gadgets: vertex {stem_b, l_a, l_b}; the spine sees stem_a.
     loop_leaves = []
-    for i, (ai, bi) in enumerate(pairs):
+    for i, (ai, _) in enumerate(pairs):
         la, lb = f"{prefix}l{i}a", f"{prefix}l{i}b"
         alpha[la], alpha[lb] = ai, -ai
         loop_leaves.append((la, lb))
+        edges.append((la, lb))
     leaves: list[str] = [h for h, _ in boundary]
     if n == 1 and g == 1:
-        la, lb = loop_leaves[0]
-        new_vertex((leaves[0], la, lb))
-        edges.append((la, lb))
+        new_vertex((leaves[0], *loop_leaves[0]))
     elif n == 0 and g == 2:
         stems = (f"{prefix}t0", f"{prefix}t1")
         alpha[stems[0]], alpha[stems[1]] = 2, -2
-        for i in range(2):
-            la, lb = loop_leaves[i]
-            new_vertex((stems[i], la, lb))
-            edges.append((la, lb))
+        for stem, loop in zip(stems, loop_leaves):
+            new_vertex((stem, *loop))
         edges.append(stems)
     else:
         for i, (la, lb) in enumerate(loop_leaves):
             sa, sb = f"{prefix}t{i}a", f"{prefix}t{i}b"
             alpha[sa], alpha[sb] = -2, 2
             new_vertex((sb, la, lb))
-            edges.append((la, lb))
             edges.append((sa, sb))
             leaves.append(sa)
         m = len(leaves)
         if m < 3:
             raise InternalError(f"apple tree spine over {m} leaves")
-        if m == 3:
-            new_vertex(tuple(leaves))
-        else:
-            for k in range(m - 2):
-                if k == 0:
-                    sa = f"{prefix}s0a"
-                    new_vertex((leaves[0], leaves[1], sa))
-                    alpha[sa] = 2 - alpha[leaves[0]] - alpha[leaves[1]]
-                elif k < m - 3:
-                    sb = f"{prefix}s{k-1}b"
-                    sa = f"{prefix}s{k}a"
-                    alpha[sb] = -alpha[f"{prefix}s{k-1}a"]
-                    alpha[sa] = 2 - alpha[sb] - alpha[leaves[k + 1]]
-                    new_vertex((sb, leaves[k + 1], sa))
-                    edges.append((f"{prefix}s{k-1}a", sb))
-                else:
-                    sb = f"{prefix}s{k-1}b"
-                    alpha[sb] = -alpha[f"{prefix}s{k-1}a"]
-                    new_vertex((sb, leaves[k + 1], leaves[k + 2]))
-                    edges.append((f"{prefix}s{k-1}a", sb))
+        # The spine: vertex k holds (cur, leaves[k + 1], next), where cur
+        # is leaves[0] or the edge from vertex k - 1, and next the edge
+        # s{k}a~s{k}b to vertex k + 1 or, at the last vertex, the last leaf.
+        cur = leaves[0]
+        for k, leaf in enumerate(leaves[1:-1]):
+            if k == m - 3:
+                new_vertex((cur, leaf, leaves[-1]))
+            else:
+                sa, sb = f"{prefix}s{k}a", f"{prefix}s{k}b"
+                alpha[sa] = 2 - alpha[cur] - alpha[leaf]
+                alpha[sb] = -alpha[sa]
+                new_vertex((cur, leaf, sa))
+                edges.append((sa, sb))
+                cur = sb
     graph = build_graph(vertices, edges)
     # gauge-zero beta with b~_i written on each loop
     beta: dict[tuple[str, str], int] = {}
-    loop_sources = set()
-    for (la, lb), (ai, bi) in zip(loop_leaves, pairs):
+    for (la, lb), (_, bi) in zip(loop_leaves, pairs):
         beta[(la, lb)] = bi
         beta[(lb, la)] = 0
-        loop_sources.update((la, lb))
-    for _, triple in graph.vertices:
-        for s in triple:
-            if s not in loop_sources:
-                beta[(s, min(x for x in triple if x != s))] = 0
-    return graph, make_decoration(graph, alpha, beta)
+    return graph, make_decoration(graph, alpha, _zero_fill(graph, beta))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ from .graph import (
     InternalError,
     NotConnected,
     TrivalentGraph,
+    _check_boundary_map,
+    _PartialMap,
     build_graph,
     graph_stats,
     is_connected,
@@ -97,13 +99,9 @@ class LocalB:
     alpha_u: int
     alpha_uprime: int  # 2 - alpha_x - alpha_z, the new edge alpha after 'b'
 
-    def generators_delta(self) -> list[tuple[int, int, int, int]]:
-        return [(1, 1, 1, 1), (0, 0, self.alpha_u, self.alpha_u)]
-
     def generators_common(self) -> list[tuple[int, int, int, int]]:
-        return self.generators_delta() + [
-            (0, self.alpha_uprime, 0, self.alpha_uprime)
-        ]
+        a, a2 = self.alpha_u, self.alpha_uprime
+        return [(1, 1, 1, 1), (0, 0, a, a), (0, a2, 0, a2)]
 
 
 @dataclass(frozen=True)
@@ -577,19 +575,18 @@ def normalize_to_apple_tree(
         if state.vertex_of(leaves[0]) != state.vertex_of(leaves[1]):
             raise InternalError("the two leaves do not share a vertex")
         return state, loops
-    vtx = state.meet(leaves[0], leaves[1])
-    state.frozen.add(vtx)
-    (cur,) = [h for h in state.triple(vtx) if h not in leaves[:2]]
-    pending = leaves[2:]
-    while len(pending) > 1:
-        d = state.partner(cur)
-        if d is None or state.vertex_of(d) in state.frozen:
-            raise InternalError(f"spine ends at {cur!r}")
-        leaf = pending.pop(0)
+    # Spine vertex k joins leaves[k + 1] to leaves[0] or, past the first,
+    # to the far half of the edge leaving spine vertex k - 1.
+    d = leaves[0]
+    for k, leaf in enumerate(leaves[1:-1]):
+        if k:
+            d = state.partner(cur)
+            if d is None or state.vertex_of(d) in state.frozen:
+                raise InternalError(f"spine ends at {cur!r}")
         vtx = state.meet(d, leaf)
         state.frozen.add(vtx)
         (cur,) = [h for h in state.triple(vtx) if h not in (d, leaf)]
-    if cur != pending[0]:
+    if cur != leaves[-1]:
         raise InternalError("spine assembly left a dangling leaf")
     return state, loops
 
@@ -604,51 +601,22 @@ def _read_off_psi(
     """The half-edge bijection state2 -> state1 of two aligned apple trees.
 
     Both come from normalize_to_apple_tree with the externals in matching
-    order, so the boundary map and loop k's (m, o, stem) seed psi.  Partners
-    go to partners, and a vertex with two mapped half-edges sends its third
-    to the one left at the image vertex; that reaches every half-edge.  The
-    finished psi is checked, not trusted: a psi that is not total and
-    injective, or that breaks the pairing or a vertex, raises InternalError.
+    order, so the boundary map and loop k's two loop halves seed psi (each
+    stem follows from its loop vertex).  A _PartialMap, the forcing that
+    boundary_isomorphism searches with, propagates the seeds and reaches
+    every half-edge.  A conflict-free total map is an isomorphism; anything
+    else raises InternalError.
     """
-    psi = dict(inv_map)
-    for (m2, o2, t2), (m1, o1, t1) in zip(loops2, loops1):
-        psi[m2], psi[o2] = m1, o1
-        if t2 is not None:
-            psi[t2] = t1
-    todo = list(psi)
-    while todo:
-        h = todo.pop()
-        p, q = state2.partner(h), state1.partner(psi[h])
-        if p is not None and q is not None and p not in psi:
-            psi[p] = q
-            todo.append(p)
-        triple = state2.triple(state2.vertex_of(h))
-        rest = [x for x in triple if x not in psi]
-        if len(rest) == 1:
-            taken = {psi[x] for x in triple if x in psi}
-            left = [
-                y for y in state1.triple(state1.vertex_of(psi[h]))
-                if y not in taken
-            ]
-            if len(left) == 1:
-                psi[rest[0]] = left[0]
-                todo.append(rest[0])
-
-    # Every key is a half-edge of state2 and every value one of state1.
-    ok = (
-        len(psi) == len(state2._vertex_of) == len(state1._vertex_of)
-        and len(set(psi.values())) == len(psi)
-        and all(
-            state1.partner(psi[h]) == psi[p] for h, p in state2._partner.items()
-        )
-        and all(
-            len({state1.vertex_of(psi[x]) for x in triple}) == 1
-            for triple in state2._triple_of.values()
-        )
-    )
-    if not ok:
+    psi = _PartialMap(state2, state1)
+    seeds = list(inv_map.items())
+    for (m2, o2, _), (m1, o1, _) in zip(loops2, loops1):
+        seeds += [(m2, m1), (o2, o1)]
+    if not (
+        all(psi.assign(h, h1) for h, h1 in seeds)
+        and len(psi.hmap) == len(state2._vertex_of) == len(state1._vertex_of)
+    ):
         raise InternalError("canonical forms failed to match (planner bug)")
-    return psi
+    return psi.hmap
 
 
 def ih_plan(
@@ -664,10 +632,7 @@ def ih_plan(
     read off that alignment (no search), and g2's normalization is inverted
     on top of g1's.
     """
-    if set(boundary_map) != set(g1.boundary) or set(
-        boundary_map.values()
-    ) != set(g2.boundary) or len(boundary_map) != len(g2.boundary):
-        raise BadBoundaryMap("boundary_map is not a bijection of the boundaries")
+    _check_boundary_map(g1, g2, boundary_map)
     for g in (g1, g2):
         if not is_connected(g):
             raise NotConnected("planner requires connected graphs")

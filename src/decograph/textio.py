@@ -8,7 +8,8 @@ Graph file grammar (one statement per line, '#' starts a comment):
     alpha <half-edge> <int>
     beta <vertex> <h_from> <h_to> <int>
 
-A file with no alpha statements describes a bare graph.  With alpha
+Half-edge names contain no '-', which move scripts use to join the two
+halves of an edge.  A file with no alpha statements describes a bare graph.  With alpha
 statements present, beta statements are optional per source half-edge
 (missing sources default to lift 0 toward their least co-half), and
 make_decoration checks the decoration.  The serializer is canonical:
@@ -23,6 +24,7 @@ from .decoration import (
     Decoration,
     DecorationError,
     TrivialMod,
+    _zero_fill,
     make_decoration,
 )
 from .graph import GraphError, TrivalentGraph, build_graph
@@ -94,6 +96,10 @@ def parse_decorated_graph(
                 fail(2, "':'", tokens[2])
             if name in vertices:
                 raise SemanticError(f"line {lineno}: duplicate vertex {name!r}")
+            for i in (3, 4, 5):
+                if "-" in tokens[i]:
+                    # scripts write an edge as <h1>-<h2>
+                    fail(i, "a half-edge name without '-'", tokens[i])
             vertices[name] = (tokens[3], tokens[4], tokens[5])
         elif head == "edge":
             need(3, "'edge <h1> <h2>'")
@@ -144,14 +150,8 @@ def parse_decorated_graph(
         if beta:
             raise SemanticError("beta statements require alpha statements")
         return g, None
-    # default gauge: sources with no supplied lift get 0 toward the least co-half
-    for _, triple in g.vertices:
-        for s in triple:
-            others = [t for t in triple if t != s]
-            if not any((s, t) in beta for t in others):
-                beta[(s, min(others))] = 0
     try:
-        return g, make_decoration(g, alpha, beta)
+        return g, make_decoration(g, alpha, _zero_fill(g, beta))
     except DecorationError as exc:
         raise SemanticError(f"invalid decoration: {exc}") from exc
 
@@ -199,15 +199,18 @@ def serialize_decorated_graph(
 def serialize_script(script: MoveScript) -> str:
     lines = []
     for idx, step in enumerate(script.steps):
-        if isinstance(step, TrivialMod):
-            if step.kind == "I":
-                body = f"I {step.target[0]}-{step.target[1]} {step.amount}"
-            else:
-                body = f"{step.kind} {step.target} {step.amount}"
-        elif isinstance(step, IhMove):
-            body = f"IH {step.edge[0]}-{step.edge[1]} {step.pairing_choice}"
+        if isinstance(step, IhMove):
+            head, target, last = "IH", step.edge, step.pairing_choice
+        elif isinstance(step, TrivialMod):
+            head, target, last = step.kind, step.target, step.amount
         else:
             raise TextError(f"unknown step type {type(step).__name__}")
+        if head in ("I", "IH"):
+            # parse_script splits <x>-<y> at the first '-'
+            if any("-" in h for h in target):
+                raise TextError(f"edge {target!r} has a half-edge name containing '-'")
+            target = "-".join(target)
+        body = f"{head} {target} {last}"
         if script.hashes:
             body += f"  # {script.hashes[idx]}"
         lines.append(body)

@@ -105,6 +105,21 @@ class TestEquiv:
             ["equiv", files["wheel46"], files["wheel20"], "--map", "zz"]
         ) == 2
 
+    def test_repeated_map_source(self, files, capsys):
+        # the last entry alone would be the identity, a valid map
+        code = run_command(
+            ["equiv", files["wheel46"], files["wheel46"], "--map", "z=q,z=z"]
+        )
+        assert code == 2
+        assert "repeats the source 'z'" in capsys.readouterr().err
+
+    def test_binary_file_is_invalid_input(self, tmp_path, capsys):
+        # exit 1 would read as "not equivalent"
+        path = tmp_path / "bin.txt"
+        path.write_bytes(bytes(range(128, 256)))
+        assert run_command(["equiv", str(path), str(path)]) == 2
+        assert f"{path}: does not decode as text" in capsys.readouterr().err
+
 
 class TestTransformers:
     def test_ih_then_validate(self, files, tmp_path, capsys):
@@ -132,6 +147,13 @@ class TestTransformers:
         g, dec = parse_decorated_graph(open(result).read())
         g0, dec0 = parse_decorated_graph(WHEEL46)
         assert (g, dec) == (g0, dec0)
+
+    def test_run_binary_script_is_invalid_input(self, files, tmp_path, capsys):
+        script = tmp_path / "bin.moves"
+        script.write_bytes(b"IH u-v b\n\xff\xfe\n")
+        out = str(tmp_path / "out.dg")
+        assert run_command(["run", files["fig_a"], str(script), "-o", out]) == 2
+        assert f"{script}: does not decode as text" in capsys.readouterr().err
 
     def test_normalize(self, files, tmp_path, capsys):
         out1 = str(tmp_path / "n1.dg")

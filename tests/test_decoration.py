@@ -6,6 +6,7 @@ from decograph import (
     AlphaMismatch,
     BadTarget,
     ConditionFails,
+    Decoration,
     DecorationError,
     NotAtVertex,
     OddAlpha,
@@ -236,6 +237,20 @@ class TestWeak:
         assert weak_class(g, dec) == (0,)
         _, dec1 = wheel_decoration(4, 1)
         assert weak_class(g, dec1) == (1,)
+
+    def test_weaken_is_a_decoration_mod_2(self, decorated_corpus):
+        checked = 0
+        for g, dec in decorated_corpus:
+            if any(a % 2 for _, a in dec.alpha):
+                with pytest.raises(OddAlpha):
+                    weaken(g, dec)
+                continue
+            weak = weaken(g, dec)
+            assert isinstance(weak, Decoration) and weak.alpha == dec.alpha
+            assert all(lift in (0, 1) for _, (_, _, lift) in weak.beta)
+            assert weak_class(g, weak) == weak_class(g, dec)
+            checked += 1
+        assert checked
 
     def test_weakened_class_at_scale(self):
         rng = random.Random(400)

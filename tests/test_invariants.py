@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import decograph.invariants as invariants
 from decograph import (
     ConditionsFail,
     LoopTuple,
@@ -10,6 +13,7 @@ from decograph import (
     arf,
     build_graph,
     classify,
+    cycle_basis,
     decoration_class,
     equivalent,
     frak_C,
@@ -20,8 +24,15 @@ from decograph import (
     validate_decoration,
     zero_beta,
 )
-from decograph.invariants import build_canonical_apple
-from conftest import apple2_graph, fig_a_graph, wheel_decoration
+from decograph.invariants import _tuple_class, build_canonical_apple, extract_loop_tuple
+from decograph.moves import normalize_to_apple_tree
+from conftest import (
+    apple2_graph,
+    fig_a_graph,
+    random_decoration,
+    tree_with_chords,
+    wheel_decoration,
+)
 
 
 def apple2_decoration(a0: int, b0: int, a1: int, b1: int):
@@ -207,3 +218,53 @@ class TestClassify:
         assert rep.genus == 2 and rep.cls == "III" and rep.arf == 0
         assert rep.a_tilde is None
         assert rep.to_dict()["class"] == "III"
+
+
+class TestOneClassRule:
+    """The class rule is written once; the loop tuple and the graph read
+    the same class, and classify reads each basis b_c once."""
+
+    @staticmethod
+    def _tuple_and_graph_class(g, dec):
+        state, loops = normalize_to_apple_tree(g, dec, sorted(g.boundary))
+        g_norm, dec_norm = state.freeze()
+        t = extract_loop_tuple(g_norm, dec_norm, loops)
+        return _tuple_class(t), decoration_class(g_norm, dec_norm)
+
+    def test_tuple_class_on_corpus(self, decorated_corpus):
+        seen = set()
+        for g, dec in decorated_corpus:
+            if graph_stats(g).components == 1:
+                cls, graph_cls = self._tuple_and_graph_class(g, dec)
+                assert cls == graph_cls
+                seen.add(cls)
+        assert len(seen) >= 2
+
+    def test_tuple_class_at_genus_2_to_6(self):
+        rng = random.Random(8)
+        seen = set()
+        for genus in range(2, 7):
+            for k in range(12):
+                # 1 to 3 externals: with one, its alpha is 2 mod 4
+                g = tree_with_chords(rng, 2 * genus - 1 + k % 3, genus)
+                dec = random_decoration(g, rng, 4, even=k % 4 != 0)
+                cls, graph_cls = self._tuple_and_graph_class(g, dec)
+                assert cls == graph_cls
+                seen.add(cls)
+        assert seen == {"I", "II", "III", "IV"}
+
+    @pytest.mark.parametrize("args", [(4, 0, 4, 0), (4, 2, 4, 0), (2, 0, 2, 0)])
+    def test_classify_reads_each_basis_cycle_once(self, args, monkeypatch):
+        g, dec = apple2_decoration(*args)
+        cycle_b = invariants.cycle_b
+        calls = []
+
+        def counting(g_, dec_, c):
+            calls.append(c)
+            return cycle_b(g_, dec_, c)
+
+        monkeypatch.setattr(invariants, "cycle_b", counting)
+        report = classify(g, dec)
+        assert report.cls in ("III", "IV")
+        # once per basis cycle, and once per frak_C cycle for the Arf sum
+        assert len(calls) == len(cycle_basis(g)) + len(frak_C(g, dec))

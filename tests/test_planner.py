@@ -267,6 +267,20 @@ class TestReadOffCheck:
         with pytest.raises(InternalError, match="planner bug"):
             _read_off_psi(state2, state1, inv_map, loops2, swapped)
 
+    def test_loop_halves_swapped_between_loops(self):
+        # m of loop 0 seeded onto loop 1's vertex and the other way round
+        state1, loops1, state2, loops2, inv_map = self._normal_forms()
+        (m0, o0, t0), (m1, o1, t1) = loops1[:2]
+        swapped = [(m1, o0, t0), (m0, o1, t1), loops1[2]]
+        with pytest.raises(InternalError, match="planner bug"):
+            _read_off_psi(state2, state1, inv_map, loops2, swapped)
+
+    def test_conflict_free_partial_map(self):
+        # no seeds: nothing conflicts, but psi is not total
+        state1, _, state2, _, _ = self._normal_forms()
+        with pytest.raises(InternalError, match="planner bug"):
+            _read_off_psi(state2, state1, {}, [], [])
+
     def test_boundary_seed_out_of_order(self):
         state1, loops1, state2, loops2, inv_map = self._normal_forms()
         order = sorted(inv_map)

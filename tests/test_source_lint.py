@@ -2,9 +2,10 @@
 
 The library's behaviour must not depend on ``assert`` (stripped under
 ``python -O``), and modules import only what they use.  ``__init__.py``
-re-exports names, so its imports are not checked.  The planner in
-``moves.py`` stays free of the isomorphism search, and the orbit walk in
-``oracle.py`` free of whole-graph rebuilds.
+re-exports names, so its imports are not checked.  Every function, method
+and class the library defines is named somewhere in the repository.  The
+planner in ``moves.py`` stays free of the isomorphism search, and the orbit
+walk in ``oracle.py`` free of whole-graph rebuilds.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "decograph").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "decograph").glob("*.py"))
 
 
 def _tree(path):
@@ -42,6 +44,37 @@ def test_no_unused_top_level_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_no_unreferenced_definitions():
+    """A function, method or class defined in the library and named nowhere
+    in src/, tests/, demos/ or bench/ is dead code.  A reference is a name,
+    an attribute, an imported name or a string constant that is an
+    identifier (tables of names in bench/); dunders are skipped."""
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    referenced = set()
+    for top in ("src", "tests", "demos", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        referenced.add(alias.name.rsplit(".", 1)[-1])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if node.value.isidentifier():
+                        referenced.add(node.value)
+    dead = sorted(
+        f"{name} ({where})" for name, where in defined.items() if name not in referenced
+    )
+    assert dead == [], f"definitions named nowhere: {dead}"
 
 
 def _names(filename):

@@ -5,6 +5,7 @@ from decograph import (
     IhMove,
     MoveScript,
     SemanticError,
+    TextError,
     TrivialMod,
     dot_export,
     parse_decorated_graph,
@@ -51,6 +52,13 @@ class TestParse:
             parse_decorated_graph("vertex W : x y z\nalpha x seven\n")
         assert exc.value.line == 2 and exc.value.col == 9
         assert exc.value.expected == "an integer"
+
+    def test_half_edge_name_with_dash(self):
+        # scripts write an edge as <h1>-<h2>, so 'a-b' could not be replayed
+        with pytest.raises(FileSyntaxError) as exc:
+            parse_decorated_graph("vertex v0 : c a-b d\n")
+        assert exc.value.line == 1 and exc.value.col == 15
+        assert "without '-'" in exc.value.expected
 
     def test_missing_colon(self):
         with pytest.raises(FileSyntaxError):
@@ -143,6 +151,14 @@ class TestScripts:
             parse_script("Q foo 1\n")
         with pytest.raises(FileSyntaxError):
             parse_script("IH u-v q\n")
+
+    @pytest.mark.parametrize(
+        "step", [IhMove(("a-b", "e"), "b"), TrivialMod("I", ("a", "b-e"), 1)]
+    )
+    def test_edge_with_dash_is_not_written(self, step):
+        # 'IH a-b-e b' would parse back as the edge ('a', 'b-e')
+        with pytest.raises(TextError, match="containing '-'"):
+            serialize_script(MoveScript((step,)))
 
     def test_empty(self):
         assert parse_script("") == MoveScript(())

@@ -153,6 +153,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    for flag, value in (("--bound", args.bound), ("--depth", args.depth)):
+        if value < 0:
+            raise TextError(f"{flag} must be >= 0, got {value}")
     g, dec = _load(args.file, need_decoration=True)
     bounds = OrbitBounds(max_param=args.bound, max_depth=args.depth)
     try:

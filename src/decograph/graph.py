@@ -315,40 +315,32 @@ def _spanning_tree(g: TrivalentGraph):
 
 def tree_path(
     g: TrivalentGraph,
-    tree: Container[tuple[str, str]],
+    cut: Container[tuple[str, str]],
     start_vertex: str,
     end_vertex: str,
 ) -> list[tuple[str, str]]:
-    """Oriented tree edges (out_half, in_half) from start_vertex to end_vertex."""
-    if start_vertex == end_vertex:
-        return []
-    prev: dict[str, tuple[str, str]] = {}
-    visited = {start_vertex}
+    """Oriented edges (out_half, in_half) from start_vertex to end_vertex
+    over the internal edges not in ``cut`` (sorted pairs).  Those must form
+    a forest, so the path is unique and the search order does not matter."""
+    prev: dict[str, Optional[tuple[str, str]]] = {start_vertex: None}
     frontier = deque([start_vertex])
-    while frontier:
+    while frontier and end_vertex not in prev:
         vtx = frontier.popleft()
-        for h in sorted(g.triple(vtx)):
+        for h in g.triple(vtx):
             p = g.partner(h)
-            if p is None or tuple(sorted((h, p))) not in tree:
+            if p is None or ((h, p) if h < p else (p, h)) in cut:
                 continue
             w = g.vertex_of(p)
-            if w not in visited:
-                visited.add(w)
+            if w not in prev:
                 prev[w] = (h, p)
                 frontier.append(w)
-                if w == end_vertex:
-                    frontier.clear()
-                    break
     if end_vertex not in prev:
         raise GraphError(f"no tree path from {start_vertex!r} to {end_vertex!r}")
-    path = []
-    cur = end_vertex
+    path, cur = [], end_vertex
     while cur != start_vertex:
-        step = prev[cur]
-        path.append(step)
-        cur = g.vertex_of(step[0])
-    path.reverse()
-    return path
+        path.append(prev[cur])
+        cur = g.vertex_of(path[-1][0])
+    return path[::-1]
 
 
 def cycle_basis(g: TrivalentGraph) -> list[OrientedCycle]:
@@ -362,11 +354,12 @@ def cycle_basis(g: TrivalentGraph) -> list[OrientedCycle]:
 
 @_per_graph
 def _cycle_basis(g: TrivalentGraph) -> tuple[OrientedCycle, ...]:
-    tree, non_tree = _spanning_tree(g)
+    _, non_tree = _spanning_tree(g)
+    cut = set(non_tree)
     basis = []
     for a, b in non_tree:
         steps = [(a, b)]
-        steps.extend(tree_path(g, tree, g.vertex_of(b), g.vertex_of(a)))
+        steps.extend(tree_path(g, cut, g.vertex_of(b), g.vertex_of(a)))
         cyc = OrientedCycle(tuple(steps))
         cyc.validate(g)
         basis.append(cyc)

@@ -411,13 +411,12 @@ def normal_form(g: TrivalentGraph, dec: Decoration) -> NormalForm:
     genus = _connected_genus(g)
     state, loops = normalize_to_apple_tree(g, dec, external_order=sorted(g.boundary))
     script = MoveScript(tuple(state.steps))
-    g_norm, dec_norm = state.freeze()
-    t = extract_loop_tuple(g_norm, dec_norm, loops)
-    cls = decoration_class(g_norm, dec_norm) if genus >= 2 else None
-    t_red = tuple_reduce(t, cls)
+    # The state reads as the normalized graph and its decoration.
+    t = extract_loop_tuple(state, state, loops)
+    t_red = tuple_reduce(t)
     boundary = [(h, dec.a(h)) for h in sorted(g.boundary)]
     g_can, dec_can = build_canonical_apple(boundary, list(t_red.pairs))
     report = classify(g_can, dec_can)
-    if genus >= 2 and report.cls != cls:
+    if genus >= 2 and report.cls != _tuple_class(t):
         raise InternalError("normal form changed class (internal bug)")
     return NormalForm(g_can, dec_can, report, script)

@@ -125,11 +125,6 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def in_lattice(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Membership test without caring about the witness."""
-    return solve_lattice(columns, target) is not None
-
-
 def _swap_columns(cols, U, a, b):
     if a == b:
         return

@@ -137,8 +137,8 @@ def _labels(g: TrivalentGraph, edge: Sequence[str]):
         raise ExternalEdge(f"{tuple(edge)!r} is not an internal edge")
     if g.vertex_of(u) == g.vertex_of(v):
         raise InvalidMove(f"edge {tuple(edge)!r} is a loop; IH move undefined")
-    x, y = sorted(g.others_at_vertex(u))
-    z, w = sorted(g.others_at_vertex(v))
+    x, y = g.others_at_vertex(u)  # sorted, as triples are
+    z, w = g.others_at_vertex(v)
     return u, v, x, y, z, w
 
 
@@ -214,7 +214,7 @@ def refined_epsilon(B: LocalB) -> tuple[Residue, ...]:
 
 def local_equivalent(B1: LocalB, B2: LocalB) -> bool:
     """Equality in the common quotient G^alpha, by lattice membership."""
-    from .lattice import in_lattice
+    from .lattice import solve_lattice
 
     if B1.moduli != B2.moduli:
         raise ModuliMismatch(
@@ -227,7 +227,7 @@ def local_equivalent(B1: LocalB, B2: LocalB) -> bool:
             vec[i] = abs(a)
             columns.append(vec)
     target = [p - q for p, q in zip(B1.lifts, B2.lifts)]
-    return in_lattice(columns, target)
+    return solve_lattice(columns, target) is not None
 
 
 def _fresh_name(base: str, taken: Container[str]) -> str:
@@ -242,16 +242,17 @@ class _PlanState:
 
     The graph is held as vertex/triple/partner lookups and, when decorated,
     the decoration as alpha and stored-lift dicts laid out as in Decoration.
-    ``freeze`` builds the immutable graph and decoration, and keeps them
-    until the next move changes the state.  Applied steps are recorded in
-    ``steps``, with one trace per IH move in ``traces``; the planner also
-    keeps its frozen vertices and cut edges here.  A state made with
+    ``freeze`` builds the immutable graph and decoration (``decoration``
+    the latter alone), and keeps them until the next move changes the
+    state.  Applied steps are recorded in ``steps``, with one trace per IH
+    move in ``traces``; the planner also keeps its frozen vertices and cut
+    edges here.  A state made with
     ``hashed`` keeps the hash of each line of its canonical text and their
     sum, its snapshot_hash; each edit replaces the lines it rewrites.
     """
 
     # Read access as on TrivalentGraph and Decoration, so that _labels,
-    # choice_for, tree_path and _local_B_labelled accept a state.
+    # choice_for, tree_path, cycle_b and _local_B_labelled accept a state.
     vertex_of = TrivalentGraph.vertex_of
     triple = TrivalentGraph.triple
     partner = TrivalentGraph.partner
@@ -307,19 +308,27 @@ class _PlanState:
         if self.g is None:
             edges = [(h, p) for h, p in self._partner.items() if h < p]
             self.g = build_graph(self._triple_of, edges, boundary=self.boundary)
+        return self.g, self.decoration()
+
+    def decoration(self) -> Optional[Decoration]:
+        """The current decoration as an immutable value, built without the
+        graph."""
         if self.dec is None and self._beta is not None:
             # Reduced already, as make_decoration would leave it.
             self.dec = Decoration(
                 alpha=tuple(sorted(self._alpha.items())),
                 beta=tuple(sorted(self._beta.items())),
             )
-        return self.g, self.dec
+        return self.dec
 
-    def apply(self, step: Union[TrivialMod, IhMove]) -> Optional[IhTrace]:
-        """Apply one step in place; returns the trace of an IH move."""
+    def apply(
+        self, step: Union[TrivialMod, IhMove], names: Optional[Sequence[str]] = None
+    ) -> Optional[IhTrace]:
+        """Apply one step in place; returns the trace of an IH move.  Its new
+        halves (u', v') are named ``names``, unused names, when given."""
         trace = None
         if isinstance(step, IhMove):
-            trace = self._ih_move(step)
+            trace = self._ih_move(step, names)
             self.traces.append(trace)
         elif isinstance(step, TrivialMod):
             self._trivial_mod(step)
@@ -328,7 +337,7 @@ class _PlanState:
         self.steps.append(step)
         return trace
 
-    def _ih_move(self, move: IhMove) -> IhTrace:
+    def _ih_move(self, move: IhMove, names: Optional[Sequence[str]]) -> IhTrace:
         """One IH move as a local edit, named and transported as described
         at ih_apply."""
         u, v, x, y, z, w = _labels(self, move.edge)
@@ -345,9 +354,9 @@ class _PlanState:
         if self._hashes is not None:
             old = self._lines((vu, vv), (u, v))
         # New names avoid every current half-edge, u and v included.
-        u_new = _fresh_name(u, vertex_of)
+        u_new = names[0] if names else _fresh_name(u, vertex_of)
         vertex_of[u_new] = vu
-        v_new = _fresh_name(v, vertex_of)
+        v_new = names[1] if names else _fresh_name(v, vertex_of)
         vertex_of[v_new] = vv
         del vertex_of[u], vertex_of[v], partner[u], partner[v]
         partner[u_new], partner[v_new] = v_new, u_new
@@ -413,20 +422,25 @@ class _PlanState:
             return va
         if va in self.frozen or vb in self.frozen:
             raise InternalError(f"planner met at a frozen vertex {va!r}/{vb!r}")
-        tree = {
-            (h, p) for h, p in self._partner.items()
-            if h < p and (h, p) not in self.cut
-        }
-        path = tree_path(self, tree, va, vb)
+        path = tree_path(self, self.cut, va, vb)
         for i, (p, q) in enumerate(path):
             cont = path[i + 1][0] if i + 1 < len(path) else b
             if p == a or self._vertex_of[q] in self.frozen:
                 raise InternalError(f"planner path crosses {p!r}~{q!r}")
-            self.apply(choice_for(self, (p, q), {a, cont}))
+            self.rejoin((p, q), a, cont)
         va = self._vertex_of[a]
         if va != self._vertex_of[b]:
             raise InternalError("planner failed to converge")
         return va
+
+    def rejoin(self, edge: Sequence[str], a: str, b: str) -> tuple[str, str]:
+        """The IH move on ``edge`` that puts a and b (one from each end
+        vertex) on one vertex; returns the two new halves, the one at a's
+        vertex first."""
+        trace = self.apply(choice_for(self, edge, {a, b}))
+        if self._vertex_of[trace.u_new] == self._vertex_of[a]:
+            return trace.u_new, trace.v_new
+        return trace.v_new, trace.u_new
 
 
 def ih_apply(
@@ -648,13 +662,7 @@ def ih_plan(
     psi = _read_off_psi(state2, state1, inv_map, loops2, loops1)
 
     for trace in reversed(state2.traces):
-        edge = (psi[trace.u_new], psi[trace.v_new])
-        tr2 = state1.apply(choice_for(state1, edge, {psi[trace.x], psi[trace.y]}))
-        del psi[trace.u_new], psi[trace.v_new]
-        # The new half sharing a vertex with psi(x), psi(y) replays trace.u.
-        vx = state1.vertex_of(psi[trace.x])
-        if tr2.u_new in state1.triple(vx):
-            psi[trace.u], psi[trace.v] = tr2.u_new, tr2.v_new
-        else:
-            psi[trace.u], psi[trace.v] = tr2.v_new, tr2.u_new
+        edge = (psi.pop(trace.u_new), psi.pop(trace.v_new))
+        # The new half at the vertex of psi(x), psi(y) replays trace.u.
+        psi[trace.u], psi[trace.v] = state1.rejoin(edge, psi[trace.x], psi[trace.y])
     return MoveScript(steps=tuple(state1.steps))

@@ -14,16 +14,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .decoration import (
-    Decoration,
-    TrivialMod,
-    apply_trivial_mod,
-    make_decoration,
-    stored_lift,
-)
+from .decoration import Decoration, TrivialMod, apply_trivial_mod, make_decoration
 from .graph import InternalError, NotConnected, TrivalentGraph, is_connected
 from .invariants import classify
-from .moves import InvalidMove, IhMove, _PlanState, invert_move
+from .moves import InvalidMove, IhMove, _PlanState
 
 
 class FrontierExceeded(RuntimeError):
@@ -42,6 +36,11 @@ class OrbitBounds:
     max_param: int = 1  # trivial-modification amounts searched: 1..max_param
     max_depth: int = 8  # BFS depth
     max_frontier: int = 20_000  # total states before giving up
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"OrbitBounds.{name} must be >= 0, got {value}")
 
 
 def sl2_orbit(a: int, b: int, bound: int) -> set[tuple[int, int]]:
@@ -65,9 +64,9 @@ def sl2_orbit(a: int, b: int, bound: int) -> set[tuple[int, int]]:
 
 
 def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
-    """(move, inverse, rename, ends) per IH round trip on g, by edge then
-    choice, worked out once on a bare state: the rename takes the inverse's
-    fresh halves back to u, v; ends are the half-edges at their vertices."""
+    """(move, inverse, names) per IH round trip on g, by edge then choice,
+    worked out once on a bare state: the inverse rejoins x and y, and names
+    its new halves u and v, as the one at x's vertex replays u."""
     out = []
     for edge in g.edges:
         for choice in ("b", "c"):
@@ -76,23 +75,19 @@ def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
                 tr1 = state.apply(IhMove(edge, choice))
             except InvalidMove:
                 break  # loop edge: no IH move either way
-            inverse = invert_move(state, tr1)
-            tr2 = state.apply(inverse)
-            # The fresh half at the vertex rejoining {x, y} replays u.
-            if tr2.u_new in state.triple(state.vertex_of(tr1.x)):
-                ren = {tr2.u_new: tr1.u, tr2.v_new: tr1.v}
-            else:
-                ren = {tr2.v_new: tr1.u, tr2.u_new: tr1.v}
+            at_x, at_y = state.rejoin((tr1.u_new, tr1.v_new), tr1.x, tr1.y)
+            ren = {at_x: tr1.u, at_y: tr1.v}
             restored = {
-                frozenset(ren.get(h, h) for h in triple)
-                for triple in state._triple_of.values()
+                frozenset(ren.get(h, h) for h in state.triple(n))
+                for n in g.vertex_names()
             }
             if restored != {frozenset(t) for _, t in g.vertices}:
                 raise InternalError(
                     "IH round trip did not restore the graph (internal bug)"
                 )
-            ends = g.triple(g.vertex_of(tr1.u)) + g.triple(g.vertex_of(tr1.v))
-            out.append((IhMove(edge, choice), inverse, ren, ends))
+            tr2 = state.traces[-1]
+            names = (ren[tr2.u_new], ren[tr2.v_new])
+            out.append((IhMove(edge, choice), state.steps[-1], names))
     return out
 
 
@@ -100,46 +95,32 @@ def ih_round_trips(
     g: TrivalentGraph, dec: Decoration, max_param: int
 ) -> Iterable[Decoration]:
     """Decorations obtained by an IH move, an optional I-modification on
-    the fresh edge, and the inverse IH move, renamed back onto g.  Each is
-    one in-place edit of a working state; no graph is built."""
+    the fresh edge, and the inverse IH move, its new halves named as on g.
+    Each is one in-place edit of a working state; no graph is built."""
     return _round_trips(g, dec, max_param, _round_trip_moves(g))
 
 
 def _round_trips(g, dec, max_param, trips) -> Iterable[Decoration]:
     amounts = [0] + [s * k for k in range(1, max_param + 1) for s in (1, -1)]
-    for move, inverse, ren, ends in trips:
+    for move, inverse, names in trips:
         for m in amounts:
             state = _PlanState(g, dec)
             tr1 = state.apply(move)
             if m:
                 state.apply(TrivialMod("I", (tr1.u_new, tr1.v_new), m))
-            state.apply(inverse)
-            alpha, beta = state._alpha, state._beta
-            for new, old in ren.items():
-                alpha[old], beta[old] = alpha.pop(new), beta.pop(new)
-            # Only lifts at the two end vertices name a renamed half, and
-            # renaming may change which co-half is least.
-            for s in ends:
-                t0, t1, lift = beta[s]
-                beta[s] = stored_lift(alpha, s, ren.get(t0, t0), ren.get(t1, t1), lift)
-            yield Decoration(
-                alpha=tuple(sorted(alpha.items())), beta=tuple(sorted(beta.items()))
-            )
+            state.apply(inverse, names)
+            yield state.decoration()
 
 
 def _neighbors(
     g: TrivalentGraph, dec: Decoration, bounds: OrbitBounds, trips: list
 ) -> Iterable[Decoration]:
     amounts = [s * k for k in range(1, bounds.max_param + 1) for s in (1, -1)]
-    for name, _ in g.vertices:
+    targets = [("V", name) for name in g.vertex_names()]
+    targets += [("I", edge) for edge in g.edges] + [("E", x) for x in g.boundary]
+    for kind, target in targets:
         for n in amounts:
-            yield apply_trivial_mod(g, dec, TrivialMod("V", name, n))
-    for edge in g.edges:
-        for n in amounts:
-            yield apply_trivial_mod(g, dec, TrivialMod("I", edge, n))
-    for x in g.boundary:
-        for n in amounts:
-            yield apply_trivial_mod(g, dec, TrivialMod("E", x, n))
+            yield apply_trivial_mod(g, dec, TrivialMod(kind, target, n))
     yield from _round_trips(g, dec, bounds.max_param, trips)
 
 
@@ -185,15 +166,7 @@ def enumerate_alpha(
         range(-window, window + 1), repeat=len(variables)
     ):
         val = dict(zip(variables, combo))
-        alpha = {}
-        for h in g.half_edges():
-            p = g.partner(h)
-            if p is None:
-                alpha[h] = val[h]
-            elif h < p:
-                alpha[h] = val[h]
-            else:
-                alpha[h] = -val[p]
+        alpha = {h: val[h] if h in val else -val[g.partner(h)] for h in g.half_edges()}
         if all(
             sum(alpha[h] for h in triple) == 2 for _, triple in g.vertices
         ) and all(abs(a) <= window for a in alpha.values()):
@@ -278,9 +251,9 @@ def check_classification(
             parent[rj] = ri
 
     records: dict[int, set] = {}
-    seen_seed = [False] * len(decs)
+    keys: dict[Decoration, tuple] = {}  # classify(g, d).key(), once per d
     for i, d in enumerate(decs):
-        if seen_seed[i]:
+        if d in keys:  # already in an orbit
             continue
         try:
             orbit = move_orbit(g, d, bounds)
@@ -290,9 +263,10 @@ def check_classification(
         for member in orbit:
             j = index.get(member)
             if j is not None:
-                seen_seed[j] = True
                 union(i, j)
-            recs.add(classify(g, member).key())
+            if member not in keys:
+                keys[member] = classify(g, member).key()
+            recs.add(keys[member])
     # merge record sets along the union-find classes
     merged: dict[int, set] = {}
     for i, recs in records.items():
@@ -305,9 +279,8 @@ def check_classification(
                 f"classification records"
             )
     by_class: dict = {}
-    for i, d in enumerate(decs):
-        key = classify(g, d).key()
-        by_class.setdefault(key, set()).add(find(i))
+    for i, d in enumerate(decs):  # each d is in an orbit, so keyed
+        by_class.setdefault(keys[d], set()).add(find(i))
     orbits_per_class = {
         str(k): len(v)
         for k, v in sorted(by_class.items(), key=lambda kv: str(kv[0]))

@@ -272,23 +272,26 @@ def parse_script(text: str) -> MoveScript:
 
 
 def dot_export(g: TrivalentGraph, dec: Optional[Decoration] = None) -> str:
-    """Graphviz DOT rendering; alpha values label the half-edge ends."""
+    """Graphviz DOT rendering; alpha values label the half-edge ends.  Ids
+    and labels are quoted, with backslash and double quote escaped."""
+
+    def q(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     def half_label(h: str) -> str:
-        return f"{h} (a={dec.a(h)})" if dec is not None else h
+        return q(f"{h} (a={dec.a(h)})" if dec is not None else h)
 
     lines = ["graph decorated {", "  node [shape=circle];"]
     for name, _ in g.vertices:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {q(name)};")
     for a, b in g.edges:
         lines.append(
-            f'  "{g.vertex_of(a)}" -- "{g.vertex_of(b)}"'
-            f' [taillabel="{half_label(a)}", headlabel="{half_label(b)}"];'
+            f"  {q(g.vertex_of(a))} -- {q(g.vertex_of(b))}"
+            f" [taillabel={half_label(a)}, headlabel={half_label(b)}];"
         )
     for h in g.boundary:
-        lines.append(f'  "ext_{h}" [shape=point, label=""];')
-        lines.append(
-            f'  "{g.vertex_of(h)}" -- "ext_{h}" [taillabel="{half_label(h)}"];'
-        )
+        ext = q("ext_" + h)
+        lines.append(f'  {ext} [shape=point, label=""];')
+        lines.append(f"  {q(g.vertex_of(h))} -- {ext} [taillabel={half_label(h)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

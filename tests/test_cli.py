@@ -188,6 +188,13 @@ class TestOrbitAndDot:
         err = capsys.readouterr().err
         assert "internal invariant breach: classification not constant" in err
 
+    @pytest.mark.parametrize("flag, value", [("--bound", "-1"), ("--depth", "-5")])
+    def test_orbit_rejects_negative_bounds(self, files, capsys, flag, value):
+        assert run_command(["orbit", files["wheel30"], flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be >= 0, got {value}" in captured.err
+        assert "orbit size" not in captured.out
+
     def test_dot_stdout(self, files, capsys):
         assert run_command(["dot", files["wheel46"]]) == 0
         assert capsys.readouterr().out.startswith("graph decorated {")

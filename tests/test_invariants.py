@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -184,6 +185,30 @@ class TestNormalFormAndEquivalence:
                 assert normal_form(g, dec).report.a_tilde == a_tilde(g, dec)
                 checked += 1
         assert checked
+
+    def test_normal_form_builds_one_graph(self, monkeypatch):
+        """The loop tuple and its class are read off the working state; the
+        one graph built is the canonical apple."""
+        calls = {"build_graph": 0, "decoration_class": 0}
+        for fn in (invariants.build_graph, invariants.decoration_class):
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("decograph") and getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, counted)
+        rng = random.Random(12)
+        cases = [apple2_decoration(4, 2, 4, 0), apple2_decoration(3, 1, 2, 5)]
+        for genus in (2, 3, 5):
+            g = tree_with_chords(rng, 4 * genus, genus)
+            cases.append((g, random_decoration(g, rng)))
+        for g, dec in cases:
+            calls.update(build_graph=0, decoration_class=0)
+            nf = normal_form(g, dec)
+            assert nf.report.genus >= 2
+            assert calls == {"build_graph": 1, "decoration_class": 0}
 
     def test_wheel_normal_forms_coincide(self):
         g, dec = wheel_decoration(4, 6)

@@ -120,6 +120,28 @@ class TestCheckClassification:
         assert report.n_orbits >= report.n_classes
         assert sum(report.orbits_per_class.values()) >= report.n_classes
 
+    def test_classifies_each_decoration_once(self, monkeypatch):
+        import decograph.oracle as oracle
+
+        classified = []
+        classify = oracle.classify
+
+        def counted(g, dec):
+            classified.append(dec)
+            return classify(g, dec)
+
+        monkeypatch.setattr(oracle, "classify", counted)
+        report = check_classification(
+            wheel_graph(), OrbitBounds(max_param=2, max_depth=4), window=2
+        )
+        assert report.ok
+        assert len(classified) == len(set(classified)) >= report.n_decorations
+
+    @pytest.mark.parametrize("field", ["max_param", "max_depth", "max_frontier"])
+    def test_negative_bounds_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"OrbitBounds.{field} must be >= 0"):
+            OrbitBounds(**{field: -1})
+
     def test_not_connected_propagates(self):
         g = build_graph(
             [("a", "b", "c"), ("d", "e", "f")], [("a", "b"), ("d", "e")]

@@ -249,6 +249,34 @@ class TestPlanner:
         assert elapsed < 10, f"runtime {elapsed:.1f}s exceeded budget 10s"
 
 
+class TestRejoin:
+    """_PlanState.rejoin is the one place that says which new half of an IH
+    move sits with which old half-edges."""
+
+    def test_half_at_a_first(self, corpus):
+        rng = random.Random(41)
+        graphs = corpus + [tree_with_chords(rng, 40, k) for k in (0, 3, 8)]
+        checked = 0
+        for g in graphs:
+            for u, v in g.edges:
+                if g.vertex_of(u) == g.vertex_of(v):
+                    continue  # a loop has no IH move
+                cross = itertools.product(g.others_at_vertex(u), g.others_at_vertex(v))
+                for x, z in cross:
+                    for a, b in ((x, z), (z, x)):
+                        state = _PlanState(g)
+                        at_a, at_b = state.rejoin((u, v), a, b)
+                        trace = state.traces[-1]
+                        assert state.steps == [choice_for(g, (u, v), {a, b})]
+                        assert {at_a, at_b} == {trace.u_new, trace.v_new}
+                        assert state.partner(at_a) == at_b
+                        assert state.vertex_of(at_a) == state.vertex_of(a)
+                        assert state.vertex_of(b) == state.vertex_of(a)
+                        assert state.vertex_of(at_b) != state.vertex_of(a)
+                        checked += 1
+        assert checked > 1000
+
+
 class TestReadOffCheck:
     """The finished psi is checked; a wrong seed raises InternalError."""
 

@@ -5,7 +5,8 @@ The library's behaviour must not depend on ``assert`` (stripped under
 re-exports names, so its imports are not checked.  Every function, method
 and class the library defines is named somewhere in the repository.  The
 planner in ``moves.py`` stays free of the isomorphism search, and the orbit
-walk in ``oracle.py`` free of whole-graph rebuilds.
+walk in ``oracle.py`` free of whole-graph rebuilds and of the working
+state's internals.
 """
 
 import ast
@@ -105,3 +106,10 @@ def test_oracle_does_not_rebuild():
     names = _names("oracle.py")
     assert "ih_apply" not in names
     assert "build_graph" not in names
+
+
+def test_oracle_stays_out_of_the_state():
+    """The round trips edit, name and read the working state through
+    _PlanState's methods; oracle.py names none of the state's dicts."""
+    state_dicts = {"_alpha", "_beta", "_triple_of", "_vertex_of", "_partner"}
+    assert _names("oracle.py") & state_dicts == set()

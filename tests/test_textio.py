@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from decograph import (
@@ -176,3 +178,13 @@ class TestDot:
     def test_bare_dot_has_no_alpha(self):
         g, _ = parse_decorated_graph("vertex W : x y z\nedge x y\n")
         assert "a=" not in dot_export(g)
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        text = 'vertex v"0 : a"b c\\ d\nalpha a"b 2\nalpha c\\ 0\nalpha d 0\n'
+        g, dec = parse_decorated_graph(text)
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        for out in (dot_export(g, dec), dot_export(g)):
+            assert '"v\\"0"' in out and '"ext_a\\"b"' in out and '"ext_c\\\\"' in out
+            # every quoted string closes on its line
+            for line in out.splitlines():
+                assert '"' not in quoted.sub("", line), line

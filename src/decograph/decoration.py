@@ -112,8 +112,9 @@ class Decoration:
     _beta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self._alpha.update(dict(self.alpha))
-        self._beta.update(dict(self.beta))
+        if not self._alpha:  # _decoration passes the lookups it sorted
+            self._alpha.update(self.alpha)
+            self._beta.update(self.beta)
 
     def a(self, h: str) -> int:
         return self._alpha[h]
@@ -163,16 +164,15 @@ def stored_lift(
 def _alpha_problems(g: TrivalentGraph, alpha: Mapping[str, int]) -> list[str]:
     """Violations of the alpha rules on g, each naming its half-edges or
     vertex: the domain, the vertex sums and edge antisymmetry."""
-    halves = set(g.half_edges())
-    missing = sorted(halves - set(alpha))
-    if missing:
-        return [f"alpha missing for half-edges {missing}"]
-    extra = sorted(set(alpha) - halves)
-    if extra:
-        return [f"alpha given for unknown half-edges {extra}"]
+    halves = g._vertex_of.keys()
+    if alpha.keys() != halves:
+        missing = sorted(halves - alpha.keys())
+        if missing:
+            return [f"alpha missing for half-edges {missing}"]
+        return [f"alpha given for unknown half-edges {sorted(alpha.keys() - halves)}"]
     problems = []
-    for name, triple in g.vertices:
-        total = sum(alpha[h] for h in triple)
+    for name, (a, b, c) in g.vertices:
+        total = alpha[a] + alpha[b] + alpha[c]
         if total != 2:
             problems.append(f"vertex {name!r}: alpha sum {total} != 2")
     for a, b in g.edges:
@@ -191,58 +191,62 @@ def make_decoration(
 ) -> Decoration:
     """Build a Decoration, checking it once.
 
-    ``beta`` supplies at least one lift per source half-edge; a source's
-    lift toward its least co-half is stored, derived through the vertex
-    congruence when only the other one is given.  Raises DecorationError,
-    naming the half-edges or vertex at fault, when alpha is not given on
-    exactly the half-edges of g, a vertex sum is not 2, the alphas of an
-    edge do not cancel, a source has no lift, or a source's two supplied
-    lifts break the congruence.
+    A source's lift toward its least co-half is stored, derived through
+    the vertex congruence when ``beta`` gives only the other one, and 0
+    (the gauge-zero default) when it gives neither.  Raises
+    DecorationError, naming the half-edges, vertex or key at fault, when
+    alpha is not given on exactly the half-edges of g, a vertex sum is not
+    2, the alphas of an edge do not cancel, a source's two given lifts
+    break the congruence, or a beta key is not an ordered pair of distinct
+    half-edges at one vertex of g.
     """
-    amap = {h: int(a) for h, a in alpha.items()}
+    amap = dict(zip(alpha, map(int, alpha.values())))
     problems = _alpha_problems(g, amap)
     if problems:
         raise DecorationError("; ".join(problems))
     lifts: dict[str, tuple[str, str, int]] = {}
-    for name, triple in g.vertices:
-        for s in triple:
-            t0, t1 = sorted(t for t in triple if t != s)
-            given = {
-                stored_lift(amap, s, t, o, int(beta[(s, t)]))
-                for t, o in ((t0, t1), (t1, t0))
-                if (s, t) in beta
-            }
-            if not given:
-                raise DecorationError(
-                    f"no beta lift supplied for source half-edge {s!r}"
-                )
-            if len(given) > 1:
-                raise DecorationError(
-                    f"vertex {name!r}: beta_({s},{t1}) != beta_({s},{t0}) "
-                    f"+ alpha_{t1} - 1 mod {amap[s]}"
-                )
-            (lifts[s],) = given
+    used = 0  # keys of beta met below; the rest are not pairs at a vertex
+    for name, (a, b, c) in g.vertices:
+        # each source with its two co-halves, least first, as triples are sorted
+        for s, t0, t1 in ((a, b, c), (b, a, c), (c, a, b)):
+            to0, to1 = beta.get((s, t0)), beta.get((s, t1))
+            if to0 is not None:
+                used += 1
+                lift = reduce_lift(int(to0), amap[s])
+                if to1 is not None:
+                    used += 1
+                    if _companion(int(to1), amap[t0], amap[s]) != lift:
+                        raise DecorationError(
+                            f"vertex {name!r}: beta_({s},{t1}) != beta_({s},{t0}) "
+                            f"+ alpha_{t1} - 1 mod {amap[s]}"
+                        )
+            elif to1 is not None:
+                used += 1
+                lift = _companion(int(to1), amap[t0], amap[s])
+            else:
+                lift = 0  # the gauge-zero default
+            lifts[s] = (t0, t1, lift)
+    if used != len(beta):
+        pairs = {(s, t) for _, triple in g.vertices for s in triple for t in triple}
+        bad = next(key for key in beta if key not in pairs or key[0] == key[1])
+        raise DecorationError(f"beta key {bad!r} is not two half-edges at a vertex")
+    return _decoration(amap, lifts)
+
+
+def _decoration(alpha: dict, lifts: dict) -> Decoration:
+    """The Decoration that keeps the dicts alpha and lifts (stored lifts,
+    reduced) as its lookups.  Sorting the names alone is much faster than
+    sorting the items."""
     return Decoration(
-        alpha=tuple(sorted(amap.items())), beta=tuple(sorted(lifts.items()))
+        alpha=tuple([(h, alpha[h]) for h in sorted(alpha)]),
+        beta=tuple([(s, lifts[s]) for s in sorted(lifts)]),
+        _alpha=alpha, _beta=lifts,
     )
-
-
-def _zero_fill(
-    g: TrivalentGraph, beta: dict[tuple[str, str], int]
-) -> dict[tuple[str, str], int]:
-    """beta with lift 0 toward the least co-half added for every source
-    half-edge of g that has no lift in it (the gauge-zero default)."""
-    for _, triple in g.vertices:
-        for s in triple:
-            t0, t1 = [t for t in triple if t != s]  # sorted, as triple is
-            if (s, t0) not in beta and (s, t1) not in beta:
-                beta[(s, t0)] = 0
-    return beta
 
 
 def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
     """The gauge-zero decoration: lift 0 from each source to its least target."""
-    return make_decoration(g, alpha, _zero_fill(g, {}))
+    return make_decoration(g, alpha, {})
 
 
 def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:

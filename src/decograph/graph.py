@@ -58,8 +58,9 @@ class TrivalentGraph:
 
     ``vertices`` maps vertex names to sorted half-edge triples; ``pairing``
     is stored as a sorted tuple of sorted internal-edge pairs; ``boundary``
-    is the stable declared order of the unpaired half-edges.  ``_memo``
-    keeps topology computed once per graph (see ``_per_graph``).
+    is the stable declared order of the unpaired half-edges.  Build it
+    with build_graph, which fills the derived lookups.  ``_memo`` keeps
+    topology computed once per graph (see ``_per_graph``).
     """
 
     vertices: tuple[tuple[str, tuple[str, str, str]], ...]
@@ -70,15 +71,6 @@ class TrivalentGraph:
     _partner: dict = field(default_factory=dict, compare=False, repr=False)
     _triple_of: dict = field(default_factory=dict, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        for name, triple in self.vertices:
-            self._triple_of[name] = triple
-            for h in triple:
-                self._vertex_of[h] = name
-        for a, b in self.edges:
-            self._partner[a] = b
-            self._partner[b] = a
 
     # -- queries ---------------------------------------------------------
 
@@ -114,52 +106,57 @@ def build_graph(
     fix the declared order of external half-edges; it defaults to sorted.
     """
     if isinstance(vertex_triples, Mapping):
-        items = [(str(k), tuple(str(h) for h in v)) for k, v in vertex_triples.items()]
+        items = vertex_triples.items()
     else:
-        items = [
-            (f"v{i}", tuple(str(h) for h in v)) for i, v in enumerate(vertex_triples)
-        ]
-    seen: dict[str, str] = {}
-    names = set()
+        items = [(f"v{i}", v) for i, v in enumerate(vertex_triples)]
+    vertex_of: dict[str, str] = {}
+    triple_of: dict[str, tuple[str, ...]] = {}
     for name, triple in items:
-        if name in names:
+        name, triple = str(name), tuple(map(str, triple))
+        if name in triple_of:
             raise DuplicateHalfEdge(f"duplicate vertex name {name!r}")
-        names.add(name)
         if len(triple) != 3:
             raise GraphError(f"vertex {name!r} must have exactly 3 half-edges")
         for h in triple:
             if not h:
                 raise DuplicateHalfEdge("empty half-edge name")
-            if h in seen:
-                kind = HalfEdgeInTwoVertices if seen[h] != name else DuplicateHalfEdge
-                raise kind(f"half-edge {h!r} occurs twice (vertices {seen[h]!r}, {name!r})")
-            seen[h] = name
-    vertices = tuple(sorted((name, tuple(sorted(t))) for name, t in items))
+            if h in vertex_of:
+                first = vertex_of[h]
+                kind = HalfEdgeInTwoVertices if first != name else DuplicateHalfEdge
+                raise kind(f"half-edge {h!r} occurs twice (vertices {first!r}, {name!r})")
+            vertex_of[h] = name
+        triple_of[name] = tuple(sorted(triple))
+    vertices = tuple(sorted(triple_of.items()))
 
-    paired: dict[str, str] = {}
+    partner: dict[str, str] = {}
+    edges = []
     for a, b in pairing:
         a, b = str(a), str(b)
         if a == b:
             raise SelfPairing(f"half-edge {a!r} paired with itself")
         for h in (a, b):
-            if h not in seen:
+            if h not in vertex_of:
                 raise DanglingPair(f"pairing references unknown half-edge {h!r}")
-            if h in paired:
+            if h in partner:
                 raise DanglingPair(f"half-edge {h!r} paired twice")
-        paired[a] = b
-        paired[b] = a
-    edges = tuple(sorted((a, b) for a, b in paired.items() if a < b))
+        partner[a] = b
+        partner[b] = a
+        edges.append((a, b) if a < b else (b, a))
+    edges.sort()
 
-    unpaired = sorted(h for h in seen if h not in paired)
+    unpaired = sorted(vertex_of.keys() - partner.keys())
     if boundary is None:
         bound = tuple(unpaired)
     else:
-        bound = tuple(str(h) for h in boundary)
+        bound = tuple(map(str, boundary))
         if sorted(bound) != unpaired:
             raise GraphError(
                 "declared boundary does not match the unpaired half-edges"
             )
-    g = TrivalentGraph(vertices=vertices, edges=edges, boundary=bound)
+    g = TrivalentGraph(
+        vertices=vertices, edges=tuple(edges), boundary=bound,
+        _vertex_of=vertex_of, _partner=partner, _triple_of=triple_of,
+    )
     v, i, e = len(g.vertices), len(g.edges), len(g.boundary)
     if 3 * v != 2 * i + e:
         raise InternalError(f"half-edge count {2 * i + e} != 3 * {v} vertices")

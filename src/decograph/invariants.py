@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Optional
 
 from .decoration import (
     Decoration,
-    _zero_fill,
     cycle_b,
     gcd_all,
     make_decoration,
@@ -374,7 +373,7 @@ def build_canonical_apple(
     for (la, lb), (_, bi) in zip(loop_leaves, pairs):
         beta[(la, lb)] = bi
         beta[(lb, la)] = 0
-    return graph, make_decoration(graph, alpha, _zero_fill(graph, beta))
+    return graph, make_decoration(graph, alpha, beta)
 
 
 @dataclass(frozen=True)

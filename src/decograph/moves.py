@@ -33,6 +33,7 @@ from .decoration import (
     ExternalEdge,
     Residue,
     TrivialMod,
+    _decoration,
     reduce_lift,
     stored_lift,
 )
@@ -315,10 +316,7 @@ class _PlanState:
         graph."""
         if self.dec is None and self._beta is not None:
             # Reduced already, as make_decoration would leave it.
-            self.dec = Decoration(
-                alpha=tuple(sorted(self._alpha.items())),
-                beta=tuple(sorted(self._beta.items())),
-            )
+            self.dec = _decoration(dict(self._alpha), dict(self._beta))
         return self.dec
 
     def apply(

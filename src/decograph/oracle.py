@@ -10,6 +10,7 @@ of move orbits against the classification.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -64,9 +65,10 @@ def sl2_orbit(a: int, b: int, bound: int) -> set[tuple[int, int]]:
 
 
 def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
-    """(move, inverse, names) per IH round trip on g, by edge then choice,
-    worked out once on a bare state: the inverse rejoins x and y, and names
-    its new halves u and v, as the one at x's vertex replays u."""
+    """(move, inverse, names, (x, z)) per IH round trip on g, by edge then
+    choice, worked out once on a bare state: the inverse rejoins x and y,
+    and names its new halves u and v, as the one at x's vertex replays u.
+    x and z share a vertex with the fresh edge's u' after the move."""
     out = []
     for edge in g.edges:
         for choice in ("b", "c"):
@@ -87,23 +89,26 @@ def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
                 )
             tr2 = state.traces[-1]
             names = (ren[tr2.u_new], ren[tr2.v_new])
-            out.append((IhMove(edge, choice), state.steps[-1], names))
+            out.append((IhMove(edge, choice), state.steps[-1], names, (tr1.x, tr1.z)))
     return out
 
 
 def ih_round_trips(
     g: TrivalentGraph, dec: Decoration, max_param: int
 ) -> Iterable[Decoration]:
-    """Decorations obtained by an IH move, an optional I-modification on
-    the fresh edge, and the inverse IH move, its new halves named as on g.
-    Each is one in-place edit of a working state; no graph is built."""
-    return _round_trips(g, dec, max_param, _round_trip_moves(g))
+    """Decorations obtained by an IH move, an I-modification on the fresh
+    edge by each amount 0, 1, -1, ..., max_param, -max_param, and the
+    inverse IH move, its new halves named as on g.  Each is one in-place
+    edit of a working state; no graph is built."""
+    return _round_trips(g, dec, max_param, _round_trip_moves(g), every=True)
 
 
-def _round_trips(g, dec, max_param, trips) -> Iterable[Decoration]:
-    amounts = [0] + [s * k for k in range(1, max_param + 1) for s in (1, -1)]
-    for move, inverse, names in trips:
-        for m in amounts:
+def _round_trips(g, dec, max_param, trips, every=False) -> Iterable[Decoration]:
+    """ih_round_trips, less (unless every) the amounts that repeat a
+    decoration: the I step acts modulo |alpha_u'| = |2 - alpha_x - alpha_z|."""
+    for move, inverse, names, (x, z) in trips:
+        alpha = 0 if every else 2 - dec.a(x) - dec.a(z)
+        for m in [0, *_amounts(max_param, [alpha])]:
             state = _PlanState(g, dec)
             tr1 = state.apply(move)
             if m:
@@ -112,14 +117,25 @@ def _round_trips(g, dec, max_param, trips) -> Iterable[Decoration]:
             yield state.decoration()
 
 
+def _amounts(max_param: int, alphas: Iterable[int]) -> list[int]:
+    """1, -1, ..., max_param, -max_param less the amounts that repeat a
+    decoration, for a trivial modification of sources with these alphas.
+    Each lift moves modulo its |alpha|, so the lcm of the |alpha| is a
+    period (none when one is 0); the first amount of each nonzero residue
+    is kept, in place."""
+    period = math.lcm(*(abs(a) for a in alphas))
+    top = min(max_param, period // 2) if period else max_param
+    return [n for k in range(1, top + 1) for n in (k, -k) if n == k or 2 * k != period]
+
+
 def _neighbors(
     g: TrivalentGraph, dec: Decoration, bounds: OrbitBounds, trips: list
 ) -> Iterable[Decoration]:
-    amounts = [s * k for k in range(1, bounds.max_param + 1) for s in (1, -1)]
-    targets = [("V", name) for name in g.vertex_names()]
-    targets += [("I", edge) for edge in g.edges] + [("E", x) for x in g.boundary]
-    for kind, target in targets:
-        for n in amounts:
+    targets = [("V", name, g.triple(name)) for name in g.vertex_names()]
+    targets += [("I", edge, edge) for edge in g.edges]
+    targets += [("E", x, (x,)) for x in g.boundary]
+    for kind, target, sources in targets:
+        for n in _amounts(bounds.max_param, map(dec.a, sources)):
             yield apply_trivial_mod(g, dec, TrivialMod(kind, target, n))
     yield from _round_trips(g, dec, bounds.max_param, trips)
 

@@ -1,6 +1,7 @@
 """Text formats: decorated graph files, move scripts, and DOT export.
 
-Graph file grammar (one statement per line, '#' starts a comment):
+Graph file grammar (one statement per line, '#' starts a comment; lines
+end at '\\n' only, and '\\r' is whitespace):
 
     vertex <name> : <h1> <h2> <h3>
     edge <h1> <h2>
@@ -8,8 +9,9 @@ Graph file grammar (one statement per line, '#' starts a comment):
     alpha <half-edge> <int>
     beta <vertex> <h_from> <h_to> <int>
 
-Half-edge names contain no '-', which move scripts use to join the two
-halves of an edge.  A file with no alpha statements describes a bare graph.  With alpha
+An <int> is an optional sign followed by ASCII digits 0-9.  Half-edge
+names contain no '-', which move scripts use to join the two halves of an
+edge.  A file with no alpha statements describes a bare graph.  With alpha
 statements present, beta statements are optional per source half-edge
 (missing sources default to lift 0 toward their least co-half), and
 make_decoration checks the decoration.  The serializer is canonical:
@@ -20,13 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .decoration import (
-    Decoration,
-    DecorationError,
-    TrivialMod,
-    _zero_fill,
-    make_decoration,
-)
+from .decoration import Decoration, DecorationError, TrivialMod, make_decoration
 from .graph import GraphError, TrivalentGraph, build_graph
 from .moves import HASH_TAG, IhMove, MoveScript, ScriptError
 
@@ -48,84 +44,100 @@ class SemanticError(TextError):
     """Structurally valid statements describing an inconsistent object."""
 
 
-def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, raw, tokens
+# The <int> tokens of most files, read without a call to int().
+_SMALL_INTS = {str(i): i for i in range(-256, 1024)}
 
 
-def parse_decorated_graph(
-    text: str,
-) -> tuple[TrivalentGraph, Optional[Decoration]]:
-    """Parse a graph file; the decoration is None for bare graph files."""
+def _to_int(tok: str) -> Optional[int]:
+    """tok as an <int>, or None; int() alone takes '1_0' and non-ASCII digits."""
+    if tok.isascii() and (tok.isdigit() or tok[0] in "+-" and tok[1:].isdigit()):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() reads
+            pass
+    return None
+
+
+def _syntax_error(lineno, raw, tokens, i, expected, got=""):
+    """The FileSyntaxError at tokens[i], or just past the last token; only
+    errors need columns, so they are found here."""
+    end = 0
+    for tok in tokens[:i]:
+        end = raw.index(tok, end) + len(tok)
+    col = raw.index(tokens[i], end) if i < len(tokens) else end
+    return FileSyntaxError(lineno, col + 1, expected, got)
+
+
+def parse_decorated_graph(text: str) -> tuple[TrivalentGraph, Optional[Decoration]]:
+    """Parse a graph file; the decoration is None for bare graph files.
+    Each statement is read and checked once; lines end at '\\n' only."""
     vertices: dict[str, tuple[str, str, str]] = {}
     edges: list[tuple[str, str]] = []
     boundary: Optional[list[str]] = None
     alpha: dict[str, int] = {}
     beta: dict[tuple[str, str], int] = {}
-    beta_lines: list[tuple[int, str, str, str]] = []
+    beta_lines: list[tuple[int, str, str, str]] = []  # to check on the graph
 
-    # The helpers read the current line's lineno, raw and tokens.
-    def fail(i, expected, got=""):
-        """Raise at tokens[i], or just past the last token; only errors
-        need columns, so they are found here."""
-        end = 0
-        for tok in tokens[:i]:
-            end = raw.index(tok, end) + len(tok)
-        col = raw.index(tokens[i], end) if i < len(tokens) else end
-        raise FileSyntaxError(lineno, col + 1, expected, got)
-
-    def need(count, what):
-        if len(tokens) != count:
-            fail(min(len(tokens), count), what)
-
-    def intval(i):
-        try:
-            return int(tokens[i])
-        except ValueError:
-            pass
-        fail(i, "an integer", tokens[i])
-
-    for lineno, raw, tokens in _tokenize(text):
-        head = tokens[0]
-        if head == "vertex":
-            need(6, "'vertex <name> : <h1> <h2> <h3>'")
-            name = tokens[1]
-            if tokens[2] != ":":
-                fail(2, "':'", tokens[2])
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
+            continue
+        head, n = tokens[0], len(tokens)
+        # alpha and beta make up most lines, so they are tested first
+        if head == "alpha":
+            if n != 3:
+                form = "'alpha <half-edge> <int>'"
+                raise _syntax_error(lineno, raw, tokens, min(n, 3), form)
+            _, h, val = tokens
+            if h in alpha:
+                raise SemanticError(f"line {lineno}: duplicate alpha for {h!r}")
+            num = _SMALL_INTS.get(val)
+            if num is None and (num := _to_int(val)) is None:
+                raise _syntax_error(lineno, raw, tokens, 2, "an integer", val)
+            alpha[h] = num
+        elif head == "beta":
+            if n != 5:
+                form = "'beta <vertex> <h_from> <h_to> <int>'"
+                raise _syntax_error(lineno, raw, tokens, min(n, 5), form)
+            _, v, s, t, val = tokens
+            num = _SMALL_INTS.get(val)
+            if num is None and (num := _to_int(val)) is None:
+                raise _syntax_error(lineno, raw, tokens, 4, "an integer", val)
+            key = (s, t)
+            if key in beta:
+                raise SemanticError(f"line {lineno}: duplicate beta for ({s!r}, {t!r})")
+            beta[key] = num
+            triple = vertices.get(v, ())
+            if s == t or s not in triple or t not in triple:
+                # v is declared further down, or the line is at fault
+                beta_lines.append((lineno, v, s, t))
+        elif head == "vertex":
+            if n != 6:
+                form = "'vertex <name> : <h1> <h2> <h3>'"
+                raise _syntax_error(lineno, raw, tokens, min(n, 6), form)
+            _, name, colon, a, b, c = tokens
+            if colon != ":":
+                raise _syntax_error(lineno, raw, tokens, 2, "':'", colon)
             if name in vertices:
                 raise SemanticError(f"line {lineno}: duplicate vertex {name!r}")
-            for i in (3, 4, 5):
-                if "-" in tokens[i]:
-                    # scripts write an edge as <h1>-<h2>
-                    fail(i, "a half-edge name without '-'", tokens[i])
-            vertices[name] = (tokens[3], tokens[4], tokens[5])
+            if "-" in raw:  # scripts write an edge as <h1>-<h2>
+                for i in (3, 4, 5):
+                    if "-" in tokens[i]:
+                        expected = "a half-edge name without '-'"
+                        raise _syntax_error(lineno, raw, tokens, i, expected, tokens[i])
+            vertices[name] = (a, b, c)
         elif head == "edge":
-            need(3, "'edge <h1> <h2>'")
+            if n != 3:
+                form = "'edge <h1> <h2>'"
+                raise _syntax_error(lineno, raw, tokens, min(n, 3), form)
             edges.append((tokens[1], tokens[2]))
         elif head == "boundary":
             if boundary is not None:
                 raise SemanticError(f"line {lineno}: duplicate boundary statement")
             boundary = tokens[1:]
-        elif head == "alpha":
-            need(3, "'alpha <half-edge> <int>'")
-            h = tokens[1]
-            if h in alpha:
-                raise SemanticError(f"line {lineno}: duplicate alpha for {h!r}")
-            alpha[h] = intval(2)
-        elif head == "beta":
-            need(5, "'beta <vertex> <h_from> <h_to> <int>'")
-            v, s, t = tokens[1], tokens[2], tokens[3]
-            val = intval(4)
-            if (s, t) in beta:
-                raise SemanticError(
-                    f"line {lineno}: duplicate beta for ({s!r}, {t!r})"
-                )
-            beta[(s, t)] = val
-            beta_lines.append((lineno, v, s, t))
         else:
-            fail(0, "one of 'vertex', 'edge', 'boundary', 'alpha', 'beta'", head)
+            expected = "one of 'vertex', 'edge', 'boundary', 'alpha', 'beta'"
+            raise _syntax_error(lineno, raw, tokens, 0, expected, head)
 
     if not vertices:
         raise SemanticError("file declares no vertices")
@@ -135,9 +147,9 @@ def parse_decorated_graph(
         raise SemanticError(str(exc)) from exc
 
     for lineno, v, s, t in beta_lines:
-        if v not in vertices:
+        triple = g._triple_of.get(v)
+        if triple is None:
             raise SemanticError(f"line {lineno}: no vertex named {v!r}")
-        triple = g.triple(v)
         for h in (s, t):
             if h not in triple:
                 raise SemanticError(
@@ -151,7 +163,7 @@ def parse_decorated_graph(
             raise SemanticError("beta statements require alpha statements")
         return g, None
     try:
-        return g, make_decoration(g, alpha, _zero_fill(g, beta))
+        return g, make_decoration(g, alpha, beta)
     except DecorationError as exc:
         raise SemanticError(f"invalid decoration: {exc}") from exc
 
@@ -186,10 +198,8 @@ def serialize_decorated_graph(
         lines.append("boundary " + " ".join(g.boundary))
     if dec is not None:
         lines += [alpha_line(h, a) for h, a in dec.alpha]
-        lines += [
-            beta_line(name, s, dec._beta[s])
-            for name, triple in g.vertices for s in triple
-        ]
+        beta = dec._beta
+        lines += [beta_line(n, s, beta[s]) for n, triple in g.vertices for s in triple]
     return "\n".join(lines) + "\n"
 
 
@@ -224,7 +234,7 @@ def parse_script(text: str) -> MoveScript:
     replays cannot check, and is rejected.  Other comments are free."""
     steps, hashes = [], []
     unhashed = None  # (line, step index) of the first step without a hash
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line, _, comment = raw.partition("#")
         if not line.strip():
             continue
@@ -235,10 +245,9 @@ def parse_script(text: str) -> MoveScript:
             if len(tokens) != 3 or (edge and "-" not in tokens[1]):
                 form = "'I <x>-<y> <int>'" if edge else f"'{head} <target> <int>'"
                 raise FileSyntaxError(lineno, 1, form)
-            try:
-                amount = int(tokens[2])
-            except ValueError:
-                raise FileSyntaxError(lineno, 1, "an integer", tokens[2]) from None
+            amount = _to_int(tokens[2])
+            if amount is None:
+                raise FileSyntaxError(lineno, 1, "an integer", tokens[2])
             target = tuple(tokens[1].split("-", 1)) if edge else tokens[1]
             steps.append(TrivialMod(head, target, amount))
         elif head == "IH":

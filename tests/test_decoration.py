@@ -103,6 +103,26 @@ class TestValidation:
         with pytest.raises(DecorationError, match=r"vertex 'v0': beta_\(a,c\)"):
             make_decoration(g, alpha, beta)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [("x", "nope"), ("q", "r"), ("x", "x"), ("z", "W"), ("x",), "xy", 7],
+    )
+    def test_bad_beta_key_is_named(self, bad):
+        # each key must be an ordered pair of distinct half-edges at a vertex
+        g, dec = wheel_decoration(3, 1)
+        beta = {**dec.beta_map(), bad: 123, ("q", "r"): 1}
+        with pytest.raises(DecorationError, match="beta key") as exc:
+            make_decoration(g, dec.alpha_map(), beta)
+        assert repr(bad) in str(exc.value)
+
+    def test_missing_lifts_default_to_zero(self):
+        g, dec = wheel_decoration(3, 1)
+        assert make_decoration(g, dec.alpha_map(), {}) == zero_beta(g, dec.alpha_map())
+        beta = {("x", "y"): 1}  # y and z get lift 0 toward their least co-half
+        partial = make_decoration(g, dec.alpha_map(), beta)
+        assert partial.b("x", "y") == 1
+        assert partial.b("y", "x") == partial.b("z", "x") == 0
+
 
 class TestGammaDeltaB:
     def test_wheel_gamma(self):

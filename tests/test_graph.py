@@ -54,6 +54,18 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph([("a", "b")])
 
+    def test_duplicate_vertex_name(self):
+        # distinct keys of the mapping, one name once read as text
+        with pytest.raises(DuplicateHalfEdge, match="duplicate vertex name '1'"):
+            build_graph({1: ("a", "b", "c"), "1": ("d", "e", "f")})
+
+    def test_names_are_read_as_text(self):
+        g = build_graph({0: (3, 1, 2), 5: ["4", "6", "5"]}, [(2, 5)], boundary=(6, 1, 4, 3))
+        assert g.vertices == (("0", ("1", "2", "3")), ("5", ("4", "5", "6")))
+        assert g.edges == (("2", "5"),) and g.boundary == ("6", "1", "4", "3")
+        assert g.vertex_of("3") == "0" and g.partner("5") == "2"
+        assert g.triple("5") == ("4", "5", "6") and g.partner("1") is None
+
 
 class TestStatsAndCycles:
     def test_wheel_genus_one(self):

@@ -11,20 +11,31 @@ cannot use to change what is kept.
 import dataclasses
 import random
 import sys
+import time
 
 import pytest
 
 import decograph.graph as graph
 import decograph.moves as moves
 import decograph.oracle as oracle
-from decograph import OrbitBounds, build_graph, cycle_basis, graph_stats, move_orbit
+from decograph import (
+    OrbitBounds,
+    TrivialMod,
+    apply_trivial_mod,
+    build_graph,
+    cycle_basis,
+    graph_stats,
+    move_orbit,
+)
 from decograph.graph import _component_partition, _cycle_basis, _spanning_tree, spanning_tree
+from decograph.oracle import FrontierExceeded
 from conftest import (
     corpus_decorations,
     random_decoration,
     reference_ih_round_trips,
     small_graph_corpus,
     tree_with_chords,
+    wheel_decoration,
 )
 
 
@@ -77,6 +88,59 @@ def test_orbits_match_reference(monkeypatch):
     old = [move_orbit(g, dec, bounds) for g, dec in pairs]
     assert [len(o) for o in new] == [len(o) for o in old]
     assert new == old
+
+
+def reference_neighbors(g, dec, bounds, trips):
+    """oracle._neighbors as it was: every amount 1, -1, ..., max_param,
+    -max_param on every target and round trip, repeats included."""
+    amounts = [s * k for k in range(1, bounds.max_param + 1) for s in (1, -1)]
+    targets = [("V", name) for name in g.vertex_names()]
+    targets += [("I", edge) for edge in g.edges] + [("E", x) for x in g.boundary]
+    for kind, target in targets:
+        for n in amounts:
+            yield apply_trivial_mod(g, dec, TrivialMod(kind, target, n))
+    yield from oracle.ih_round_trips(g, dec, bounds.max_param)
+
+
+@pytest.mark.parametrize("max_param", [1, 2, 3, 4])
+def test_orbits_skip_repeated_amounts(monkeypatch, max_param):
+    """Amounts that repeat a residue are skipped; orbits, and the partial
+    sets of FrontierExceeded, stay as every amount gave them."""
+    seen, pairs = set(), []
+    for g, dec in _small_decorated():
+        if g not in seen:
+            seen.add(g)
+            pairs.append((g, dec))
+
+    def walk():
+        out = []
+        for bounds in (
+            OrbitBounds(max_param=max_param, max_depth=2, max_frontier=100),
+            OrbitBounds(max_param=max_param, max_depth=3, max_frontier=60),
+        ):
+            for g, dec in pairs:
+                try:
+                    out.append(move_orbit(g, dec, bounds))
+                except FrontierExceeded as exc:
+                    out.append(("partial", exc.partial))
+        return out
+
+    new = walk()
+    partial = sum(isinstance(o, tuple) for o in new)
+    assert 0 < partial < len(new)
+    monkeypatch.setattr(oracle, "_neighbors", reference_neighbors)
+    assert new == walk()
+
+
+def test_orbit_cost_is_bounded_by_the_period():
+    """On the wheel (alpha 3, -3, 2) every amount repeats modulo 6 at most,
+    so a bound of a million walks what a bound of 3 walks, at once."""
+    g, dec = wheel_decoration(3, 1)
+    start = time.process_time()
+    orbit = move_orbit(g, dec, OrbitBounds(max_param=10**6, max_depth=2))
+    assert time.process_time() - start < 1.0
+    assert orbit == move_orbit(g, dec, OrbitBounds(max_param=3, max_depth=2))
+    assert len(orbit) == 6
 
 
 def _graphs():

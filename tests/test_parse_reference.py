@@ -349,7 +349,7 @@ def mutate(rng, text):
 def _affected_by_new_rules(text):
     """text has a line end other than '\\n', or a token int() reads that
     is not an optional sign and ASCII digits."""
-    if any(sep in text for sep in _SEPARATORS):
+    if any(sep in text.replace("\r\n", "\n") for sep in _SEPARATORS):
         return True
     for tok in text.split():
         try:

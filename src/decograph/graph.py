@@ -58,9 +58,8 @@ class TrivalentGraph:
 
     ``vertices`` maps vertex names to sorted half-edge triples; ``pairing``
     is stored as a sorted tuple of sorted internal-edge pairs; ``boundary``
-    is the stable declared order of the unpaired half-edges.  Build it
-    with build_graph, which fills the derived lookups.  ``_memo`` keeps
-    topology computed once per graph (see ``_per_graph``).
+    is the stable declared order of the unpaired half-edges.  ``_memo``
+    keeps topology computed once per graph (see ``_per_graph``).
     """
 
     vertices: tuple[tuple[str, tuple[str, str, str]], ...]
@@ -71,6 +70,16 @@ class TrivalentGraph:
     _partner: dict = field(default_factory=dict, compare=False, repr=False)
     _triple_of: dict = field(default_factory=dict, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self._triple_of:  # build_graph passes the lookups it checked
+            for name, triple in self.vertices:
+                self._triple_of[name] = triple
+                for h in triple:
+                    self._vertex_of[h] = name
+            for a, b in self.edges:
+                self._partner[a] = b
+                self._partner[b] = a
 
     # -- queries ---------------------------------------------------------
 

@@ -44,10 +44,6 @@ class SemanticError(TextError):
     """Structurally valid statements describing an inconsistent object."""
 
 
-# The <int> tokens of most files, read without a call to int().
-_SMALL_INTS = {str(i): i for i in range(-256, 1024)}
-
-
 def _to_int(tok: str) -> Optional[int]:
     """tok as an <int>, or None; int() alone takes '1_0' and non-ASCII digits."""
     if tok.isascii() and (tok.isdigit() or tok[0] in "+-" and tok[1:].isdigit()):
@@ -91,8 +87,8 @@ def parse_decorated_graph(text: str) -> tuple[TrivalentGraph, Optional[Decoratio
             _, h, val = tokens
             if h in alpha:
                 raise SemanticError(f"line {lineno}: duplicate alpha for {h!r}")
-            num = _SMALL_INTS.get(val)
-            if num is None and (num := _to_int(val)) is None:
+            num = _to_int(val)
+            if num is None:
                 raise _syntax_error(lineno, raw, tokens, 2, "an integer", val)
             alpha[h] = num
         elif head == "beta":
@@ -100,17 +96,14 @@ def parse_decorated_graph(text: str) -> tuple[TrivalentGraph, Optional[Decoratio
                 form = "'beta <vertex> <h_from> <h_to> <int>'"
                 raise _syntax_error(lineno, raw, tokens, min(n, 5), form)
             _, v, s, t, val = tokens
-            num = _SMALL_INTS.get(val)
-            if num is None and (num := _to_int(val)) is None:
+            num = _to_int(val)
+            if num is None:
                 raise _syntax_error(lineno, raw, tokens, 4, "an integer", val)
             key = (s, t)
             if key in beta:
                 raise SemanticError(f"line {lineno}: duplicate beta for ({s!r}, {t!r})")
             beta[key] = num
-            triple = vertices.get(v, ())
-            if s == t or s not in triple or t not in triple:
-                # v is declared further down, or the line is at fault
-                beta_lines.append((lineno, v, s, t))
+            beta_lines.append((lineno, v, s, t))
         elif head == "vertex":
             if n != 6:
                 form = "'vertex <name> : <h1> <h2> <h3>'"
@@ -146,15 +139,14 @@ def parse_decorated_graph(text: str) -> tuple[TrivalentGraph, Optional[Decoratio
     except GraphError as exc:
         raise SemanticError(str(exc)) from exc
 
+    triple_of = g._triple_of
     for lineno, v, s, t in beta_lines:
-        triple = g._triple_of.get(v)
+        triple = triple_of.get(v)
         if triple is None:
             raise SemanticError(f"line {lineno}: no vertex named {v!r}")
-        for h in (s, t):
-            if h not in triple:
-                raise SemanticError(
-                    f"line {lineno}: half-edge {h!r} is not at vertex {v!r}"
-                )
+        if s not in triple or t not in triple:
+            h = s if s not in triple else t
+            raise SemanticError(f"line {lineno}: half-edge {h!r} is not at vertex {v!r}")
         if s == t:
             raise SemanticError(f"line {lineno}: beta source equals target")
 

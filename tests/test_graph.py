@@ -9,6 +9,7 @@ from decograph import (
     InvalidCycle,
     OrientedCycle,
     SelfPairing,
+    TrivalentGraph,
     boundary_isomorphism,
     build_graph,
     cycle_basis,
@@ -65,6 +66,13 @@ class TestBuildGraph:
         assert g.edges == (("2", "5"),) and g.boundary == ("6", "1", "4", "3")
         assert g.vertex_of("3") == "0" and g.partner("5") == "2"
         assert g.triple("5") == ("4", "5", "6") and g.partner("1") is None
+
+    def test_direct_construction_fills_lookups(self):
+        g = build_graph({"u": ("a", "b", "c"), "w": ("d", "e", "f")}, [("a", "d")])
+        direct = TrivalentGraph(vertices=g.vertices, edges=g.edges, boundary=g.boundary)
+        assert direct == g
+        assert direct.vertex_of("e") == "w" and direct.partner("d") == "a"
+        assert direct.half_edges() == g.half_edges() and direct.triple("u") == ("a", "b", "c")
 
 
 class TestStatsAndCycles:

@@ -14,6 +14,7 @@ no larger than the oracle's.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from decograph import (
     build_graph,
     cycle_b,
     make_decoration,
+    serialize_script,
     trivial_mod_equivalent,
 )
 from decograph.graph import cycle_basis
@@ -294,6 +296,39 @@ def test_two_components_agree_with_dense_oracle():
                 tally.check(g, dec1, dec2)
     assert tally.positive > 0 and tally.negative > 0
     assert tally.largest <= tally.largest_oracle
+
+
+# -- pinned witnesses -------------------------------------------------------
+
+# The kinds of alpha a pinned pair draws: (magnitude, all even).  Magnitude 0
+# puts alpha 0 on every chord.
+ALPHA_KINDS = {"zero": (0, False), "mixed": (5, False), "even": (4, True)}
+
+# (v, genus, alpha kind) -> SHA-256 of the serialized witness for a seeded
+# pair: a random decoration and its image under a random 20-step script.
+PINNED_WITNESSES = {
+    (10, 4, "zero"): "29320c78961ad3acf3b82cf563779d794aa83dd05e7a851bb882572de3ce21eb",
+    (10, 4, "mixed"): "4c4aafa7dc08b768e8afc2a765efdc5a51ea8300aa194120079f7c6aeaf7230a",
+    (10, 4, "even"): "70a17ebc847ea108b9ee4e11af1c681d1e55ff83ae2b4f631ad9ecf41164874a",
+    (40, 10, "zero"): "3e3aca36c9ef5f50e26aad496accf00a60465af8d156803104bad8af9220d08f",
+    (40, 10, "mixed"): "99adf4aa8f84821382c4851fb2240153c456a34e550729d20e567921116c76b9",
+    (40, 10, "even"): "fcd96354fecea4f5fc3d46b857dade124dec66d31ff855b2dc08e75d0818de93",
+    (200, 10, "zero"): "1d05ae9050801c3500b40cef1477352701551e942ffc3d73e01aad57ccd79c25",
+    (200, 10, "mixed"): "020c7eb35fca885d28a36cbc005e7615f098b14d69278a0c3548ba2147b2fcf3",
+    (200, 10, "even"): "9f43ab2896059ff9b33308c82cc5ed207e89ec548b4dfd0757606734b482ed55",
+}
+
+
+@pytest.mark.parametrize("k, key", list(enumerate(PINNED_WITNESSES)))
+def test_pinned_witness(k, key):
+    v, genus, kind = key
+    mag, even = ALPHA_KINDS[kind]
+    rng = random.Random(2300 + k)
+    g = tree_with_chords(rng, v, genus)
+    dec = random_decoration(g, rng, 5, alpha=random_alpha(g, rng, mag, even=even))
+    dec2 = apply_script(g, dec, random_script(rng, g, 20))[1]
+    text = serialize_script(trivial_mod_equivalent(g, dec, dec2))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESSES[key]
 
 
 # -- edge cases -------------------------------------------------------------

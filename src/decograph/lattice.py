@@ -27,62 +27,37 @@ def solve_lattice(
     for col in columns:
         if len(col) != m:
             raise ValueError("column/target dimension mismatch")
-    cols = [list(c) for c in columns]
-    # U records the column operations: cols[j] == sum_k U[k][j] * columns[k].
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    pivots: list[tuple[int, int]] = []  # (row, column) pairs in echelon order
+    # Each column carries its coefficients after its first m entries.
+    cols = [[*c, *[0] * j, 1, *[0] * (n - j - 1)] for j, c in enumerate(columns)]
+    x = [0] * n
+    residual = list(target)
+    j0 = 0  # cols[:j0] are the pivot columns, in the order of their rows
     for r in range(m):
-        j0 = len(pivots)
         # Eliminate row r across the not-yet-pivotal columns by gcd steps.
-        while True:
-            nz = [j for j in range(j0, n) if cols[j][r] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                j = nz[0]
-                _swap_columns(cols, U, j0, j)
-                pivots.append((r, j0))
-                break
+        nz = [j for j in range(j0, n) if cols[j][r] != 0]
+        while len(nz) > 1:
             jmin = min(nz, key=lambda j: abs(cols[j][r]))
             for j in nz:
-                if j == jmin:
-                    continue
                 q = cols[j][r] // cols[jmin][r]
-                if q:
-                    _add_multiple(cols, U, j, jmin, -q)
-
-    # Forward substitution: columns past the pivot set vanish on all
-    # processed rows, and each pivot column vanishes above its pivot row.
-    y = [0] * n
-    residual = list(target)
-    piv_by_row = dict(pivots)
-    for r in range(m):
-        j = piv_by_row.get(r)
-        if j is None:
+                if j != jmin and q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
+            nz = [j for j in nz if cols[j][r] != 0]
+        if not nz:
             if residual[r] != 0:
                 return None
             continue
-        head = cols[j][r]
-        if residual[r] % head != 0:
+        cols[j0], cols[nz[0]] = cols[nz[0]], cols[j0]
+        pivot = cols[j0]
+        j0 += 1
+        # Later steps never touch a pivot column: substitute row r now.
+        if residual[r] % pivot[r] != 0:
             return None
-        q = residual[r] // head
-        y[j] = q
+        q = residual[r] // pivot[r]
         if q:
-            for i in range(m):
-                residual[i] -= q * cols[j][i]
-    if any(residual):
-        return None
-
-    # Translate back through the recorded column operations.
-    x = [0] * n
-    for j in range(n):
-        if y[j]:
-            for k in range(n):
-                x[k] += y[j] * U[k][j]
-    # The columns of U past the pivots span the kernel.
-    kernel = [[row[j] for row in U] for j in range(len(pivots), n)]
-    return _shortened(x, kernel)
+            residual = [a - q * b for a, b in zip(residual, pivot)]
+            x = [a + q * b for a, b in zip(x, pivot[m:])]
+    # The other columns vanish on every row; their coefficients span the kernel.
+    return _shortened(x, [c[m:] for c in cols[j0:]])
 
 
 def _shortened(x: list[int], kernel: list[list[int]]) -> list[int]:
@@ -123,19 +98,3 @@ def _reduce(entry: list, by: list) -> bool:
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
-
-
-def _swap_columns(cols, U, a, b):
-    if a == b:
-        return
-    cols[a], cols[b] = cols[b], cols[a]
-    for row in U:
-        row[a], row[b] = row[b], row[a]
-
-
-def _add_multiple(cols, U, dst, src, factor):
-    col_d, col_s = cols[dst], cols[src]
-    for i in range(len(col_d)):
-        col_d[i] += factor * col_s[i]
-    for row in U:
-        row[dst] += factor * row[src]

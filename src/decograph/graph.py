@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -103,6 +104,10 @@ class TrivalentGraph:
         return [name for name, _ in self.vertices]
 
 
+# The text format splits statements at whitespace and starts comments at '#'.
+_NOT_IN_NAMES = re.compile(r"[#\s]")
+
+
 def build_graph(
     vertex_triples: Mapping[str, Iterable[str]] | Iterable[Iterable[str]],
     pairing: Iterable[tuple[str, str]] = (),
@@ -135,6 +140,10 @@ def build_graph(
                 raise kind(f"half-edge {h!r} occurs twice (vertices {first!r}, {name!r})")
             vertex_of[h] = name
         triple_of[name] = tuple(sorted(triple))
+    names = [*triple_of, *vertex_of]
+    if _NOT_IN_NAMES.search("".join(names)):  # one search; the culprit on a hit
+        bad = next(h for h in names if _NOT_IN_NAMES.search(h))
+        raise GraphError(f"name {bad!r} contains '#' or whitespace")
     vertices = tuple(sorted(triple_of.items()))
 
     partner: dict[str, str] = {}

@@ -491,7 +491,7 @@ def _line_hash(line: str) -> int:
 def _canonical_lines(g: TrivalentGraph, dec: Optional[Decoration]) -> list[str]:
     from .textio import serialize_decorated_graph
 
-    return serialize_decorated_graph(g, dec).splitlines()
+    return [line for line in serialize_decorated_graph(g, dec).split("\n") if line]
 
 
 def _digest(total: int) -> str:

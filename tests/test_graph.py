@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from decograph import (
@@ -66,6 +68,23 @@ class TestBuildGraph:
         assert g.edges == (("2", "5"),) and g.boundary == ("6", "1", "4", "3")
         assert g.vertex_of("3") == "0" and g.partner("5") == "2"
         assert g.triple("5") == ("4", "5", "6") and g.partner("1") is None
+
+    def test_name_with_space_rejected(self):
+        # it would serialize as 'vertex W : x y z q', which does not parse back
+        with pytest.raises(GraphError, match=r"name 'z q' contains '#' or whitespace"):
+            build_graph({"W": ("x", "y", "z q")}, [("x", "y")])
+        with pytest.raises(GraphError, match=r"name 'W q' contains"):
+            build_graph({"W q": ("x", "y", "z")}, [("x", "y")])
+
+    # '#', every character str.splitlines breaks at, and other whitespace.
+    # A half-edge 'z\x0cq' once reached with_hashes, which hashed lines split
+    # by str.splitlines and failed with a bare KeyError.
+    @pytest.mark.parametrize("c", list("#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\t\xa0\u3000"))
+    def test_name_with_hash_or_line_break_rejected(self, c):
+        with pytest.raises(GraphError, match=re.escape(f"name {'z' + c + 'q'!r} contains")):
+            build_graph({"W": ("x", "y", f"z{c}q")}, [("x", "y")])
+        with pytest.raises(GraphError, match=re.escape(f"name {'W' + c!r} contains")):
+            build_graph({f"W{c}": ("x", "y", "z")}, [("x", "y")])
 
     def test_direct_construction_fills_lookups(self):
         g = build_graph({"u": ("a", "b", "c"), "w": ("d", "e", "f")}, [("a", "d")])

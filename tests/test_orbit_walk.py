@@ -44,12 +44,12 @@ def _small_decorated():
 
 
 def _prefix_named(g):
-    """g with the half-edges at its k-th vertex named k, k#, k##.  A round
-    trip's primed names sort after their co-halves there, so renaming them
-    back changes which co-half of a source is least."""
+    """g with the half-edges at its k-th vertex named k, k$, k$$.  A round
+    trip's primed names sort after their co-halves there ('$' < "'"), so
+    renaming them back changes which co-half of a source is least."""
     name = {}
     for k, (_, triple) in enumerate(g.vertices):
-        name.update((h, f"{k}" + "#" * j) for j, h in enumerate(triple))
+        name.update((h, f"{k}" + "$" * j) for j, h in enumerate(triple))
     return build_graph(
         {v: [name[h] for h in t] for v, t in g.vertices},
         [(name[a], name[b]) for a, b in g.edges],

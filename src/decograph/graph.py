@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Mapping, Optional, Sequence
@@ -104,8 +103,10 @@ class TrivalentGraph:
         return [name for name, _ in self.vertices]
 
 
-# The text format splits statements at whitespace and starts comments at '#'.
-_NOT_IN_NAMES = re.compile(r"[#\s]")
+def _unwritable(name: str) -> bool:
+    """True when name holds '#' or whitespace (str.isspace): the text format
+    splits statements at whitespace and starts comments at '#'."""
+    return "#" in name or "".join(name.split()) != name
 
 
 def build_graph(
@@ -141,8 +142,8 @@ def build_graph(
             vertex_of[h] = name
         triple_of[name] = tuple(sorted(triple))
     names = [*triple_of, *vertex_of]
-    if _NOT_IN_NAMES.search("".join(names)):  # one search; the culprit on a hit
-        bad = next(h for h in names if _NOT_IN_NAMES.search(h))
+    if _unwritable("".join(names)):  # one search; the culprit on a hit
+        bad = next(filter(_unwritable, names))
         raise GraphError(f"name {bad!r} contains '#' or whitespace")
     vertices = tuple(sorted(triple_of.items()))
 

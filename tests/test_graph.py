@@ -74,9 +74,8 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match=r"name 'z q' contains '#' or whitespace"):
             build_graph({"W": ("x", "y", "z q")}, [("x", "y")])
 
-    # '#', space, every character str.splitlines breaks at, other whitespace.
-    # A half-edge 'z\x0cq' once reached with_hashes, which hashed lines split
-    # by str.splitlines and failed with a bare KeyError.
+    # '#', space, every character str.splitlines breaks at, other whitespace;
+    # a form feed in a half-edge name used to make with_hashes raise KeyError.
     @pytest.mark.parametrize("c", list("# \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\t\xa0\u3000"))
     def test_name_with_hash_or_line_break_rejected(self, c):
         with pytest.raises(GraphError, match=re.escape(f"name {'z' + c + 'q'!r} contains")):

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import re
 
 import pytest
@@ -18,7 +20,14 @@ from decograph import (
     graph_stats,
     is_connected,
 )
-from conftest import fig_a_graph, triangle_graph, wheel_graph
+from decograph.graph import spanning_tree
+from conftest import (
+    fig_a_graph,
+    small_graph_corpus,
+    tree_with_chords,
+    triangle_graph,
+    wheel_graph,
+)
 
 
 class TestBuildGraph:
@@ -119,6 +128,43 @@ class TestStatsAndCycles:
         g = build_graph([("a", "b", "c"), ("d", "e", "f")])
         assert not is_connected(g)
         assert graph_stats(g).components == 2
+
+
+def _union(parts):
+    """The disjoint union of parts, each name suffixed with its part's
+    letter, so the components interleave in name order."""
+    triples, edges = {}, []
+    for tag, g in zip("abc", parts):
+        triples.update({n + tag: tuple(h + tag for h in t) for n, t in g.vertices})
+        edges += [(x + tag, y + tag) for x, y in g.edges]
+    return build_graph(triples, edges)
+
+
+def _topology_graphs():
+    rng = random.Random(12)
+    sizes = [(10, 0), (10, 3), (25, 6), (50, 1), (50, 12), (120, 20), (200, 30)]
+    chords = [tree_with_chords(rng, v, k) for v, k in sizes]
+    unions = [
+        _union([tree_with_chords(rng, v, k) for v, k in parts])
+        for parts in (((1, 0), (1, 1), (2, 1)), ((12, 4), (3, 0), (30, 7)))
+    ]
+    return small_graph_corpus() + chords + unions + [_union([wheel_graph()] * 3)]
+
+
+# SHA-256 of the stats, connectedness, spanning forest (in search order) and
+# fundamental cycles of _topology_graphs(), taken before the one-search
+# rewrite of graph.py: the rewrite must not change any of them.
+PINNED_TOPOLOGY = "710323d9b7aa1a2b47c75032e57cf9598d801d74918aa466c4dd2f20871d1a43"
+
+
+def test_pinned_topology():
+    lines = []
+    for g in _topology_graphs():
+        tree, non_tree = spanning_tree(g)
+        basis = [c.steps for c in cycle_basis(g)]
+        lines.append(f"{graph_stats(g)} {is_connected(g)} {list(tree.items())} {non_tree} {basis}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_TOPOLOGY
 
 
 class TestBoundaryIsomorphism:

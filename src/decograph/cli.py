@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import Optional
@@ -38,9 +39,18 @@ USER_ERRORS = (TextError, GraphError, DecorationError, MoveError, InvariantError
 
 
 def _atomic_write(path: str, content: str) -> None:
+    """Replace path by a file holding content, in one step, with the mode
+    open(path, "w") gives: the old file's, else 0o666 less the umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
         os.replace(tmp, path)

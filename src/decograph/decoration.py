@@ -249,13 +249,27 @@ def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
     return make_decoration(g, alpha, {})
 
 
+def _foreign_lifts(g: TrivalentGraph, dec: Decoration) -> list[str]:
+    """A problem naming each source whose lifts dec stores toward other
+    half-edges than the two others at its vertex on g, as when dec was
+    built on another graph with the same half-edges."""
+    return [
+        f"beta of {s!r} is stored toward {dec._beta[s][:2]}, not the other "
+        f"half-edges {rest} at vertex {name!r}"
+        for name, (a, b, c) in g.vertices
+        for s, rest in ((a, (b, c)), (b, (a, c)), (c, (a, b)))
+        if s in dec._beta and dec._beta[s][:2] != rest
+    ]
+
+
 def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
-    """Structured list of the alpha rules dec breaks on g; empty means valid.
+    """Structured list of the alpha rules dec breaks on g, and of the
+    sources whose lifts belong to another graph; empty means valid.
 
     make_decoration runs the same check when it builds dec; the beta lifts
     satisfy the vertex congruence by construction.
     """
-    return _alpha_problems(g, dec._alpha)
+    return _alpha_problems(g, dec._alpha) + _foreign_lifts(g, dec)
 
 
 # -- invariants ----------------------------------------------------------
@@ -373,6 +387,9 @@ def trivial_mod_equivalent(
         )
     if dec1.alpha != dec2.alpha:
         raise AlphaMismatch("decorations have different alpha data")
+    foreign = _foreign_lifts(g, dec1) + _foreign_lifts(g, dec2)
+    if foreign:
+        raise DecorationError("decoration does not fit the graph: " + "; ".join(foreign))
     d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in halves}
     vertex_of = g.vertex_of
 

@@ -208,47 +208,58 @@ def _per_graph(compute):
 
 
 @_per_graph
-def _component_partition(g: TrivalentGraph) -> tuple[tuple[str, ...], ...]:
-    """Vertex names grouped into connected components (sorted, deterministic)."""
-    remaining = set(g.vertex_names())
-    comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
+def _forest(g: TrivalentGraph):
+    """The one search of g's topology, rooted at the least vertex of each
+    component in name order and taking the least frontier vertex next.
+
+    Returns (genus per component, tree, non-tree edges, up, depth): ``tree``
+    maps each tree edge (sorted pair) to (parent half, child half) in the
+    order the search reaches them; ``up`` maps each non-root vertex to the
+    tree edge that reached it, so oriented, and ``depth`` every vertex to its
+    distance from its root.  A component's genus is i - v + 1, with i half
+    the internal half-edges the search meets in it.
+    """
+    tree: dict[tuple[str, str], tuple[str, str]] = {}
+    up: dict[str, tuple[str, str]] = {}
+    depth: dict[str, int] = {}
+    genus = []
+    for root, _ in g.vertices:
+        if root in depth:
+            continue
+        depth[root] = 0
+        frontier, size, halves = [root], 0, 0
         while frontier:
-            vtx = frontier.pop()
+            vtx = heapq.heappop(frontier)
+            size += 1
             for h in g.triple(vtx):
                 p = g.partner(h)
-                if p is not None:
-                    w = g.vertex_of(p)
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-        remaining -= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+                if p is None:
+                    continue
+                halves += 1
+                w = g.vertex_of(p)
+                if w not in depth:
+                    depth[w] = depth[vtx] + 1
+                    up[w] = tree[(h, p) if h < p else (p, h)] = (h, p)
+                    heapq.heappush(frontier, w)
+        genus.append(halves // 2 - size + 1)
+    non_tree = tuple(e for e in g.edges if e not in tree)
+    return tuple(genus), tree, non_tree, up, depth
 
 
 @_per_graph
 def graph_stats(g: TrivalentGraph) -> GraphStats:
-    comps = _component_partition(g)
-    genus = []
-    for comp in comps:
-        cv = set(comp)
-        ci = sum(1 for a, b in g.edges if g.vertex_of(a) in cv)
-        genus.append(ci - len(comp) + 1)
+    genus = _forest(g)[0]
     return GraphStats(
         v=len(g.vertices),
         i=len(g.edges),
         e=len(g.boundary),
-        components=len(comps),
-        genus=tuple(genus),
+        components=len(genus),
+        genus=genus,
     )
 
 
 def is_connected(g: TrivalentGraph) -> bool:
-    return len(_component_partition(g)) <= 1
+    return len(_forest(g)[0]) <= 1
 
 
 @dataclass(frozen=True)
@@ -294,39 +305,16 @@ class OrientedCycle:
 def spanning_tree(
     g: TrivalentGraph,
 ) -> tuple[dict[tuple[str, str], tuple[str, str]], list[tuple[str, str]]]:
-    """Deterministic BFS spanning forest, rooted at the least vertex of each
-    component.
+    """Deterministic spanning forest of ``_forest``'s search: rooted at the
+    least vertex of each component, it grows from the least vertex reached.
 
     Returns (tree edges, sorted non-tree internal edges), edges as sorted
     pairs.  The tree maps each of its edges to the same edge oriented away
     from the root, (parent half, child half), in the order the search
     reaches them, so each comes after the edge that reaches its parent.
     """
-    tree, non_tree = _spanning_tree(g)
+    _, tree, non_tree, _, _ = _forest(g)
     return dict(tree), list(non_tree)
-
-
-@_per_graph
-def _spanning_tree(g: TrivalentGraph):
-    tree: dict[tuple[str, str], tuple[str, str]] = {}
-    visited: set[str] = set()
-    for comp in _component_partition(g):
-        root = comp[0]
-        visited.add(root)
-        frontier = [root]
-        while frontier:
-            vtx = heapq.heappop(frontier)
-            for h in sorted(g.triple(vtx)):
-                p = g.partner(h)
-                if p is None:
-                    continue
-                w = g.vertex_of(p)
-                if w not in visited:
-                    visited.add(w)
-                    tree[(h, p) if h < p else (p, h)] = (h, p)
-                    heapq.heappush(frontier, w)
-    non_tree = sorted(e for e in g.edges if e not in tree)
-    return tree, non_tree
 
 
 def tree_path(
@@ -360,25 +348,32 @@ def tree_path(
 
 
 def cycle_basis(g: TrivalentGraph) -> list[OrientedCycle]:
-    """Fundamental cycles of the deterministic spanning forest.
+    """Fundamental cycles of the spanning forest of ``spanning_tree``.
 
-    One cycle per non-tree internal edge; each cycle starts with that edge
-    oriented from its smaller half-edge.
+    One cycle per non-tree internal edge, in sorted order; each cycle is
+    that edge oriented from its smaller half-edge, then the tree path back
+    from its head's vertex to its tail's.
     """
     return list(_cycle_basis(g))
 
 
 @_per_graph
 def _cycle_basis(g: TrivalentGraph) -> tuple[OrientedCycle, ...]:
-    _, non_tree = _spanning_tree(g)
-    cut = set(non_tree)
+    _, _, non_tree, up, depth = _forest(g)
     basis = []
     for a, b in non_tree:
-        steps = [(a, b)]
-        steps.extend(tree_path(g, cut, g.vertex_of(b), g.vertex_of(a)))
-        cyc = OrientedCycle(tuple(steps))
-        cyc.validate(g)
-        basis.append(cyc)
+        # Climb from both ends to where they meet: up from b's vertex, then
+        # down to a's, the unique tree path between them.
+        x, y, rise, fall = g.vertex_of(b), g.vertex_of(a), [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                h, p = up[x]
+                rise.append((p, h))
+                x = g.vertex_of(h)
+            else:
+                fall.append(up[y])
+                y = g.vertex_of(up[y][0])
+        basis.append(OrientedCycle(((a, b), *rise, *reversed(fall))))
     return tuple(basis)
 
 

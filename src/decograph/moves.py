@@ -39,7 +39,6 @@ from .decoration import (
 )
 from .graph import (
     BadBoundaryMap,
-    GraphError,
     InternalError,
     NotConnected,
     TrivalentGraph,
@@ -522,7 +521,7 @@ def apply_script(
     for idx, step in enumerate(script.steps):
         try:
             state.apply(step)
-        except (MoveError, GraphError, ValueError) as exc:
+        except ValueError as exc:
             raise ScriptError(f"step {idx} failed: {exc}") from exc
         if check and script.hashes[idx] != state.snapshot_hash():
             raise ScriptError(f"step {idx}: snapshot hash mismatch")

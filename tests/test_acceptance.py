@@ -1,5 +1,5 @@
 """Acceptance criteria: ten property-based checks over the bundled corpus,
-each with an explicit runtime budget."""
+each with an explicit runtime budget, and budgets for the graph topology."""
 
 import math
 import random
@@ -15,6 +15,7 @@ from decograph import (
     a_tilde,
     apply_script,
     boundary_isomorphism,
+    build_graph,
     canonical_beta_planar,
     check_classification,
     classify,
@@ -48,6 +49,7 @@ from conftest import (
     random_decoration,
     small_graph_corpus,
     straight_tree_graph,
+    tree_with_chords,
     triangle_graph,
     wheel_decoration,
     wheel_graph,
@@ -475,3 +477,24 @@ def test_criterion_10_cli_round_trip(decorated_corpus, tmp_path, capsys):
             pairs += 1
         assert run_command(["validate", paths[0][0]]) == 0
         capsys.readouterr()
+
+
+# -- topology budgets --------------------------------------------------------
+# One forest search per graph: the cost grows with the graph and the basis,
+# not with components x edges or chords x vertices.
+
+
+def test_stats_of_many_components():
+    n = 5000
+    g = build_graph({f"W{k}": (f"x{k}", f"y{k}", f"z{k}") for k in range(n)},
+                    [(f"x{k}", f"y{k}") for k in range(n)])
+    with budget(1):
+        s = graph_stats(g)
+    assert s.components == n and s.genus == (1,) * n
+
+
+def test_cycle_basis_of_many_chords():
+    g = tree_with_chords(random.Random(1), 4000, 1500)
+    with budget(2):
+        basis = cycle_basis(g)
+    assert len(basis) == 1500

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -203,6 +204,20 @@ class TestOrbitAndDot:
         out = str(tmp_path / "g.dot")
         assert run_command(["dot", files["wheel46"], "-o", out]) == 0
         assert open(out).read().startswith("graph decorated {")
+
+    def test_output_mode_is_that_of_open(self, files, tmp_path):
+        # a new file gets 0o666 less the umask; a replaced one keeps its mode
+        out = tmp_path / "g.dot"
+        old = os.umask(0o022)
+        try:
+            assert run_command(["dot", files["wheel46"], "-o", str(out)]) == 0
+            assert out.stat().st_mode & 0o7777 == 0o644
+            out.chmod(0o640)
+            assert run_command(["dot", files["wheel46"], "-o", str(out)]) == 0
+            assert out.stat().st_mode & 0o7777 == 0o640
+        finally:
+            os.umask(old)
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
 
 
 class TestByteStability:

@@ -161,6 +161,8 @@ def test_pinned_topology():
     lines = []
     for g in _topology_graphs():
         tree, non_tree = spanning_tree(g)
+        for c in cycle_basis(g):
+            c.validate(g)
         basis = [c.steps for c in cycle_basis(g)]
         lines.append(f"{graph_stats(g)} {is_connected(g)} {list(tree.items())} {non_tree} {basis}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -27,7 +27,7 @@ from decograph import (
     graph_stats,
     move_orbit,
 )
-from decograph.graph import _component_partition, _cycle_basis, _spanning_tree, spanning_tree
+from decograph.graph import _cycle_basis, _forest, spanning_tree
 from decograph.oracle import FrontierExceeded
 from conftest import (
     corpus_decorations,
@@ -159,11 +159,10 @@ def test_memoized_topology_equals_fresh():
         for _ in range(2):  # first call computes, second reads the memo
             fresh = _fresh(g)
             assert graph_stats(g) == graph_stats.__wrapped__(g) == graph_stats(fresh)
-            tree = spanning_tree(g)
-            assert tree == _spanning_tree.__wrapped__(g) == spanning_tree(fresh)
+            assert _forest(g) == _forest.__wrapped__(g) == _forest(fresh)
+            assert spanning_tree(g) == spanning_tree(fresh)
             basis = cycle_basis(g)
             assert basis == list(_cycle_basis.__wrapped__(g)) == cycle_basis(fresh)
-            assert _component_partition(g) == _component_partition.__wrapped__(g)
 
 
 def test_memoized_values_cannot_be_changed():
@@ -180,8 +179,7 @@ def test_memoized_values_cannot_be_changed():
     with pytest.raises(dataclasses.FrozenInstanceError):
         stats.v = 0
     assert isinstance(stats.genus, tuple)
-    assert all(isinstance(c, tuple) for c in _component_partition(g))
-    assert isinstance(_component_partition(g), tuple)
+    assert isinstance(_forest(g)[0], tuple) and isinstance(_forest(g)[2], tuple)
 
 
 def _count_calls(monkeypatch):

@@ -1,7 +1,7 @@
 """Static checks on the library source.
 
 The library's behaviour must not depend on ``assert`` (stripped under
-``python -O``), and modules import only what they use.  ``__init__.py``
+``python -O``), and modules and functions import only what they use.  ``__init__.py``
 re-exports names, so its imports are not checked.  Every function, method
 and class the library defines is named somewhere in the repository.  The
 planner in ``moves.py`` stays free of the isomorphism search, and the orbit
@@ -33,18 +33,24 @@ def test_no_assert_statements(path):
     "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_no_unused_top_level_imports(path):
+    """Each name an import binds is read in the module and, for an import
+    inside a function (a lazy import), in that function."""
     tree = _tree(path)
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = sorted(name for name in imported if name not in used)
-    assert unused == [], f"{path.name}: unused imports {unused}"
+    functions = [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    unused = set()
+    for scope in (tree, *functions):
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add(f"{name} (line {node.lineno})")
+    assert sorted(unused) == [], f"{path.name}: unused imports {sorted(unused)}"
 
 
 def test_no_unreferenced_definitions():

@@ -29,6 +29,8 @@ from decograph import (
     make_decoration,
     serialize_script,
     trivial_mod_equivalent,
+    validate_decoration,
+    zero_beta,
 )
 from decograph.graph import cycle_basis
 from decograph.lattice import solve_lattice
@@ -360,3 +362,29 @@ def test_foreign_decoration_rejected():
         DecorationError, match=r"alpha on unknown half-edges \['p', 'q', 'r'\]"
     ):
         trivial_mod_equivalent(g, extra, extra)
+
+
+def test_decoration_of_another_graph_rejected():
+    # same half-edges, other triples: the lifts of g2's decoration go toward
+    # half-edges that are not co-halves on g1
+    edges = [("a", "d"), ("b", "e")]
+    g1 = build_graph({"A": ("a", "b", "c"), "B": ("d", "e", "f")}, edges)
+    g2 = build_graph({"A": ("a", "b", "e"), "B": ("d", "c", "f")}, edges)
+    alpha = {"a": 2, "d": -2, "b": 1, "e": -1, "c": -1, "f": 5}
+    dec = zero_beta(g2, alpha)
+    dec2 = apply_script(g2, dec, MoveScript(steps=(TrivialMod("E", "f", 1),)))[1]
+    problems = validate_decoration(g1, dec)
+    assert [p.split(" is stored")[0] for p in problems] == [
+        f"beta of {s!r}" for s in "abcdef"
+    ]
+    assert problems[0] == (
+        "beta of 'a' is stored toward ('b', 'e'), not the other half-edges "
+        "('b', 'c') at vertex 'A'"
+    )
+    assert validate_decoration(g2, dec) == []
+    with pytest.raises(DecorationError, match="does not fit the graph: beta of 'a'"):
+        trivial_mod_equivalent(g1, dec, dec2)
+    own = zero_beta(g1, alpha)
+    with pytest.raises(DecorationError, match="beta of 'a' is stored toward"):
+        trivial_mod_equivalent(g1, own, dec)
+    assert trivial_mod_equivalent(g1, own, own) == MoveScript(steps=())

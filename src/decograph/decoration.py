@@ -253,13 +253,16 @@ def _foreign_lifts(g: TrivalentGraph, dec: Decoration) -> list[str]:
     """A problem naming each source whose lifts dec stores toward other
     half-edges than the two others at its vertex on g, as when dec was
     built on another graph with the same half-edges."""
-    return [
-        f"beta of {s!r} is stored toward {dec._beta[s][:2]}, not the other "
-        f"half-edges {rest} at vertex {name!r}"
-        for name, (a, b, c) in g.vertices
-        for s, rest in ((a, (b, c)), (b, (a, c)), (c, (a, b)))
-        if s in dec._beta and dec._beta[s][:2] != rest
-    ]
+    problems = []
+    for name, (a, b, c) in g.vertices:
+        for s, t0, t1 in ((a, b, c), (b, a, c), (c, a, b)):
+            stored = dec._beta.get(s)
+            if stored is not None and (stored[0] != t0 or stored[1] != t1):
+                problems.append(
+                    f"beta of {s!r} is stored toward {stored[:2]}, not the other "
+                    f"half-edges {(t0, t1)} at vertex {name!r}"
+                )
+    return problems
 
 
 def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
@@ -389,7 +392,9 @@ def trivial_mod_equivalent(
         raise AlphaMismatch("decorations have different alpha data")
     foreign = _foreign_lifts(g, dec1) + _foreign_lifts(g, dec2)
     if foreign:
-        raise DecorationError("decoration does not fit the graph: " + "; ".join(foreign))
+        raise DecorationError(
+            "decoration does not fit the graph: " + "; ".join(foreign)
+        )
     d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in halves}
     vertex_of = g.vertex_of
 

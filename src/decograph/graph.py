@@ -209,15 +209,14 @@ def _per_graph(compute):
 
 @_per_graph
 def _forest(g: TrivalentGraph):
-    """The one search of g's topology, rooted at the least vertex of each
-    component in name order and taking the least frontier vertex next.
+    """The one search of g's topology: from the least vertex of each
+    component, in name order, it takes the least frontier vertex next.
 
-    Returns (genus per component, tree, non-tree edges, up, depth): ``tree``
-    maps each tree edge (sorted pair) to (parent half, child half) in the
-    order the search reaches them; ``up`` maps each non-root vertex to the
-    tree edge that reached it, so oriented, and ``depth`` every vertex to its
-    distance from its root.  A component's genus is i - v + 1, with i half
-    the internal half-edges the search meets in it.
+    Returns (genus per component, tree, sorted non-tree edges, up, depth).
+    ``tree`` maps each tree edge (sorted pair) to (parent half, child half)
+    in search order, ``up`` each non-root vertex to the oriented tree edge
+    that reached it, and ``depth`` each vertex to its distance from its
+    root.  A component's genus is i - v + 1, i half its internal half-edges.
     """
     tree: dict[tuple[str, str], tuple[str, str]] = {}
     up: dict[str, tuple[str, str]] = {}

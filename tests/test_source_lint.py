@@ -36,9 +36,8 @@ def test_no_unused_top_level_imports(path):
     """Each name an import binds is read in the module and, for an import
     inside a function (a lazy import), in that function."""
     tree = _tree(path)
-    functions = [
-        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    functions = [n for n in ast.walk(tree) if isinstance(n, kinds)]
     unused = set()
     for scope in (tree, *functions):
         used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .graph import OrientedCycle, TrivalentGraph, cycle_basis, spanning_tree
+from .lattice import solve_lattice
 
 
 class DecorationError(ValueError):
@@ -117,15 +118,25 @@ class Decoration:
             self._beta.update(self.beta)
 
     def a(self, h: str) -> int:
-        return self._alpha[h]
+        try:
+            return self._alpha[h]
+        except KeyError:
+            raise DecorationError(f"no alpha on half-edge {h!r}") from None
 
     def b(self, src: str, tgt: str) -> int:
-        least, other, lift = self._beta[src]
-        if tgt == least:
-            return lift
-        if tgt != other:
-            raise KeyError((src, tgt))
-        return _companion(lift, self._alpha[tgt], self._alpha[src])
+        """The lift beta_{src,tgt}; DecorationError when this decoration
+        holds no such pair, as when it was built on another graph."""
+        try:
+            least, other, lift = self._beta[src]
+            if tgt == least:
+                return lift
+            if tgt == other:
+                return _companion(lift, self._alpha[tgt], self._alpha[src])
+        except KeyError:
+            raise DecorationError(f"no beta lift from {src!r} toward {tgt!r}") from None
+        raise DecorationError(
+            f"beta of {src!r} is stored toward {(least, other)}, not {tgt!r}"
+        )
 
     def beta_map(self) -> dict[tuple[str, str], int]:
         """All six lifts per vertex, derived from the stored ones."""
@@ -249,30 +260,27 @@ def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
     return make_decoration(g, alpha, {})
 
 
-def _foreign_lifts(g: TrivalentGraph, dec: Decoration) -> list[str]:
-    """A problem naming each source whose lifts dec stores toward other
-    half-edges than the two others at its vertex on g, as when dec was
-    built on another graph with the same half-edges."""
-    problems = []
+def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
+    """Structured list of the ways dec does not fit g; empty means dec is
+    a decoration of g.  This is the one fit rule: the alpha rules, and a
+    lift from each half-edge stored toward the other two at its vertex on
+    g (not so when dec was built on another graph with the same half-edges).
+
+    make_decoration checks the alpha rules when it builds dec; the beta
+    lifts satisfy the vertex congruence by construction.
+    """
+    problems = _alpha_problems(g, dec._alpha)
     for name, (a, b, c) in g.vertices:
         for s, t0, t1 in ((a, b, c), (b, a, c), (c, a, b)):
             stored = dec._beta.get(s)
-            if stored is not None and (stored[0] != t0 or stored[1] != t1):
+            if stored is None:
+                problems.append(f"no beta lift from {s!r} at vertex {name!r}")
+            elif stored[0] != t0 or stored[1] != t1:
                 problems.append(
                     f"beta of {s!r} is stored toward {stored[:2]}, not the other "
                     f"half-edges {(t0, t1)} at vertex {name!r}"
                 )
     return problems
-
-
-def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
-    """Structured list of the alpha rules dec breaks on g, and of the
-    sources whose lifts belong to another graph; empty means valid.
-
-    make_decoration runs the same check when it builds dec; the beta lifts
-    satisfy the vertex congruence by construction.
-    """
-    return _alpha_problems(g, dec._alpha) + _foreign_lifts(g, dec)
 
 
 # -- invariants ----------------------------------------------------------
@@ -375,27 +383,16 @@ def trivial_mod_equivalent(
     its |alpha| (the lifts it reaches are the same); zero amounts are left
     out, so there are at most v + i + e steps.
     """
-    from .lattice import solve_lattice
     from .moves import MoveScript
 
-    halves = g._vertex_of.keys()
-    if dec1._alpha.keys() != halves:
-        missing = sorted(halves - dec1._alpha.keys())
-        unknown = sorted(dec1._alpha.keys() - halves)
-        problems = [f"no alpha on half-edges {missing}"] if missing else []
-        if unknown:
-            problems.append(f"alpha on unknown half-edges {unknown}")
+    problems = validate_decoration(g, dec1) + validate_decoration(g, dec2)
+    if problems:
         raise DecorationError(
             "decoration does not fit the graph: " + "; ".join(problems)
         )
     if dec1.alpha != dec2.alpha:
         raise AlphaMismatch("decorations have different alpha data")
-    foreign = _foreign_lifts(g, dec1) + _foreign_lifts(g, dec2)
-    if foreign:
-        raise DecorationError(
-            "decoration does not fit the graph: " + "; ".join(foreign)
-        )
-    d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in halves}
+    d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in g._vertex_of}
     vertex_of = g.vertex_of
 
     tree, _ = spanning_tree(g)

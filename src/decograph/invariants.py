@@ -111,16 +111,17 @@ def frak_C(g: TrivalentGraph, dec: Decoration) -> list[OrientedCycle]:
         if deg not in (0, 2):
             raise InternalError(f"vertex {name!r} has degree {deg} in frak_C")
     cycles = []
-    unused = set(sub)
-    while unused:
-        start = min(unused)
+    used: set[str] = set()
+    for start in sorted(sub):
+        if start in used:
+            continue
         steps = []
         out = start
         while True:
             inn = g.partner(out)
             steps.append((out, inn))
-            unused.discard(out)
-            unused.discard(inn)
+            used.add(out)
+            used.add(inn)
             (out,) = [
                 h for h in g.others_at_vertex(inn) if h in sub and h != inn
             ]

@@ -50,6 +50,7 @@ from .graph import (
     spanning_tree,
     tree_path,
 )
+from .lattice import solve_lattice
 
 
 class MoveError(ValueError):
@@ -214,8 +215,6 @@ def refined_epsilon(B: LocalB) -> tuple[Residue, ...]:
 
 def local_equivalent(B1: LocalB, B2: LocalB) -> bool:
     """Equality in the common quotient G^alpha, by lattice membership."""
-    from .lattice import solve_lattice
-
     if B1.moduli != B2.moduli:
         raise ModuliMismatch(
             f"moduli differ: {B1.moduli} vs {B2.moduli}"

@@ -244,6 +244,8 @@ def check_classification(
     direction is reported as orbit counts per class, not as a violation.
     Classification differing *within* one orbit is always a violation.
     """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     if not is_connected(g):
         raise NotConnected("classification check needs a connected graph")
     decs: list[Decoration] = []

@@ -37,10 +37,11 @@ from decograph import (
     serialize_decorated_graph,
     sl2_orbit,
     weak_class,
+    zero_beta,
 )
 from decograph.decoration import ConditionFails
 from decograph.graph import OrientedCycle
-from decograph.invariants import ConditionsFail, _check_conditions, arf
+from decograph.invariants import ConditionsFail, _check_conditions, arf, frak_C
 from decograph.moves import _labels, _local_B_labelled
 from conftest import (
     corpus_decorations,
@@ -498,3 +499,28 @@ def test_cycle_basis_of_many_chords():
     with budget(2):
         basis = cycle_basis(g)
     assert len(basis) == 1500
+
+
+def bubble_chain(n):
+    """Class III chain of n double-edge bubbles A_k=B_k, each joined to the
+    next by b_{k-1}s~a_ks, with alpha 0 and +-4k on the bubble's edges:
+    frak_C is the n bubbles."""
+    vertices, edges, alpha = {}, [], {}
+    for k in range(1, n + 1):
+        vertices[f"A{k}"] = (f"a{k}p", f"a{k}q", f"a{k}s")
+        vertices[f"B{k}"] = (f"b{k}p", f"b{k}q", f"b{k}s")
+        edges += [(f"a{k}p", f"b{k}p"), (f"a{k}q", f"b{k}q")]
+        if k > 1:
+            edges.append((f"b{k - 1}s", f"a{k}s"))
+        alpha.update({f"a{k}p": 0, f"b{k}p": 0, f"a{k}q": 4 * k, f"b{k}q": -4 * k,
+                      f"a{k}s": 2 - 4 * k, f"b{k}s": 2 + 4 * k})
+    g = build_graph(vertices, edges)
+    return g, zero_beta(g, alpha)
+
+
+def test_frak_C_of_many_bubbles():
+    g, dec = bubble_chain(4000)
+    with budget(1):
+        cycles = frak_C(g, dec)
+    assert [c.steps[0][0] for c in cycles[:3]] == ["a1000p", "a1001p", "a1002p"]
+    assert len(cycles) == 4000 and classify(g, dec).cls == "III"

@@ -142,6 +142,10 @@ class TestCheckClassification:
         with pytest.raises(ValueError, match=f"OrbitBounds.{field} must be >= 0"):
             OrbitBounds(**{field: -1})
 
+    def test_negative_window_is_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 0, got -1"):
+            check_classification(wheel_graph(), OrbitBounds(max_depth=1), window=-1)
+
     def test_not_connected_propagates(self):
         g = build_graph(
             [("a", "b", "c"), ("d", "e", "f")], [("a", "b"), ("d", "e")]

@@ -2,7 +2,8 @@
 
 The library's behaviour must not depend on ``assert`` (stripped under
 ``python -O``), and modules and functions import only what they use.  ``__init__.py``
-re-exports names, so its imports are not checked.  Every function, method
+re-exports names, so its imports are not checked.  An import inside a
+function breaks an import cycle or is not there.  Every function, method
 and class the library defines is named somewhere in the repository.  The
 planner in ``moves.py`` stays free of the isomorphism search, and the orbit
 walk in ``oracle.py`` free of whole-graph rebuilds and of the working
@@ -50,6 +51,34 @@ def test_no_unused_top_level_imports(path):
                     if name not in used:
                         unused.add(f"{name} (line {node.lineno})")
     assert sorted(unused) == [], f"{path.name}: unused imports {sorted(unused)}"
+
+
+def _imported_modules(nodes):
+    """The modules that the import statements among nodes name, each with
+    its line; a package module goes by its stem, as ``from .lattice``
+    names it."""
+    out = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out[node.module] = node.lineno
+        elif isinstance(node, ast.Import):
+            out.update((alias.name, node.lineno) for alias in node.names)
+    return out
+
+
+def test_lazy_imports_break_cycles():
+    """An import inside a function (a lazy import) of module X is there to
+    break an import cycle, so X must import this module at top level;
+    otherwise the import belongs at the top."""
+    top = {p.stem: _imported_modules(_tree(p).body) for p in SOURCES}
+    misplaced = []
+    for path in SOURCES:
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for module, line in _imported_modules(ast.walk(fn)).items():
+                    if path.stem not in top.get(module, {}):
+                        misplaced.append(f"{path.name}:{line} {module}")
+    assert misplaced == [], f"lazy imports that break no cycle: {misplaced}"
 
 
 def test_no_unreferenced_definitions():

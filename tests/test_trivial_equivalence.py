@@ -20,13 +20,22 @@ import random
 import pytest
 
 from decograph import (
+    Decoration,
     DecorationError,
+    IhMove,
     MoveScript,
+    OrbitBounds,
     TrivialMod,
+    a_tilde,
     apply_script,
     build_graph,
+    classify,
     cycle_b,
+    equivalent,
+    ih_apply,
     make_decoration,
+    move_orbit,
+    normal_form,
     serialize_script,
     trivial_mod_equivalent,
     validate_decoration,
@@ -347,10 +356,14 @@ def test_zero_alpha_loop_needs_equal_lifts():
 def test_foreign_decoration_rejected():
     g, dec = wheel_decoration(3, 1)
     smaller = build_graph({"W": ("x", "y", "q")}, [("x", "y")])
-    with pytest.raises(DecorationError, match=r"no alpha on half-edges \['q'\]"):
+    with pytest.raises(
+        DecorationError, match=r"fit the graph: alpha missing for half-edges \['q'\]"
+    ):
         trivial_mod_equivalent(smaller, dec, dec)
     larger = build_graph({"W": ("x", "y", "z"), "U": ("p", "q", "r")}, [("x", "y")])
-    with pytest.raises(DecorationError, match=r"no alpha on half-edges \['p', 'q', 'r'\]"):
+    with pytest.raises(
+        DecorationError, match=r"fit the graph: alpha missing for half-edges \['p', 'q', 'r'\]"
+    ):
         trivial_mod_equivalent(larger, dec, dec)
     extra = make_decoration(
         larger,
@@ -359,7 +372,7 @@ def test_foreign_decoration_rejected():
          ("p", "q"): 0, ("q", "p"): 0, ("r", "p"): 0},
     )
     with pytest.raises(
-        DecorationError, match=r"alpha on unknown half-edges \['p', 'q', 'r'\]"
+        DecorationError, match=r"fit the graph: alpha given for unknown half-edges \['p', 'q', 'r'\]"
     ):
         trivial_mod_equivalent(g, extra, extra)
 
@@ -388,3 +401,37 @@ def test_decoration_of_another_graph_rejected():
     with pytest.raises(DecorationError, match="beta of 'a' is stored toward"):
         trivial_mod_equivalent(g1, own, dec)
     assert trivial_mod_equivalent(g1, own, own) == MoveScript(steps=())
+    # the readers look dec's lifts up on g1 and name the first pair it lacks
+    readers = [
+        lambda: classify(g1, dec),
+        lambda: equivalent(g1, own, g1, dec, {"c": "c", "f": "f"}),
+        lambda: normal_form(g1, dec),
+        lambda: a_tilde(g1, dec),
+        lambda: cycle_b(g1, dec, cycle_basis(g1)[0]),
+        lambda: ih_apply(g1, dec, IhMove(("a", "d"), "b")),
+        lambda: move_orbit(g1, dec, OrbitBounds(max_depth=2)),
+    ]
+    for read in readers:
+        with pytest.raises(
+            DecorationError, match=r"beta of '[cd]' is stored toward \('[cd]', 'f'\)"
+        ):
+            read()
+
+
+def test_lookup_of_a_missing_half_edge_rejected():
+    g, dec = wheel_decoration(3, 1)  # half-edges x, y, z
+    with pytest.raises(DecorationError, match="no alpha on half-edge 'q'"):
+        dec.a("q")
+    with pytest.raises(DecorationError, match="no beta lift from 'q' toward 'x'"):
+        dec.b("q", "x")
+    with pytest.raises(DecorationError, match=r"stored toward \('y', 'z'\), not 'q'"):
+        dec.b("x", "q")
+    smaller = build_graph({"W": ("x", "y", "q")}, [("x", "y")])
+    assert "no beta lift from 'q' at vertex 'W'" in validate_decoration(smaller, dec)
+    with pytest.raises(DecorationError, match="no alpha on half-edge 'q'"):
+        classify(smaller, dec)
+    # a lift stored toward a half-edge without alpha, built by hand
+    lone = Decoration(alpha=(("x", 3),), beta=(("x", ("y", "z", 1)),))
+    assert lone.b("x", "y") == 1
+    with pytest.raises(DecorationError, match="no beta lift from 'x' toward 'z'"):
+        lone.b("x", "z")

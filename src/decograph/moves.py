@@ -12,20 +12,21 @@ torsor coordinate
 whose class in the common quotient group G^alpha (by (1,1,1,1),
 (0,0,a_u,a_u) and (0,a_u',0,a_u')) defines equivalence across the move.
 The canonical transport gauge sets beta'_{u'x} = beta'_{v'w} = 0 so that
-B'(beta') = B(beta) holds identically on minimal lifts.
+B'(beta') = B(beta) holds identically on minimal lifts (u', v': u, v after).
 
 Moves are local edits on one mutable working state (``_PlanState``): an IH
-move rewrites the two vertex triples, the moved edge and the six beta lifts
-at its two vertices, a trivial modification at most three beta lifts.  The
-state is frozen back into an immutable graph and decoration once, where a
-value is needed.
+move trades two half-edges between its edge's vertices and rewrites the
+edge's alphas and the six beta lifts there, a trivial modification at most
+three beta lifts; no move adds, drops or renames a half-edge.  The state is
+frozen back into an immutable graph and decoration once, where a value is
+needed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Container, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .decoration import (
     BadTarget,
@@ -107,7 +108,8 @@ class LocalB:
 
 @dataclass(frozen=True)
 class IhTrace:
-    """Record of one applied IH move (effective labels, new names, B)."""
+    """One applied IH move: labels (x, y swapped for 'c'), the halves at u's
+    and v's vertex after it (u, v unless apply's ``names`` swapped them), B."""
 
     u: str
     v: str
@@ -229,13 +231,6 @@ def local_equivalent(B1: LocalB, B2: LocalB) -> bool:
     return solve_lattice(columns, target) is not None
 
 
-def _fresh_name(base: str, taken: Container[str]) -> str:
-    cand = base + "'"
-    while cand in taken:
-        cand += "'"
-    return cand
-
-
 class _PlanState:
     """The mutable working state that moves edit in place.
 
@@ -264,7 +259,7 @@ class _PlanState:
         self.boundary = g.boundary
         self._vertex_of = dict(g._vertex_of)
         self._triple_of = dict(g._triple_of)
-        self._partner = dict(g._partner)
+        self._partner = g._partner  # shared: no move changes the pairing
         self._alpha = None if dec is None else dict(dec._alpha)
         self._beta = None if dec is None else dict(dec._beta)
         self.steps: list[Union[TrivialMod, IhMove]] = []
@@ -320,8 +315,9 @@ class _PlanState:
     def apply(
         self, step: Union[TrivialMod, IhMove], names: Optional[Sequence[str]] = None
     ) -> Optional[IhTrace]:
-        """Apply one step in place; returns the trace of an IH move.  Its new
-        halves (u', v') are named ``names``, unused names, when given."""
+        """Apply one step in place; returns the trace of an IH move.  An IH
+        move keeps its edge's two names; ``names`` can only order them, as
+        (the half left at u's vertex, the half at v's vertex)."""
         trace = None
         if isinstance(step, IhMove):
             trace = self._ih_move(step, names)
@@ -334,36 +330,31 @@ class _PlanState:
         return trace
 
     def _ih_move(self, move: IhMove, names: Optional[Sequence[str]]) -> IhTrace:
-        """One IH move as a local edit, named and transported as described
-        at ih_apply."""
+        """One IH move as a local edit, as described at ih_apply."""
         u, v, x, y, z, w = _labels(self, move.edge)
         if move.pairing_choice == "c":
             x, y = y, x
+        u_new, v_new = names or (u, v)
+        if sorted((u_new, v_new)) != [u, v]:
+            raise InvalidMove(f"{names!r} do not name the halves of {(u, v)!r}")
         decorated = self._beta is not None
         if decorated:
             B = _local_B_labelled(self, u, v, x, y, z, w)
         else:
             B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
 
-        vertex_of, partner = self._vertex_of, self._partner
+        vertex_of = self._vertex_of
         vu, vv = vertex_of[u], vertex_of[v]
         if self._hashes is not None:
             old = self._lines((vu, vv), (u, v))
-        # New names avoid every current half-edge, u and v included.
-        u_new = names[0] if names else _fresh_name(u, vertex_of)
-        vertex_of[u_new] = vu
-        v_new = names[1] if names else _fresh_name(v, vertex_of)
-        vertex_of[v_new] = vv
-        del vertex_of[u], vertex_of[v], partner[u], partner[v]
-        partner[u_new], partner[v_new] = v_new, u_new
-        vertex_of[z], vertex_of[y] = vu, vv
+        vertex_of[u_new], vertex_of[z] = vu, vu
+        vertex_of[v_new], vertex_of[y] = vv, vv
         self._triple_of[vu] = tuple(sorted((x, z, u_new)))
         self._triple_of[vv] = tuple(sorted((y, w, v_new)))
         self.g = self.dec = None
 
         if decorated:
             alpha, lifts = self._alpha, self._beta
-            del alpha[u], alpha[v], lifts[u], lifts[v]
             alpha[u_new], alpha[v_new] = B.alpha_uprime, -B.alpha_uprime
             # Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four
             # B(beta) components, so B'(beta') = B(beta).
@@ -374,7 +365,7 @@ class _PlanState:
             ):
                 lifts[s] = stored_lift(alpha, s, t, other, lift)
         if self._hashes is not None:
-            self._swap_lines(old, self._lines((vu, vv), (u_new, v_new)))
+            self._swap_lines(old, self._lines((vu, vv), (u, v)))
         return IhTrace(u, v, x, y, z, w, u_new, v_new, B)
 
     def _trivial_mod(self, mod: TrivialMod) -> None:
@@ -431,8 +422,8 @@ class _PlanState:
 
     def rejoin(self, edge: Sequence[str], a: str, b: str) -> tuple[str, str]:
         """The IH move on ``edge`` that puts a and b (one from each end
-        vertex) on one vertex; returns the two new halves, the one at a's
-        vertex first."""
+        vertex) on one vertex; returns the edge's two halves, the one now at
+        a's vertex first."""
         trace = self.apply(choice_for(self, edge, {a, b}))
         if self._vertex_of[trace.u_new] == self._vertex_of[a]:
             return trace.u_new, trace.v_new
@@ -446,11 +437,11 @@ def ih_apply(
 ) -> tuple[TrivalentGraph, Optional[Decoration], IhTrace]:
     """Apply an IH move, transporting the decoration canonically.
 
-    The new edge halves are named by priming the old ones.  The left new
-    vertex (inheriting the name of u's vertex) carries {x, z, u'}; the
-    right one {y, w, v'} — with x, y swapped first for pairing choice 'c'.
-    Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four B(beta)
-    components at (x,u'), (y,v'), (z,u'), (w,v'), so B'(beta') = B(beta).
+    The move keeps every name: choice 'b' exchanges y and z between the
+    two vertices, 'c' exchanges x and z, and u, v and the pairing stay.
+    Transport writes beta'_{ux} = beta'_{vw} = 0 and the four B(beta)
+    components at (x,u), (y,v), (z,u), (w,v) (x, y swapped for 'c'), so
+    B'(beta') = B(beta).
     """
     state = _PlanState(g, dec)
     trace = state.apply(move)
@@ -578,12 +569,8 @@ def normalize_to_apple_tree(
             stems.append(state.partner(t))
 
     leaves = order + stems
-    n_unfrozen = len(state._triple_of) - len(state.frozen)
-    if n_unfrozen == 0 or len(leaves) < 2:
-        return state, loops
-    if len(leaves) == 2:
-        if state.vertex_of(leaves[0]) != state.vertex_of(leaves[1]):
-            raise InternalError("the two leaves do not share a vertex")
+    # v = 2g - 2 + n, g loop vertices frozen: unfrozen ones mean >= 3 leaves.
+    if len(state._triple_of) == len(state.frozen):
         return state, loops
     # Spine vertex k joins leaves[k + 1] to leaves[0] or, past the first,
     # to the far half of the edge leaving spine vertex k - 1.

@@ -5,7 +5,7 @@ it once.  The reference functions below rebuild the whole graph and
 decoration per move (``build_graph`` + ``make_decoration``); the local edits
 must give equal values.  The pinned SHA-256 digests hold normal forms,
 normal-form scripts and planner scripts as the whole-graph rebuild produced
-them (planner scripts re-taken since, for the reasons at PINNED_PLANS), so
+them (scripts re-taken since, for the reasons given beside the pins), so
 the byte-level outputs cannot drift.
 """
 
@@ -32,7 +32,6 @@ from decograph.decoration import BadTarget
 from decograph.moves import (
     IhTrace,
     LocalB,
-    _fresh_name,
     _labels,
     _local_B_labelled,
     normalize_to_apple_tree,
@@ -48,10 +47,7 @@ def reference_ih_apply(g, dec, move):
     u, v, x, y, z, w = _labels(g, move.edge)
     if move.pairing_choice == "c":
         x, y = y, x
-    taken = set(g.half_edges())
-    u_new = _fresh_name(u, taken)
-    taken.add(u_new)
-    v_new = _fresh_name(v, taken)
+    u_new, v_new = u, v  # the move keeps the edge's names
 
     vu, vv = g.vertex_of(u), g.vertex_of(v)
     new_vertices = {}
@@ -240,20 +236,35 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# (v, genus) -> (normal form digest, normal-form script digest)
+# (v, genus) -> (normal form digest, normal-form script digest).  The script
+# digests were re-taken when IH moves began to keep their edge's names (they
+# primed them before); with the trailing primes stripped, the former scripts
+# equal these step for step, and the normal forms did not change:
+#   (24, 0): 5c72fbb37c8efb5f664bad2b69d98af465d8acb3bf37b0074e14e73aa0ed797d
+#   -> 8393043be60ad460fd8b06ca0f52374e7e466f6e1d43b93743f59fdb32cb6945
+#   (30, 1): 0399b99bb4e8f3f1298e7fed71022cad6c4302a8407c83870de96ee61ceca898
+#   -> 4186e1e3c14aa9c3dc8bd9202167083887dba1733f5b9b453112625a2217c149
+#   (36, 2): 44e49c04353fe196e584fd77f1b195e84e31b12902164b002c85e17f016bf5e5
+#   -> d52b026806a99e0b17c8821ba190e8596f59d0554b80f6b25102033a5befc137
+#   (44, 3): b94f19159f0ae4e67c5080130cef1a6ba03d34405f64b63ec768accf0d6034cd
+#   -> d323ebcd1fa3ac454195895553051692f2949456270f34c4160baa9593724a5e
+#   (52, 5): ce697a55ac1d8ce62c1e9ca77da510f8599b186c1c40d72d7c9a088676cb4705
+#   -> f6a2c215c883956c6e410283cfd2a69cf09d5c812c500747a14ed43df30d7736
+#   (60, 6): cabf84a23b34b00414b2d6cb06d2ab2846d703a07538bbe10da504c9d035fdea
+#   -> 2f4962ba7afe43fb6a3ca41322caf84697a753d1d66be94ac1f3a1bd758ea7e9
 PINNED_NORMAL_FORMS = {
     (24, 0): ("9dfcf5493d79417c89cd0ea5e57e0d7e6020bc0fb0d2742ce13a3dc8ae256fcf",
-              "5c72fbb37c8efb5f664bad2b69d98af465d8acb3bf37b0074e14e73aa0ed797d"),
+              "8393043be60ad460fd8b06ca0f52374e7e466f6e1d43b93743f59fdb32cb6945"),
     (30, 1): ("72429dc817f55fe6a3855d70e2358e0cebb5e11e5e7b063ded2d1716cb9b7619",
-              "0399b99bb4e8f3f1298e7fed71022cad6c4302a8407c83870de96ee61ceca898"),
+              "4186e1e3c14aa9c3dc8bd9202167083887dba1733f5b9b453112625a2217c149"),
     (36, 2): ("e985fee59ff702537d477b98c538d01d6ecf4ccc17cb80300f91a8037098bdfb",
-              "44e49c04353fe196e584fd77f1b195e84e31b12902164b002c85e17f016bf5e5"),
+              "d52b026806a99e0b17c8821ba190e8596f59d0554b80f6b25102033a5befc137"),
     (44, 3): ("5d8a5c8533e2ba204e344b3ae96e3dc07bd8ad8777e111f9afbb38c49a4112ea",
-              "b94f19159f0ae4e67c5080130cef1a6ba03d34405f64b63ec768accf0d6034cd"),
+              "d323ebcd1fa3ac454195895553051692f2949456270f34c4160baa9593724a5e"),
     (52, 5): ("f5cd3ad1d92d075b22690f09a4c4d5d7e90c71f6b48e5f39e07435833a11c76d",
-              "ce697a55ac1d8ce62c1e9ca77da510f8599b186c1c40d72d7c9a088676cb4705"),
+              "f6a2c215c883956c6e410283cfd2a69cf09d5c812c500747a14ed43df30d7736"),
     (60, 6): ("40272afa53aff25aec96e5f5dac2f7b0c4cff856a4f3ed04c8105e62615625d1",
-              "cabf84a23b34b00414b2d6cb06d2ab2846d703a07538bbe10da504c9d035fdea"),
+              "2f4962ba7afe43fb6a3ca41322caf84697a753d1d66be94ac1f3a1bd758ea7e9"),
 }
 
 # v of a genus-2 pair -> digest of its hashed ih_plan script.  The v=10 and
@@ -272,17 +283,33 @@ PINNED_NORMAL_FORMS = {
 #   -> c460c0ea8412a711baa53213144829b766dc59f87ed41736c627e6b6521b20e7
 # PINNED_PLAN_STEPS, taken before that change, pins the steps without hashes
 # and did not change with it.
+# All three, and PINNED_PLAN_STEPS, were re-taken when IH moves began to keep
+# their edge's names; with the trailing primes stripped, the former scripts
+# equal these step for step:
+#   8: 061da6557145845efcc6149c071edfea8228db597f1884fb3fcc22a6f9e1363e
+#   -> 52c1c9a64cb375fc48d7de4b25c5f70db2b78d4f241a731bd4c574acd02f6f7c
+#   10: 161340cdb39f036c6aa63e59405130f44f8e89289547d9dc4bc1f4cb1f4b2a09
+#   -> 3e59e10fad214f051b7d458dc4217c1449f3304560c7fbe1ebae87ca713121ac
+#   12: c460c0ea8412a711baa53213144829b766dc59f87ed41736c627e6b6521b20e7
+#   -> 37b66a00d1a34be6e3235a3c3c86c6ac0e3bd5afd168a5871f401d281807a608
 PINNED_PLANS = {
-    8: "061da6557145845efcc6149c071edfea8228db597f1884fb3fcc22a6f9e1363e",
-    10: "161340cdb39f036c6aa63e59405130f44f8e89289547d9dc4bc1f4cb1f4b2a09",
-    12: "c460c0ea8412a711baa53213144829b766dc59f87ed41736c627e6b6521b20e7",
+    8: "52c1c9a64cb375fc48d7de4b25c5f70db2b78d4f241a731bd4c574acd02f6f7c",
+    10: "3e59e10fad214f051b7d458dc4217c1449f3304560c7fbe1ebae87ca713121ac",
+    12: "37b66a00d1a34be6e3235a3c3c86c6ac0e3bd5afd168a5871f401d281807a608",
 }
 
 # v of the same pairs -> digest of the plan's steps alone, without hashes.
+# Re-taken with the names kept:
+#   8: 1c0fc5672cea6cfdcba18c6cdff0d1e3854b5297c7dff6063f2225c2c03e3c5c
+#   -> aaf92364ae54967603507caca8a071bf3ec51a51f78efe0cb3318cdf18b74ff0
+#   10: 69168c2ca12db6c88aacd9f129486b852d9a7f58b42414d67b3653f8384202bc
+#   -> 8001f4694f1f276c7e87a59c76ea50771bc4d3c195bb9c27619cc5e209af0fc1
+#   12: d5e0cec898efb0582c7700e6b247fa6b2eab03a7be9a61dafbb6d618a31d57c1
+#   -> 913d8a8a8b480717ebb236380abec6fd72884c7ff19f122600ccd406c65502a9
 PINNED_PLAN_STEPS = {
-    8: "1c0fc5672cea6cfdcba18c6cdff0d1e3854b5297c7dff6063f2225c2c03e3c5c",
-    10: "69168c2ca12db6c88aacd9f129486b852d9a7f58b42414d67b3653f8384202bc",
-    12: "d5e0cec898efb0582c7700e6b247fa6b2eab03a7be9a61dafbb6d618a31d57c1",
+    8: "aaf92364ae54967603507caca8a071bf3ec51a51f78efe0cb3318cdf18b74ff0",
+    10: "8001f4694f1f276c7e87a59c76ea50771bc4d3c195bb9c27619cc5e209af0fc1",
+    12: "913d8a8a8b480717ebb236380abec6fd72884c7ff19f122600ccd406c65502a9",
 }
 
 

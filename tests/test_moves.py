@@ -185,7 +185,7 @@ class TestScripts:
 
     def test_failing_step_reports_index(self):
         g, dec = fig_a_decoration()
-        script = MoveScript((IhMove(("u", "v"), "b"), IhMove(("u", "v"), "b")))
+        script = MoveScript((IhMove(("u", "v"), "b"), IhMove(("u", "q"), "b")))
         with pytest.raises(ScriptError, match="step 1"):
             apply_script(g, dec, script)
 

@@ -44,9 +44,11 @@ def _small_decorated():
 
 
 def _prefix_named(g):
-    """g with the half-edges at its k-th vertex named k, k$, k$$.  A round
-    trip's primed names sort after their co-halves there ('$' < "'"), so
-    renaming them back changes which co-half of a source is least."""
+    """g with the half-edges at its k-th vertex named k, k$, k$$: names that
+    share a prefix and sort by punctuation.  Moves keep every name, so a
+    round trip renames only when its inverse leaves v at u's vertex; these
+    names never reach that case (u's vertex sorts first), while the
+    corpus's own names reach it in 31 of its 178 round trips."""
     name = {}
     for k, (_, triple) in enumerate(g.vertices):
         name.update((h, f"{k}" + "$" * j) for j, h in enumerate(triple))

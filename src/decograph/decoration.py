@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .graph import OrientedCycle, TrivalentGraph, cycle_basis, spanning_tree
 from .lattice import solve_lattice
@@ -283,6 +283,15 @@ def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
     return problems
 
 
+def _check_fit(g: TrivalentGraph, *decs: Optional[Decoration]) -> None:
+    """Raise DecorationError with every problem validate_decoration finds
+    for the decorations among decs (None, a bare graph, fits any g)."""
+    problems = [p for d in decs if d is not None for p in validate_decoration(g, d)]
+    if problems:
+        msg = "decoration does not fit the graph: " + "; ".join(problems)
+        raise DecorationError(msg)
+
+
 # -- invariants ----------------------------------------------------------
 
 
@@ -385,11 +394,7 @@ def trivial_mod_equivalent(
     """
     from .moves import MoveScript
 
-    problems = validate_decoration(g, dec1) + validate_decoration(g, dec2)
-    if problems:
-        raise DecorationError(
-            "decoration does not fit the graph: " + "; ".join(problems)
-        )
+    _check_fit(g, dec1, dec2)
     if dec1.alpha != dec2.alpha:
         raise AlphaMismatch("decorations have different alpha data")
     d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in g._vertex_of}

@@ -314,8 +314,10 @@ def build_canonical_apple(
     loop pairs, carrying the canonical gauge-zero decoration with b~_i
     written on each loop."""
     n, g = len(boundary), len(pairs)
-    if 2 * g + n - 2 < 1:
-        raise InvariantError("no trivalent graph with this boundary/genus")
+    # With no boundary the vertex sums (2 each) cannot cancel over the edges,
+    # so no decorated graph has this shape.
+    if 2 * g + n - 2 < 1 or n == 0:
+        raise InvariantError("no decorated graph with this boundary/genus")
     prefix = "_"
     names = {h for h, _ in boundary}
     while any(h.startswith(prefix) for h in names):
@@ -338,12 +340,6 @@ def build_canonical_apple(
     leaves: list[str] = [h for h, _ in boundary]
     if n == 1 and g == 1:
         new_vertex((leaves[0], *loop_leaves[0]))
-    elif n == 0 and g == 2:
-        stems = (f"{prefix}t0", f"{prefix}t1")
-        alpha[stems[0]], alpha[stems[1]] = 2, -2
-        for stem, loop in zip(stems, loop_leaves):
-            new_vertex((stem, *loop))
-        edges.append(stems)
     else:
         for i, (la, lb) in enumerate(loop_leaves):
             sa, sb = f"{prefix}t{i}a", f"{prefix}t{i}b"

@@ -34,6 +34,7 @@ from .decoration import (
     ExternalEdge,
     Residue,
     TrivialMod,
+    _check_fit,
     _decoration,
     reduce_lift,
     stored_lift,
@@ -315,9 +316,8 @@ class _PlanState:
     def apply(
         self, step: Union[TrivialMod, IhMove], names: Optional[Sequence[str]] = None
     ) -> Optional[IhTrace]:
-        """Apply one step in place; returns the trace of an IH move.  An IH
-        move keeps its edge's two names; ``names`` can only order them, as
-        (the half left at u's vertex, the half at v's vertex)."""
+        """Apply one step in place; returns the trace of an IH move, which
+        keeps its edge's names: ``names`` can only order u and v by vertex."""
         trace = None
         if isinstance(step, IhMove):
             trace = self._ih_move(step, names)
@@ -503,7 +503,8 @@ def apply_script(
     dec: Optional[Decoration],
     script: MoveScript,
 ) -> tuple[TrivalentGraph, Optional[Decoration]]:
-    """Replay a script left to right, verifying snapshot hashes if present."""
+    """Replay a script left to right (dec must fit g), verifying hashes."""
+    _check_fit(g, dec)
     check = bool(script.hashes)
     if check and len(script.hashes) != len(script.steps):
         raise ScriptError("hash count does not match step count")

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .decoration import Decoration, DecorationError, TrivialMod, make_decoration
+from .decoration import (
+    Decoration, DecorationError, TrivialMod, _check_fit, make_decoration
+)
 from .graph import GraphError, TrivalentGraph, build_graph
 from .moves import HASH_TAG, IhMove, MoveScript, ScriptError
 
@@ -183,11 +185,13 @@ def serialize_decorated_graph(
 ) -> str:
     """Canonical text form: statements sorted, one beta lift per source
     (toward the least co-half), minimal lifts.  Byte-stable under
-    parse-serialize round trips."""
+    parse-serialize round trips.  A decoration that does not fit g raises
+    DecorationError."""
     lines = [vertex_line(name, triple) for name, triple in g.vertices]
     lines += [edge_line(a, b) for a, b in g.edges]
     if g.boundary:
         lines.append("boundary " + " ".join(g.boundary))
+    _check_fit(g, dec)
     if dec is not None:
         lines += [alpha_line(h, a) for h, a in dec.alpha]
         beta = dec._beta

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from decograph import parse_decorated_graph, run_command, serialize_decorated_graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 WHEEL46 = """\
 vertex W : x y z
@@ -76,6 +81,12 @@ class TestInvariants:
         data = json.loads(capsys.readouterr().out)
         assert data["genus"] == 1 and data["a_tilde"] == 2
 
+    def test_plain_text(self, files, capsys):
+        assert run_command(["invariants", files["wheel46"]]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "a_tilde: 2" in out and "genus: 1" in out
+        assert out == sorted(out)
+
     def test_needs_decoration(self, tmp_path, capsys):
         p = tmp_path / "bare.dg"
         p.write_text("vertex W : x y z\nedge x y\n")
@@ -135,6 +146,24 @@ class TestTransformers:
         assert run_command(
             ["ih", files["fig_a"], "--edge", "x-y", "--pairing", "b", "-o", out]
         ) == 2
+
+    def test_ih_edge_without_separator(self, files, tmp_path, capsys):
+        out = str(tmp_path / "moved.dg")
+        assert run_command(
+            ["ih", files["fig_a"], "--edge", "uv", "--pairing", "b", "-o", out]
+        ) == 2
+        assert "bad --edge 'uv'; expected u-v" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_primed_script_no_longer_replays(self, files, tmp_path, capsys):
+        # moves keep the edge's names, so a script written when the first
+        # move primed them names halves that do not exist
+        script = tmp_path / "old.moves"
+        script.write_text("IH u-v b\nIH u'-v' c\n")
+        out = str(tmp_path / "out.dg")
+        assert run_command(["run", files["fig_a"], str(script), "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert "step 1 failed" in err and "is not an internal edge" in err
 
     def test_plan_and_run_round_trip(self, files, tmp_path, capsys):
         script = str(tmp_path / "plan.moves")
@@ -227,3 +256,16 @@ class TestByteStability:
             text = serialize_decorated_graph(g, dec)
             g2, dec2 = parse_decorated_graph(text)
             assert serialize_decorated_graph(g2, dec2) == text
+
+
+def test_python_dash_m_runs_the_cli(files):
+    """``python -m decograph`` runs the command line, with nothing on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "decograph", "validate", files["wheel46"]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("ok: decorated graph")

@@ -6,6 +6,7 @@ import pytest
 import decograph.invariants as invariants
 from decograph import (
     ConditionsFail,
+    InvariantError,
     LoopTuple,
     NotConnected,
     ReductionStuck,
@@ -31,6 +32,7 @@ from conftest import (
     apple2_graph,
     fig_a_graph,
     random_decoration,
+    straight_tree_graph,
     tree_with_chords,
     wheel_decoration,
 )
@@ -293,3 +295,35 @@ class TestOneClassRule:
         assert report.cls in ("III", "IV")
         # once per basis cycle, and once per frak_C cycle for the Arf sum
         assert len(calls) == len(cycle_basis(g)) + len(frak_C(g, dec))
+
+
+class TestRareShapes:
+    """Reachable corners of the decision and the normal form."""
+
+    def test_genus_0_equivalent_whatever_the_lifts(self):
+        g = straight_tree_graph(5)
+        rng = random.Random(3)
+        d1 = random_decoration(g, rng, 5)
+        d2 = random_decoration(g, rng, 5, alpha=d1.alpha_map())
+        assert d1 != d2 and graph_stats(g).genus == (0,)
+        assert equivalent(g, d1, g, d2, {h: h for h in g.boundary})
+
+    def test_boundary_names_with_the_apple_prefix(self):
+        # the canonical apple names its own half-edges _n0, _l0a, ...; a
+        # boundary that starts with '_' pushes them to a longer prefix
+        edges = [("a", "c"), ("b", "d")]
+        g = build_graph({"A": ("a", "b", "_n0"), "B": ("c", "d", "_l0a")}, edges)
+        alpha = {"a": 1, "c": -1, "b": 3, "d": -3, "_n0": -2, "_l0a": 6}
+        dec = zero_beta(g, alpha)
+        nf = normal_form(g, dec)
+        assert nf.graph.boundary == ("_l0a", "_n0")
+        inner = set(nf.graph.half_edges()) - set(nf.graph.boundary)
+        assert inner and all(h.startswith("__") for h in inner)
+        assert classify(nf.graph, nf.decoration) == classify(g, dec)
+
+    @pytest.mark.parametrize("genus", (2, 3))
+    def test_no_boundary_is_no_shape(self, genus):
+        # with no boundary the vertex sums cannot cancel over the edges, so
+        # no closed graph is decorated
+        with pytest.raises(InvariantError, match="no decorated graph"):
+            build_canonical_apple([], [(2, 0)] * genus)

@@ -25,12 +25,13 @@ from decograph import (
     validate_decoration,
 )
 from decograph.decoration import ExternalEdge
-from decograph.moves import _local_B_labelled, invert_move, with_hashes
+from decograph.moves import _PlanState, _local_B_labelled, invert_move, with_hashes
 from conftest import (
     fig_a_graph,
     random_connected_graph,
     random_decoration,
     straight_tree_graph,
+    tree_with_chords,
     wheel_decoration,
     wheel_graph,
 )
@@ -188,6 +189,52 @@ class TestScripts:
         script = MoveScript((IhMove(("u", "v"), "b"), IhMove(("u", "q"), "b")))
         with pytest.raises(ScriptError, match="step 1"):
             apply_script(g, dec, script)
+
+
+class TestNamesKept:
+    """No move adds, drops or renames a half-edge or changes the pairing."""
+
+    @staticmethod
+    def random_step(state, g, rng, decorated):
+        edges = [e for e in g.edges if state.vertex_of(e[0]) != state.vertex_of(e[1])]
+        kinds = ["IH"] + (["V", "I", "E"] if decorated else [])
+        kind = rng.choice(kinds)
+        if kind == "IH":
+            return IhMove(rng.choice(edges), rng.choice("bc"))
+        n = rng.randint(-3, 3)
+        if kind == "V":
+            return TrivialMod("V", rng.choice(g.vertex_names()), n)
+        if kind == "I":
+            return TrivialMod("I", rng.choice(g.edges), n)
+        return TrivialMod("E", rng.choice(g.boundary), n)
+
+    @pytest.mark.parametrize("decorated", (True, False))
+    @pytest.mark.parametrize("v, genus", ((4, 1), (40, 4), (200, 10)))
+    def test_random_scripts_keep_every_name(self, v, genus, decorated):
+        rng = random.Random(1400 + v + decorated)
+        g = tree_with_chords(rng, v, genus)
+        dec = random_decoration(g, rng, 5) if decorated else None
+        names = set(g.half_edges())
+        state = _PlanState(g, dec)
+        for _ in range(60):
+            state.apply(self.random_step(state, g, rng, decorated))
+            assert state._vertex_of.keys() == names
+            assert state._partner is g._partner
+            if decorated:
+                assert state._alpha.keys() == state._beta.keys() == names
+        g2, dec2 = state.freeze()
+        assert set(g2.half_edges()) == names and g2.edges == g.edges
+        assert apply_script(g, dec, MoveScript(tuple(state.steps))) == (g2, dec2)
+
+    def test_plan_at_400_keeps_every_name(self):
+        rng = random.Random(20)
+        g1, g2 = tree_with_chords(rng, 400, 20), tree_with_chords(rng, 400, 20)
+        bmap = dict(zip(sorted(g1.boundary), sorted(g2.boundary)))
+        script = ih_plan(g1, g2, bmap)
+        assert len(script.steps) > 1000
+        g3, _ = apply_script(g1, None, script)
+        assert sorted(g3.half_edges()) == sorted(g1.half_edges())
+        assert boundary_isomorphism(g3, g2, bmap) is not None
 
 
 class TestPlanner:

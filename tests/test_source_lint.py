@@ -7,7 +7,8 @@ function breaks an import cycle or is not there.  Every function, method
 and class the library defines is named somewhere in the repository.  The
 planner in ``moves.py`` stays free of the isomorphism search, and the orbit
 walk in ``oracle.py`` free of whole-graph rebuilds and of the working
-state's internals.
+state's internals.  The moves in ``moves.py`` keep every half-edge and the
+pairing.
 """
 
 import ast
@@ -147,3 +148,58 @@ def test_oracle_stays_out_of_the_state():
     _PlanState's methods; oracle.py names none of the state's dicts."""
     state_dicts = {"_alpha", "_beta", "_triple_of", "_vertex_of", "_partner"}
     assert _names("oracle.py") & state_dicts == set()
+
+
+
+def _state_edits(tree):
+    """Where ``tree`` deletes or pops a key of _vertex_of, _alpha or _beta,
+    or writes to _partner in any way, directly or through a local name
+    bound to one of them, as "line: dict"."""
+    keyed, every = {"_vertex_of", "_alpha", "_beta"}, {"_partner"}
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                alias.update(
+                    (t.id, v.attr) for t, v in pairs
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute)
+                )
+
+    def dict_of(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return alias.get(node.id) if isinstance(node, ast.Name) else None
+
+    def subscripted(targets):
+        for t in targets:
+            if isinstance(t, ast.Tuple):
+                yield from subscripted(t.elts)
+            elif isinstance(t, ast.Subscript):
+                yield dict_of(t.value)
+
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Delete):
+            found = set(subscripted(node.targets)) & (keyed | every)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = set(subscripted(targets)) & every
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            mutators = {"pop", "popitem", "clear", "update", "setdefault"}
+            found = {dict_of(node.func.value)} & (keyed | every)
+            found = found if node.func.attr in mutators else set()
+        else:
+            continue
+        hits += [f"{node.lineno}: {name}" for name in sorted(found)]
+    return hits
+
+
+def test_moves_keep_every_half_edge():
+    """An IH move keeps its edge's names and the pairing, so moves.py
+    deletes no half-edge from the working state and never writes to the
+    pairing it shares with the graph; no fresh-name helper is left."""
+    assert _state_edits(_tree(next(p for p in SOURCES if p.name == "moves.py"))) == []
+    assert [p.name for p in SOURCES if "_fresh_name" in p.read_text()] == []

@@ -36,6 +36,7 @@ from decograph import (
     make_decoration,
     move_orbit,
     normal_form,
+    serialize_decorated_graph,
     serialize_script,
     trivial_mod_equivalent,
     validate_decoration,
@@ -43,6 +44,7 @@ from decograph import (
 )
 from decograph.graph import cycle_basis
 from decograph.lattice import solve_lattice
+from decograph.moves import with_hashes
 
 from conftest import (
     random_alpha,
@@ -416,6 +418,28 @@ def test_decoration_of_another_graph_rejected():
             DecorationError, match=r"beta of '[cd]' is stored toward \('[cd]', 'f'\)"
         ):
             read()
+
+
+def test_replay_and_serializer_reject_decoration_of_another_graph():
+    # the g1/g2 pair above: the V and E steps would replay and the serializer
+    # would write a file, but dec is no decoration of g1
+    edges = [("a", "d"), ("b", "e")]
+    g1 = build_graph({"A": ("a", "b", "c"), "B": ("d", "e", "f")}, edges)
+    g2 = build_graph({"A": ("a", "b", "e"), "B": ("d", "c", "f")}, edges)
+    alpha = {"a": 2, "d": -2, "b": 1, "e": -1, "c": -1, "f": 5}
+    dec = zero_beta(g2, alpha)
+    script = MoveScript(steps=(TrivialMod("V", "A", 1), TrivialMod("E", "f", 1)))
+    fit = "decoration does not fit the graph: beta of 'a' is stored toward"
+    for call in (
+        lambda: apply_script(g1, dec, script),
+        lambda: with_hashes(g1, dec, script),
+        lambda: serialize_decorated_graph(g1, dec),
+    ):
+        with pytest.raises(DecorationError, match=fit):
+            call()
+    assert apply_script(g2, dec, script)[1] != dec
+    own = zero_beta(g1, alpha)
+    assert validate_decoration(g1, apply_script(g1, own, script)[1]) == []
 
 
 def test_lookup_of_a_missing_half_edge_rejected():

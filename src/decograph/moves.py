@@ -100,7 +100,7 @@ class LocalB:
     lifts: tuple[int, int, int, int]  # (B_x, B_y, B_z, B_w), minimal lifts
     moduli: tuple[int, int, int, int]  # (alpha_x, alpha_y, alpha_z, alpha_w)
     alpha_u: int
-    alpha_uprime: int  # 2 - alpha_x - alpha_z, the new edge alpha after 'b'
+    alpha_uprime: int  # 2 - alpha_x - alpha_z, u's alpha after the move
 
     def generators_common(self) -> list[tuple[int, int, int, int]]:
         a, a2 = self.alpha_u, self.alpha_uprime
@@ -466,7 +466,7 @@ def choice_for(
 
 
 def invert_move(g_after: TrivalentGraph, trace: IhTrace) -> IhMove:
-    """The IH move on the new edge that undoes the recorded move."""
+    """The IH move on the moved edge that undoes the recorded move."""
     return choice_for(g_after, (trace.u_new, trace.v_new), {trace.x, trace.y})
 
 
@@ -647,6 +647,6 @@ def ih_plan(
 
     for trace in reversed(state2.traces):
         edge = (psi.pop(trace.u_new), psi.pop(trace.v_new))
-        # The new half at the vertex of psi(x), psi(y) replays trace.u.
+        # The half at the vertex of psi(x), psi(y) replays trace.u.
         psi[trace.u], psi[trace.v] = state1.rejoin(edge, psi[trace.x], psi[trace.y])
     return MoveScript(steps=tuple(state1.steps))

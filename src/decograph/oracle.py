@@ -67,8 +67,8 @@ def sl2_orbit(a: int, b: int, bound: int) -> set[tuple[int, int]]:
 def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
     """(move, inverse, names, (x, z)) per IH round trip on g, by edge then
     choice, worked out once on a bare state: the inverse rejoins x and y,
-    and names its new halves u and v, as the one at x's vertex replays u.
-    x and z share a vertex with the fresh edge's u' after the move."""
+    and names orders u and v so that u is the half at x's vertex, as on g.
+    x and z share a vertex with the moved edge's u after the move."""
     out = []
     for edge in g.edges:
         for choice in ("b", "c"):
@@ -96,9 +96,9 @@ def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
 def ih_round_trips(
     g: TrivalentGraph, dec: Decoration, max_param: int
 ) -> Iterable[Decoration]:
-    """Decorations obtained by an IH move, an I-modification on the fresh
+    """Decorations obtained by an IH move, an I-modification on the moved
     edge by each amount 0, 1, -1, ..., max_param, -max_param, and the
-    inverse IH move, its new halves named as on g.  Each is one in-place
+    inverse IH move, its halves named as on g.  Each is one in-place
     edit of a working state; no graph is built."""
     return _round_trips(g, dec, max_param, _round_trip_moves(g), every=True)
 

@@ -226,6 +226,16 @@ class TestNamesKept:
         assert set(g2.half_edges()) == names and g2.edges == g.edges
         assert apply_script(g, dec, MoveScript(tuple(state.steps))) == (g2, dec2)
 
+    def test_names_only_order_the_edge(self):
+        g, dec = fig_a_decoration()
+        state = _PlanState(g, dec)
+        with pytest.raises(InvalidMove, match="do not name the halves"):
+            state.apply(IhMove(("u", "v"), "b"), ("u", "q"))
+        trace = state.apply(IhMove(("u", "v"), "b"), ("v", "u"))
+        assert (trace.u_new, trace.v_new) == ("v", "u")
+        assert state.vertex_of("v") == "A" and state.vertex_of("u") == "B"
+        assert validate_decoration(*state.freeze()) == []
+
     def test_plan_at_400_keeps_every_name(self):
         rng = random.Random(20)
         g1, g2 = tree_with_chords(rng, 400, 20), tree_with_chords(rng, 400, 20)

@@ -187,11 +187,11 @@ def serialize_decorated_graph(
     (toward the least co-half), minimal lifts.  Byte-stable under
     parse-serialize round trips.  A decoration that does not fit g raises
     DecorationError."""
+    _check_fit(g, dec)
     lines = [vertex_line(name, triple) for name, triple in g.vertices]
     lines += [edge_line(a, b) for a, b in g.edges]
     if g.boundary:
         lines.append("boundary " + " ".join(g.boundary))
-    _check_fit(g, dec)
     if dec is not None:
         lines += [alpha_line(h, a) for h, a in dec.alpha]
         beta = dec._beta

@@ -150,7 +150,6 @@ def test_oracle_stays_out_of_the_state():
     assert _names("oracle.py") & state_dicts == set()
 
 
-
 def _state_edits(tree):
     """Where ``tree`` deletes or pops a key of _vertex_of, _alpha or _beta,
     or writes to _partner in any way, directly or through a local name

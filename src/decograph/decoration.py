@@ -344,6 +344,16 @@ def cycle_b(g: TrivalentGraph, dec: Decoration, c: OrientedCycle) -> Residue:
 # -- trivial modifications ----------------------------------------------
 
 
+def _is_pair(target) -> bool:
+    """True for a tuple or list of two str names (a str is not one)."""
+    return (
+        isinstance(target, (tuple, list))
+        and len(target) == 2
+        and isinstance(target[0], str)
+        and isinstance(target[1], str)
+    )
+
+
 @dataclass(frozen=True)
 class TrivialMod:
     """V(vertex, n) | I(internal edge, m) | E(external half-edge, m)."""
@@ -355,6 +365,10 @@ class TrivialMod:
     def __post_init__(self):
         if self.kind not in ("V", "I", "E"):
             raise BadTarget(f"unknown trivial modification kind {self.kind!r}")
+        edge = self.kind == "I"
+        if not (_is_pair(self.target) if edge else isinstance(self.target, str)):
+            what = "a pair of half-edge names" if edge else "one name"
+            raise BadTarget(f"{self.kind} target must be {what}, not {self.target!r}")
 
 
 def apply_trivial_mod(

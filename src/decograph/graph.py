@@ -172,14 +172,10 @@ def build_graph(
             raise GraphError(
                 "declared boundary does not match the unpaired half-edges"
             )
-    g = TrivalentGraph(
+    return TrivalentGraph(
         vertices=vertices, edges=tuple(edges), boundary=bound,
         _vertex_of=vertex_of, _partner=partner, _triple_of=triple_of,
     )
-    v, i, e = len(g.vertices), len(g.edges), len(g.boundary)
-    if 3 * v != 2 * i + e:
-        raise InternalError(f"half-edge count {2 * i + e} != 3 * {v} vertices")
-    return g
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Optional
 
 from .decoration import (
     Decoration,
+    _check_fit,
     cycle_b,
     gcd_all,
     make_decoration,
@@ -273,6 +274,14 @@ def _tuple_class(t: LoopTuple) -> str:
     )
 
 
+def _canonical_pairs(genus: int, a_tilde: Optional[int], cls: Optional[str]):
+    """The loop pairs of the canonical apple tree, as tuple_reduce gives them."""
+    if genus < 2:
+        return ((a_tilde, 0),) * genus
+    first, rest = {"I": ((1, 0),) * 2, "IV": ((0, 0), (2, 0))}.get(cls, ((2, 0),) * 2)
+    return (first,) + (rest,) * (genus - 1)
+
+
 def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
     """Canonical representative of a LoopTuple under the proof's moves.
 
@@ -288,20 +297,14 @@ def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
         return t
     if g == 1:
         at = _a_tilde(t.boundary_alpha, *t.pairs[0])
-        return LoopTuple(((at, 0),), t.boundary_alpha)
+        return LoopTuple(_canonical_pairs(1, at, None), t.boundary_alpha)
     if cls is None:
         cls = _tuple_class(t)
     elif cls != _tuple_class(t):
         raise ReductionStuck(
             f"tuple {t.pairs} is in class {_tuple_class(t)}, not {cls}"
         )
-    if cls == "I":
-        pairs = ((1, 0),) * g
-    elif cls == "IV":
-        pairs = ((0, 0),) + ((2, 0),) * (g - 1)
-    else:
-        pairs = ((2, 0),) * g
-    out = LoopTuple(pairs, t.boundary_alpha)
+    out = LoopTuple(_canonical_pairs(g, None, cls), t.boundary_alpha)
     if _tuple_class(out) != cls:
         raise ReductionStuck("reduced tuple changed class (internal bug)")
     return out
@@ -399,20 +402,16 @@ def extract_loop_tuple(
 
 
 def normal_form(g: TrivalentGraph, dec: Decoration) -> NormalForm:
-    """Reduce to the canonical apple tree with the canonical loop tuple.
-
+    """The canonical apple tree of the class of (g, dec), which classify
+    reads (the moves keep it), and the IH script normalizing the bare graph.
     Two decorated graphs with identically-named boundaries are equivalent()
     iff their NormalForm records compare equal.
     """
-    genus = _connected_genus(g)
-    state, loops = normalize_to_apple_tree(g, dec, external_order=sorted(g.boundary))
-    script = MoveScript(tuple(state.steps))
-    # The state reads as the normalized graph and its decoration.
-    t = extract_loop_tuple(state, state, loops)
-    t_red = tuple_reduce(t)
+    _check_fit(g, dec)
+    report = classify(g, dec)
+    state, _ = normalize_to_apple_tree(g, external_order=sorted(g.boundary))
+    pairs = _canonical_pairs(report.genus, report.a_tilde, report.cls)
     boundary = [(h, dec.a(h)) for h in sorted(g.boundary)]
-    g_can, dec_can = build_canonical_apple(boundary, list(t_red.pairs))
-    report = classify(g_can, dec_can)
-    if genus >= 2 and report.cls != _tuple_class(t):
-        raise InternalError("normal form changed class (internal bug)")
-    return NormalForm(g_can, dec_can, report, script)
+    g_can, dec_can = build_canonical_apple(boundary, list(pairs))
+    script = MoveScript(tuple(state.steps))
+    return NormalForm(g_can, dec_can, classify(g_can, dec_can), script)

@@ -36,6 +36,7 @@ from .decoration import (
     TrivialMod,
     _check_fit,
     _decoration,
+    _is_pair,
     reduce_lift,
     stored_lift,
 )
@@ -88,6 +89,8 @@ class IhMove:
     pairing_choice: str
 
     def __post_init__(self):
+        if not _is_pair(self.edge):
+            raise InvalidMove(f"IH edge must be two half-edge names, not {self.edge!r}")
         object.__setattr__(self, "edge", tuple(sorted(self.edge)))
         if self.pairing_choice not in ("b", "c"):
             raise InvalidMove(f"unknown pairing choice {self.pairing_choice!r}")
@@ -504,9 +507,10 @@ def apply_script(
     script: MoveScript,
 ) -> tuple[TrivalentGraph, Optional[Decoration]]:
     """Replay a script left to right (dec must fit g), verifying hashes."""
-    _check_fit(g, dec)
     check = bool(script.hashes)
-    if check and len(script.hashes) != len(script.steps):
+    if not check:
+        _check_fit(g, dec)  # a hashed state checks it as it writes (g, dec)
+    elif len(script.hashes) != len(script.steps):
         raise ScriptError("hash count does not match step count")
     state = _PlanState(g, dec, hashed=check)
     for idx, step in enumerate(script.steps):
@@ -536,21 +540,20 @@ def with_hashes(
 
 def normalize_to_apple_tree(
     g: TrivalentGraph,
-    dec: Optional[Decoration] = None,
     external_order: Optional[Sequence[str]] = None,
 ) -> tuple[_PlanState, list[tuple[str, str, Optional[str]]]]:
-    """Normalize a connected graph to the canonical apple-tree shape.
+    """Normalize a connected bare graph to the canonical apple-tree shape.
 
     Cuts one non-tree edge per basis cycle, gathers each cut pair into a
     terminal loop vertex, then assembles a straight spine over the external
     edges (in ``external_order``, default sorted) followed by the loop
-    stems.  The decoration, if given, is transported along.  Returns the
-    final plan state and the loop records (m, o, stem half at the loop
+    stems.  A decoration follows by replaying the state's steps.  Returns
+    the final plan state and the loop records (m, o, stem half at the loop
     vertex; stem is None for the bare wheel).
     """
     if not is_connected(g):
         raise NotConnected("planner requires a connected graph")
-    state = _PlanState(g, dec)
+    state = _PlanState(g)
     _, non_tree = spanning_tree(g)
     state.cut = set(non_tree)
     order = list(external_order) if external_order is not None else sorted(g.boundary)

@@ -210,6 +210,18 @@ class TestTrivialMods:
         with pytest.raises(BadTarget):
             apply_trivial_mod(g, dec, TrivialMod("I", ("x", "z"), 1))
 
+    @pytest.mark.parametrize(
+        "kind, target",
+        [("I", "ad"), ("I", ("a",)), ("I", ("a", "d", "x")), ("I", ("a", 1)),
+         ("E", ["c"]), ("E", ("c",)), ("V", ("A",)), ("V", 1)],
+    )
+    def test_target_of_the_wrong_shape(self, kind, target):
+        # 'I' takes two str names and 'V'/'E' one: the str "ad" would
+        # otherwise unpack into the edge a~d and modify it
+        with pytest.raises(BadTarget, match="target must be") as err:
+            TrivialMod(kind, target, 1)
+        assert repr(target) in str(err.value)
+
 
 class TestTrivialModEquivalent:
     def test_genus_zero_always_equivalent(self):

@@ -4,8 +4,10 @@ import sys
 import pytest
 
 import decograph.invariants as invariants
+import decograph.moves as moves
 from decograph import (
     ConditionsFail,
+    DecorationError,
     InvariantError,
     LoopTuple,
     NotConnected,
@@ -27,7 +29,7 @@ from decograph import (
     zero_beta,
 )
 from decograph.invariants import _tuple_class, build_canonical_apple, extract_loop_tuple
-from decograph.moves import normalize_to_apple_tree
+from decograph.moves import MoveScript, apply_script, normalize_to_apple_tree
 from conftest import (
     apple2_graph,
     fig_a_graph,
@@ -189,8 +191,9 @@ class TestNormalFormAndEquivalence:
         assert checked
 
     def test_normal_form_builds_one_graph(self, monkeypatch):
-        """The loop tuple and its class are read off the working state; the
-        one graph built is the canonical apple."""
+        """The class is read off classify of the input and the planner runs
+        on the bare working state; the one graph built is the canonical
+        apple."""
         calls = {"build_graph": 0, "decoration_class": 0}
         for fn in (invariants.build_graph, invariants.decoration_class):
 
@@ -235,6 +238,58 @@ class TestNormalFormAndEquivalence:
             equivalent(g1, d1, g1, d1, {"z": "x"})
 
 
+class TestNormalFormReadsTheClass:
+    """normal_form builds the canonical apple of classify's class and
+    normalizes the bare graph; the decoration moves only in replays."""
+
+    def test_replayed_loop_tuple_reduces_to_the_normal_form(self):
+        # the transport the hot path no longer runs, checked against the
+        # invariants at the normalize benchmark's sizes
+        rng = random.Random(36)
+        seen = set()
+        for k in range(36):
+            g = tree_with_chords(rng, rng.randint(36, 44), k % 9)
+            dec = random_decoration(g, rng, 4, even=k % 3 != 0)
+            nf = normal_form(g, dec)
+            _, loops = normalize_to_apple_tree(g, sorted(g.boundary))
+            t = extract_loop_tuple(*apply_script(g, dec, nf.script), loops)
+            boundary = [(h, dec.a(h)) for h in sorted(g.boundary)]
+            apple = build_canonical_apple(boundary, list(tuple_reduce(t).pairs))
+            assert (nf.graph, nf.decoration) == apple
+            seen.add(nf.report.cls or nf.report.genus)
+        assert seen >= {0, 1, "I", "II"}
+
+    def test_decoration_of_another_graph_rejected(self):
+        # dec fits g2, not g1, though both have the same half-edges and edges
+        edges = [("a", "d"), ("b", "e")]
+        g1 = build_graph({"A": ("a", "b", "c"), "B": ("d", "e", "f")}, edges)
+        g2 = build_graph({"A": ("a", "b", "f"), "B": ("c", "d", "e")}, edges)
+        alpha = {"a": 1, "d": -1, "b": 1, "e": -1, "f": 0, "c": 4}
+        dec = zero_beta(g2, alpha)
+        with pytest.raises(DecorationError, match="does not fit the graph: vertex 'A'"):
+            normal_form(g1, dec)
+        assert normal_form(g2, dec).report.genus == 1
+
+    def test_no_transport(self, monkeypatch):
+        calls = []
+        local_B = moves._local_B_labelled
+
+        def counted(*args):
+            calls.append(args)
+            return local_B(*args)
+
+        monkeypatch.setattr(moves, "_local_B_labelled", counted)
+        rng = random.Random(5)
+        for genus in (0, 1, 3):
+            g = tree_with_chords(rng, 20, genus)
+            dec = random_decoration(g, rng)
+            nf = normal_form(g, dec)
+            assert nf.script.steps and calls == []
+            apply_script(g, dec, nf.script)  # a replay transports
+            assert calls
+            calls.clear()
+
+
 class TestClassify:
     def test_genus_stratified_fields(self):
         g, dec = wheel_decoration(3, 1)
@@ -253,8 +308,8 @@ class TestOneClassRule:
 
     @staticmethod
     def _tuple_and_graph_class(g, dec):
-        state, loops = normalize_to_apple_tree(g, dec, sorted(g.boundary))
-        g_norm, dec_norm = state.freeze()
+        state, loops = normalize_to_apple_tree(g, sorted(g.boundary))
+        g_norm, dec_norm = apply_script(g, dec, MoveScript(tuple(state.steps)))
         t = extract_loop_tuple(g_norm, dec_norm, loops)
         return _tuple_class(t), decoration_class(g_norm, dec_norm)
 

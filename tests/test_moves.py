@@ -64,6 +64,13 @@ class TestLocalB:
         with pytest.raises(InvalidMove):
             ih_apply(g, dec, IhMove(("x", "y"), "b"))
 
+    @pytest.mark.parametrize("edge", ["uv", ("u",), ("u", "v", "x"), ("u", 1), None])
+    def test_edge_of_the_wrong_shape(self, edge):
+        # the str "uv" would otherwise unpack into the edge u~v and move it
+        with pytest.raises(InvalidMove, match="two half-edge names") as err:
+            IhMove(edge, "b")
+        assert repr(edge) in str(err.value)
+
     def test_gauge_shift_stays_in_class(self):
         g, dec = fig_a_decoration()
         B1 = local_B(g, dec, ("u", "v"))

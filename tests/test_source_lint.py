@@ -5,7 +5,8 @@ The library's behaviour must not depend on ``assert`` (stripped under
 re-exports names, so its imports are not checked.  An import inside a
 function breaks an import cycle or is not there.  Every function, method
 and class the library defines is named somewhere in the repository.  The
-planner in ``moves.py`` stays free of the isomorphism search, and the orbit
+planner in ``moves.py`` stays free of the isomorphism search and of
+decorations, ``normal_form`` reads its class off ``classify``, and the orbit
 walk in ``oracle.py`` free of whole-graph rebuilds and of the working
 state's internals.  The moves in ``moves.py`` keep every half-edge and the
 pairing.
@@ -133,6 +134,41 @@ def test_planner_does_not_search():
     """ih_plan reads its bijection off the normalizations; moves.py must not
     import or call the isomorphism search."""
     assert "boundary_isomorphism" not in _names("moves.py")
+
+
+def _function(filename, name):
+    """The top-level definition of ``name`` in a library module."""
+    path = next(p for p in SOURCES if p.name == filename)
+    return next(
+        node for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_planner_takes_no_decoration():
+    """normalize_to_apple_tree is a graph algorithm: no parameter is a
+    decoration, by name or by annotation; decorations follow by replay."""
+    planner = _function("moves.py", "normalize_to_apple_tree")
+    args = planner.args
+    flagged = [
+        f"line {a.lineno}: {a.arg}"
+        for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        if a.arg.startswith("dec")
+        or (a.annotation is not None and "Decoration" in ast.unparse(a.annotation))
+    ]
+    assert flagged == [], f"normalize_to_apple_tree takes a decoration: {flagged}"
+
+
+def test_normal_form_reads_the_class_off_classify():
+    """normal_form builds the canonical apple from classify's key, so it
+    names none of the loop-tuple path; that cross-check lives in the tests."""
+    loop_tuple_path = {"extract_loop_tuple", "tuple_reduce", "_tuple_class"}
+    flagged = [
+        f"line {node.lineno}: {node.id}"
+        for node in ast.walk(_function("invariants.py", "normal_form"))
+        if isinstance(node, ast.Name) and node.id in loop_tuple_path
+    ]
+    assert flagged == [], f"normal_form names the loop-tuple path: {flagged}"
 
 
 def test_oracle_does_not_rebuild():

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+import decograph.decoration as decoration
 from decograph import (
     Decoration,
     DecorationError,
@@ -44,7 +45,7 @@ from decograph import (
 )
 from decograph.graph import cycle_basis
 from decograph.lattice import solve_lattice
-from decograph.moves import with_hashes
+from decograph.moves import snapshot_hash, with_hashes
 
 from conftest import (
     random_alpha,
@@ -407,7 +408,6 @@ def test_decoration_of_another_graph_rejected():
     readers = [
         lambda: classify(g1, dec),
         lambda: equivalent(g1, own, g1, dec, {"c": "c", "f": "f"}),
-        lambda: normal_form(g1, dec),
         lambda: a_tilde(g1, dec),
         lambda: cycle_b(g1, dec, cycle_basis(g1)[0]),
         lambda: ih_apply(g1, dec, IhMove(("a", "d"), "b")),
@@ -432,14 +432,42 @@ def test_replay_and_serializer_reject_decoration_of_another_graph():
     fit = "decoration does not fit the graph: beta of 'a' is stored toward"
     for call in (
         lambda: apply_script(g1, dec, script),
+        lambda: apply_script(g1, dec, with_hashes(g2, dec, script)),
         lambda: with_hashes(g1, dec, script),
+        lambda: snapshot_hash(g1, dec),
         lambda: serialize_decorated_graph(g1, dec),
+        lambda: normal_form(g1, dec),
     ):
         with pytest.raises(DecorationError, match=fit):
             call()
     assert apply_script(g2, dec, script)[1] != dec
     own = zero_beta(g1, alpha)
     assert validate_decoration(g1, apply_script(g1, own, script)[1]) == []
+
+
+@pytest.mark.parametrize("hashed", (False, True))
+def test_replay_checks_the_fit_once(hashed, monkeypatch):
+    # a hashed replay checks the fit as it writes the canonical lines, and
+    # an unhashed one up front; with_hashes checks it the first way
+    calls = []
+    validate = decoration.validate_decoration
+
+    def counted(g, dec):
+        calls.append(g)
+        return validate(g, dec)
+
+    monkeypatch.setattr(decoration, "validate_decoration", counted)
+    rng = random.Random(16)
+    g = tree_with_chords(rng, 16, 2)
+    dec = random_decoration(g, rng)
+    script = normal_form(g, dec).script
+    if hashed:
+        calls.clear()
+        script = with_hashes(g, dec, script)
+        assert len(calls) == 1
+    calls.clear()
+    apply_script(g, dec, script)
+    assert len(calls) == 1
 
 
 def test_lookup_of_a_missing_half_edge_rejected():

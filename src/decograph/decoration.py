@@ -84,9 +84,7 @@ class Residue:
         return Residue(self.value + other.value, self.modulus)
 
     def __sub__(self, other: "Residue") -> "Residue":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return Residue(self.value - other.value, self.modulus)
+        return self + -other
 
     def __neg__(self) -> "Residue":
         return Residue(-self.value, self.modulus)
@@ -105,12 +103,14 @@ class Decoration:
     source| (raw integer when the source alpha is 0), so equality of
     Decoration values is exactly equality of decorations.  The lift toward
     the other co-half follows from the vertex congruence (see ``b``).
+    ``_graph``, which equality ignores, is the graph it is bound to.
     """
 
     alpha: tuple[tuple[str, int], ...]
     beta: tuple[tuple[str, tuple[str, str, int]], ...]
     _alpha: dict = field(default_factory=dict, compare=False, repr=False)
     _beta: dict = field(default_factory=dict, compare=False, repr=False)
+    _graph: Optional[TrivalentGraph] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self._alpha:  # _decoration passes the lookups it sorted
@@ -241,17 +241,16 @@ def make_decoration(
         pairs = {(s, t) for _, triple in g.vertices for s in triple for t in triple}
         bad = next(key for key in beta if key not in pairs or key[0] == key[1])
         raise DecorationError(f"beta key {bad!r} is not two half-edges at a vertex")
-    return _decoration(amap, lifts)
+    return _decoration(amap, lifts, g)
 
 
-def _decoration(alpha: dict, lifts: dict) -> Decoration:
-    """The Decoration that keeps the dicts alpha and lifts (stored lifts,
-    reduced) as its lookups.  Sorting the names alone is much faster than
-    sorting the items."""
+def _decoration(alpha: dict, lifts: dict, g: TrivalentGraph) -> Decoration:
+    """The Decoration bound to g that keeps the dicts alpha and lifts (stored,
+    reduced, fitting g) as lookups; sorting the names beats sorting items."""
     return Decoration(
         alpha=tuple([(h, alpha[h]) for h in sorted(alpha)]),
         beta=tuple([(s, lifts[s]) for s in sorted(lifts)]),
-        _alpha=alpha, _beta=lifts,
+        _alpha=alpha, _beta=lifts, _graph=g,
     )
 
 
@@ -283,13 +282,15 @@ def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
     return problems
 
 
-def _check_fit(g: TrivalentGraph, *decs: Optional[Decoration]) -> None:
-    """Raise DecorationError with every problem validate_decoration finds
-    for the decorations among decs (None, a bare graph, fits any g)."""
-    problems = [p for d in decs if d is not None for p in validate_decoration(g, d)]
-    if problems:
-        msg = "decoration does not fit the graph: " + "; ".join(problems)
-        raise DecorationError(msg)
+def _check_fit(g: TrivalentGraph, dec: Optional[Decoration]) -> None:
+    """Raise DecorationError unless dec (None fits any g) fits g: at once if
+    bound to g or an equal graph, else by validate_decoration, then bound to g."""
+    if dec is not None and dec._graph is not g and dec._graph != g:
+        problems = validate_decoration(g, dec)
+        if problems:
+            msg = "decoration does not fit the graph: " + "; ".join(problems)
+            raise DecorationError(msg)
+        object.__setattr__(dec, "_graph", g)
 
 
 # -- invariants ----------------------------------------------------------
@@ -297,6 +298,7 @@ def _check_fit(g: TrivalentGraph, *decs: Optional[Decoration]) -> None:
 
 def gamma(g: TrivalentGraph, dec: Decoration, vertex: str, x: str, y: str) -> Residue:
     """gamma_{xy} = beta_{xy} - beta_{yx} mod gcd(alpha_x, alpha_y)."""
+    _check_fit(g, dec)
     triple = g.triple(vertex)
     if x not in triple or y not in triple or x == y:
         raise NotAtVertex(f"{x!r}, {y!r} are not distinct half-edges at {vertex!r}")
@@ -312,32 +314,27 @@ def delta_edge(
     runs over the other half-edges at x1's vertex and y_j over the others at
     y1's vertex; delta_{x_i y_j} = beta_{x1 x_i} - beta_{y1 y_j} mod alpha_{x1}.
     """
+    _check_fit(g, dec)
     x1, y1 = sorted(edge)
     if g.partner(x1) != y1:
         raise ExternalEdge(f"{edge!r} is not an internal edge")
     mod = abs(dec.a(x1))
-    out = {}
-    xs = [t for t in g.triple(g.vertex_of(x1)) if t != x1]
-    ys = [t for t in g.triple(g.vertex_of(y1)) if t != y1]
-    for xi in xs:
-        for yj in ys:
-            out[(xi, yj)] = Residue(dec.b(x1, xi) - dec.b(y1, yj), mod)
-    return out
+    xs, ys = g.others_at_vertex(x1), g.others_at_vertex(y1)
+    pairs = ((xi, yj) for xi in xs for yj in ys)
+    return {(xi, yj): Residue(dec.b(x1, xi) - dec.b(y1, yj), mod) for xi, yj in pairs}
 
 
 def cycle_b(g: TrivalentGraph, dec: Decoration, c: OrientedCycle) -> Residue:
     """The cycle invariant b_c modulo the ideal I_c = (alpha on the cycle),
     as the alternating beta sum along the cycle.  The gamma sum over its
     vertices and the delta sum over its edges give the same residue."""
+    _check_fit(g, dec)
     c.validate(g)
     modulus = gcd_all(dec.a(h) for h in c.half_edges())
-    k = len(c.steps)
     beta_sum = 0
-    for j in range(k):
-        _, inn = c.steps[j]
-        out_next, _ = c.steps[(j + 1) % k]
-        beta_sum += dec.b(out_next, inn)
-        beta_sum -= dec.b(inn, out_next)
+    for j, (out, _) in enumerate(c.steps):
+        inn = c.steps[j - 1][1]  # the edge before arrives at out's vertex
+        beta_sum += dec.b(out, inn) - dec.b(inn, out)
     return Residue(beta_sum, modulus)
 
 
@@ -408,7 +405,8 @@ def trivial_mod_equivalent(
     """
     from .moves import MoveScript
 
-    _check_fit(g, dec1, dec2)
+    _check_fit(g, dec1)
+    _check_fit(g, dec2)
     if dec1.alpha != dec2.alpha:
         raise AlphaMismatch("decorations have different alpha data")
     d = {s: dec2._beta[s][2] - dec1._beta[s][2] for s in g._vertex_of}
@@ -456,12 +454,11 @@ def weaken(g: TrivalentGraph, dec: Decoration) -> Decoration:
     """The weak (mod 2) data of dec: a Decoration with the same alpha and
     each stored lift taken mod 2.  Every alpha is even, so the parity of
     every lift and of its companion stays that of dec."""
+    _check_fit(g, dec)
     if any(a % 2 for _, a in dec.alpha):
         raise OddAlpha("weak decorations require all alpha even")
-    return Decoration(
-        alpha=dec.alpha,
-        beta=tuple((s, (t0, t1, v % 2)) for s, (t0, t1, v) in dec.beta),
-    )
+    lifts = {s: (t0, t1, v % 2) for s, (t0, t1, v) in dec.beta}
+    return _decoration(dict(dec._alpha), lifts, g)
 
 
 def weak_class(g: TrivalentGraph, dec: Decoration) -> tuple[int, ...]:

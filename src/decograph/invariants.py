@@ -64,18 +64,17 @@ def _a_tilde(boundary_alpha: Iterable[int], a: int, b: int) -> int:
 
 def a_tilde(g: TrivalentGraph, dec: Decoration) -> int:
     """The genus-1 invariant gcd({alpha_x - 2 : x external}, a, b)."""
-    genus = _connected_genus(g)
-    if genus != 1:
-        raise WrongGenus(f"a_tilde requires genus 1, got {genus}")
-    (cyc,) = cycle_basis(g)
-    b = cycle_b(g, dec, cyc).value
-    return _a_tilde((dec.a(h) for h in g.boundary), dec.a(cyc.steps[0][0]), b)
+    report = classify(g, dec)
+    if report.genus != 1:
+        raise WrongGenus(f"a_tilde requires genus 1, got {report.genus}")
+    return report.a_tilde
 
 
 def _check_conditions(
     g: TrivalentGraph, dec: Decoration, through: int
 ) -> list[str]:
     """Violations of conditions (1)..(through) of the Arf setup."""
+    _check_fit(g, dec)
     problems = []
     if through >= 1:
         odd = sorted(h for h, a in dec.alpha if a % 2)
@@ -178,6 +177,7 @@ def arf(g: TrivalentGraph, dec: Decoration) -> int:
 
 def decoration_class(g: TrivalentGraph, dec: Decoration) -> str:
     """The four-way partition I | II | III | IV (total on connected graphs)."""
+    _check_fit(g, dec)
     _connected_genus(g)
     return _graph_class(g, dec, (cycle_b(g, dec, c).value for c in cycle_basis(g)))
 
@@ -204,16 +204,12 @@ class InvariantReport:
             "boundary_alpha": {h: a for h, a in self.boundary_alpha},
             "cycle_b": list(self.cycle_bs),
         }
-        if self.a_tilde is not None:
-            out["a_tilde"] = self.a_tilde
-        if self.cls is not None:
-            out["class"] = self.cls
-        if self.arf is not None:
-            out["arf"] = self.arf
-        return out
+        optional = {"a_tilde": self.a_tilde, "class": self.cls, "arf": self.arf}
+        return out | {key: v for key, v in optional.items() if v is not None}
 
 
 def classify(g: TrivalentGraph, dec: Decoration) -> InvariantReport:
+    _check_fit(g, dec)
     genus = _connected_genus(g)
     boundary_alpha = tuple((h, dec.a(h)) for h in g.boundary)
     basis = cycle_basis(g)
@@ -239,6 +235,8 @@ def equivalent(
 ) -> bool:
     """The theorems' decision rule: genus, boundary alpha, and the
     genus-appropriate invariant (nothing / A~ / class)."""
+    _check_fit(g1, dec1)
+    _check_fit(g2, dec2)
     _check_boundary_map(g1, g2, boundary_map)
     genus1, genus2 = _connected_genus(g1), _connected_genus(g2)
     if genus1 != genus2:
@@ -392,6 +390,7 @@ def extract_loop_tuple(
     dec: Decoration,
     loops: list[tuple[str, str, Optional[str]]],
 ) -> LoopTuple:
+    _check_fit(g, dec)
     pairs = []
     for m, o, _ in loops:
         cyc = OrientedCycle(((m, o),))
@@ -407,11 +406,9 @@ def normal_form(g: TrivalentGraph, dec: Decoration) -> NormalForm:
     Two decorated graphs with identically-named boundaries are equivalent()
     iff their NormalForm records compare equal.
     """
-    _check_fit(g, dec)
     report = classify(g, dec)
     state, _ = normalize_to_apple_tree(g, external_order=sorted(g.boundary))
     pairs = _canonical_pairs(report.genus, report.a_tilde, report.cls)
-    boundary = [(h, dec.a(h)) for h in sorted(g.boundary)]
-    g_can, dec_can = build_canonical_apple(boundary, list(pairs))
+    g_can, dec_can = build_canonical_apple(sorted(report.boundary_alpha), list(pairs))
     script = MoveScript(tuple(state.steps))
     return NormalForm(g_can, dec_can, classify(g_can, dec_can), script)

@@ -168,6 +168,7 @@ def _local_B_labelled(dec: Decoration, u, v, x, y, z, w) -> LocalB:
 
 def local_B(g: TrivalentGraph, dec: Decoration, edge: Sequence[str]) -> LocalB:
     """B(beta) at an internal edge, labels fixed by stable sorted order."""
+    _check_fit(g, dec)
     return _local_B_labelled(dec, *_labels(g, edge))
 
 
@@ -240,17 +241,17 @@ class _PlanState:
 
     The graph is held as vertex/triple/partner lookups and, when decorated,
     the decoration as alpha and stored-lift dicts laid out as in Decoration.
-    ``freeze`` builds the immutable graph and decoration (``decoration``
-    the latter alone), and keeps them until the next move changes the
-    state.  Applied steps are recorded in ``steps``, with one trace per IH
-    move in ``traces``; the planner also keeps its frozen vertices and cut
-    edges here.  A state made with
-    ``hashed`` keeps the hash of each line of its canonical text and their
-    sum, its snapshot_hash; each edit replaces the lines it rewrites.
+    A decoration must fit its graph.  ``freeze`` builds the immutable graph
+    and the decoration bound to it, and keeps them until the next move
+    changes the state.  Applied steps are recorded in ``steps``, with one
+    trace per IH move in ``traces``; the planner also keeps its frozen
+    vertices and cut edges here.  A state made with ``hashed`` keeps the
+    hash of each line of its canonical text and their sum, its
+    snapshot_hash; each edit replaces the lines it rewrites.
     """
 
     # Read access as on TrivalentGraph and Decoration, so that _labels,
-    # choice_for, tree_path, cycle_b and _local_B_labelled accept a state.
+    # choice_for, tree_path and _local_B_labelled accept a state.
     vertex_of = TrivalentGraph.vertex_of
     triple = TrivalentGraph.triple
     partner = TrivalentGraph.partner
@@ -259,7 +260,8 @@ class _PlanState:
     b = Decoration.b
 
     def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None, hashed=False):
-        self.g, self.dec = g, dec
+        _check_fit(g, dec)
+        self.g, self.dec, self.start = g, dec, g
         self.boundary = g.boundary
         self._vertex_of = dict(g._vertex_of)
         self._triple_of = dict(g._triple_of)
@@ -302,18 +304,21 @@ class _PlanState:
         return lines
 
     def freeze(self) -> tuple[TrivalentGraph, Optional[Decoration]]:
-        """The current graph and decoration as immutable values."""
+        """The current graph and the decoration bound to it, as immutable values."""
         if self.g is None:
             edges = [(h, p) for h, p in self._partner.items() if h < p]
             self.g = build_graph(self._triple_of, edges, boundary=self.boundary)
         return self.g, self.decoration()
 
     def decoration(self) -> Optional[Decoration]:
-        """The current decoration as an immutable value, built without the
-        graph."""
+        """The current decoration, bound to the graph freeze built or else to the
+        start graph when its triples are back, as after an IH round trip."""
         if self.dec is None and self._beta is not None:
+            g, now, then = self.g, self._triple_of, self.start._triple_of
+            if g is None and (now == then or {*now.values()} == {*then.values()}):
+                g = self.start
             # Reduced already, as make_decoration would leave it.
-            self.dec = _decoration(dict(self._alpha), dict(self._beta))
+            self.dec = _decoration(dict(self._alpha), dict(self._beta), g)
         return self.dec
 
     def apply(
@@ -508,9 +513,7 @@ def apply_script(
 ) -> tuple[TrivalentGraph, Optional[Decoration]]:
     """Replay a script left to right (dec must fit g), verifying hashes."""
     check = bool(script.hashes)
-    if not check:
-        _check_fit(g, dec)  # a hashed state checks it as it writes (g, dec)
-    elif len(script.hashes) != len(script.steps):
+    if check and len(script.hashes) != len(script.steps):
         raise ScriptError("hash count does not match step count")
     state = _PlanState(g, dec, hashed=check)
     for idx, step in enumerate(script.steps):

@@ -15,7 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .decoration import Decoration, TrivialMod, apply_trivial_mod, make_decoration
+from .decoration import (Decoration, TrivialMod, _check_fit, apply_trivial_mod,
+                         make_decoration)
 from .graph import InternalError, NotConnected, TrivalentGraph, is_connected
 from .invariants import classify
 from .moves import InvalidMove, IhMove, _PlanState
@@ -146,6 +147,7 @@ def move_orbit(
     """Bounded BFS orbit of dec under trivial modifications and IH round
     trips (the graph-preserving moves).  Raises FrontierExceeded past the
     frontier cap; the exception carries the partial orbit."""
+    _check_fit(g, dec)
     seen = {dec}
     frontier = deque([(dec, 0)])
     trips = _round_trip_moves(g)

@@ -279,6 +279,7 @@ def parse_script(text: str) -> MoveScript:
 def dot_export(g: TrivalentGraph, dec: Optional[Decoration] = None) -> str:
     """Graphviz DOT rendering; alpha values label the half-edge ends.  Ids
     and labels are quoted, with backslash and double quote escaped."""
+    _check_fit(g, dec)
 
     def q(text: str) -> str:
         return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -9,7 +9,7 @@ planner in ``moves.py`` stays free of the isomorphism search and of
 decorations, ``normal_form`` reads its class off ``classify``, and the orbit
 walk in ``oracle.py`` free of whole-graph rebuilds and of the working
 state's internals.  The moves in ``moves.py`` keep every half-edge and the
-pairing.
+pairing.  Only ``_check_fit`` runs the fit rule, ``validate_decoration``.
 """
 
 import ast
@@ -128,6 +128,34 @@ def _names(filename):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def test_fit_rule_runs_only_in_check_fit():
+    """validate_decoration states the fit rule and only _check_fit runs it,
+    after its constant-time test of the graph a decoration is bound to, so
+    no entry point scans a decoration on every call.  __init__.py only
+    re-exports it."""
+    flagged = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_check_fit"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            if "validate_decoration" in names and id(node) not in inside:
+                flagged.append(f"{path.name}:{node.lineno}")
+    assert flagged == [], f"validate_decoration named outside _check_fit: {flagged}"
 
 
 def test_planner_does_not_search():

@@ -404,7 +404,8 @@ def test_decoration_of_another_graph_rejected():
     with pytest.raises(DecorationError, match="beta of 'a' is stored toward"):
         trivial_mod_equivalent(g1, own, dec)
     assert trivial_mod_equivalent(g1, own, own) == MoveScript(steps=())
-    # the readers look dec's lifts up on g1 and name the first pair it lacks
+    # the readers check the fit first and name every lift dec stores toward
+    # half-edges that are not co-halves on g1
     readers = [
         lambda: classify(g1, dec),
         lambda: equivalent(g1, own, g1, dec, {"c": "c", "f": "f"}),
@@ -415,7 +416,8 @@ def test_decoration_of_another_graph_rejected():
     ]
     for read in readers:
         with pytest.raises(
-            DecorationError, match=r"beta of '[cd]' is stored toward \('[cd]', 'f'\)"
+            DecorationError,
+            match=r"does not fit the graph: .*beta of '[cd]' is stored toward \('[cd]', 'f'\)",
         ):
             read()
 
@@ -447,8 +449,9 @@ def test_replay_and_serializer_reject_decoration_of_another_graph():
 
 @pytest.mark.parametrize("hashed", (False, True))
 def test_replay_checks_the_fit_once(hashed, monkeypatch):
-    # a hashed replay checks the fit as it writes the canonical lines, and
-    # an unhashed one up front; with_hashes checks it the first way
+    # a decoration bound to its graph is never scanned; an unbound copy is
+    # scanned once, when the working state is made, and is then bound, so
+    # neither a hashed nor an unhashed replay scans it twice
     calls = []
     validate = decoration.validate_decoration
 
@@ -463,10 +466,19 @@ def test_replay_checks_the_fit_once(hashed, monkeypatch):
     script = normal_form(g, dec).script
     if hashed:
         calls.clear()
-        script = with_hashes(g, dec, script)
+        hashed_script = with_hashes(g, dec, script)
+        assert calls == []
+        copy = Decoration(alpha=dec.alpha, beta=dec.beta)
+        assert with_hashes(g, copy, script) == hashed_script
         assert len(calls) == 1
+        script = hashed_script
     calls.clear()
     apply_script(g, dec, script)
+    assert calls == []
+    unbound = Decoration(alpha=dec.alpha, beta=dec.beta)
+    assert apply_script(g, unbound, script) == apply_script(g, dec, script)
+    assert len(calls) == 1
+    apply_script(g, unbound, script)  # bound to g by its first check
     assert len(calls) == 1
 
 
@@ -480,7 +492,10 @@ def test_lookup_of_a_missing_half_edge_rejected():
         dec.b("x", "q")
     smaller = build_graph({"W": ("x", "y", "q")}, [("x", "y")])
     assert "no beta lift from 'q' at vertex 'W'" in validate_decoration(smaller, dec)
-    with pytest.raises(DecorationError, match="no alpha on half-edge 'q'"):
+    # classify checks the fit before any lookup
+    with pytest.raises(
+        DecorationError, match=r"does not fit the graph: alpha missing for half-edges \['q'\]"
+    ):
         classify(smaller, dec)
     # a lift stored toward a half-edge without alpha, built by hand
     lone = Decoration(alpha=(("x", 3),), beta=(("x", ("y", "z", 1)),))

@@ -17,10 +17,10 @@ from decograph import (
     check_classification,
     make_decoration,
     move_orbit,
-    run_command,
     serialize_decorated_graph,
     sl2_orbit,
 )
+from decograph.cli import run_command
 
 # The genus-1 moves only preserve gcd(a, b); the window orbit confirms it.
 orbit = sl2_orbit(4, 6, bound=10)

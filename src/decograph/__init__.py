@@ -102,7 +102,7 @@ from .textio import (
     serialize_decorated_graph,
     serialize_script,
 )
-from .cli import run_command
+# Not cli: ``python -m decograph.cli`` must not find it imported already.
 
 __version__ = "0.1.0"
 

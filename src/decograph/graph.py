@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class InternalError(RuntimeError):
@@ -97,7 +96,8 @@ class TrivalentGraph:
 
     def others_at_vertex(self, h: str) -> tuple[str, ...]:
         """The other half-edges at h's vertex, in sorted order."""
-        return tuple(x for x in self._triple_of[self._vertex_of[h]] if x != h)
+        a, b, c = self._triple_of[self._vertex_of[h]]
+        return (b, c) if h == a else (a, c) if h == b else (a, b)
 
     def vertex_names(self) -> list[str]:
         return [name for name, _ in self.vertices]
@@ -208,20 +208,20 @@ def _forest(g: TrivalentGraph):
     """The one search of g's topology: from the least vertex of each
     component, in name order, it takes the least frontier vertex next.
 
-    Returns (genus per component, tree, sorted non-tree edges, up, depth).
+    Returns (genus per component, tree, sorted non-tree edges, up).
     ``tree`` maps each tree edge (sorted pair) to (parent half, child half)
-    in search order, ``up`` each non-root vertex to the oriented tree edge
-    that reached it, and ``depth`` each vertex to its distance from its
-    root.  A component's genus is i - v + 1, i half its internal half-edges.
+    in search order, and ``up`` each non-root vertex to the oriented tree
+    edge that reached it.  A component's genus is i - v + 1, i half its
+    internal half-edges.
     """
     tree: dict[tuple[str, str], tuple[str, str]] = {}
     up: dict[str, tuple[str, str]] = {}
-    depth: dict[str, int] = {}
+    seen: set[str] = set()
     genus = []
     for root, _ in g.vertices:
-        if root in depth:
+        if root in seen:
             continue
-        depth[root] = 0
+        seen.add(root)
         frontier, size, halves = [root], 0, 0
         while frontier:
             vtx = heapq.heappop(frontier)
@@ -232,13 +232,13 @@ def _forest(g: TrivalentGraph):
                     continue
                 halves += 1
                 w = g.vertex_of(p)
-                if w not in depth:
-                    depth[w] = depth[vtx] + 1
+                if w not in seen:
+                    seen.add(w)
                     up[w] = tree[(h, p) if h < p else (p, h)] = (h, p)
                     heapq.heappush(frontier, w)
         genus.append(halves // 2 - size + 1)
     non_tree = tuple(e for e in g.edges if e not in tree)
-    return tuple(genus), tree, non_tree, up, depth
+    return tuple(genus), tree, non_tree, up
 
 
 @_per_graph
@@ -308,38 +308,37 @@ def spanning_tree(
     from the root, (parent half, child half), in the order the search
     reaches them, so each comes after the edge that reaches its parent.
     """
-    _, tree, non_tree, _, _ = _forest(g)
+    _, tree, non_tree, _ = _forest(g)
     return dict(tree), list(non_tree)
 
 
 def tree_path(
     g: TrivalentGraph,
-    cut: Container[tuple[str, str]],
+    up: Mapping[str, tuple[str, str]],
     start_vertex: str,
     end_vertex: str,
 ) -> list[tuple[str, str]]:
-    """Oriented edges (out_half, in_half) from start_vertex to end_vertex
-    over the internal edges not in ``cut`` (sorted pairs).  Those must form
-    a forest, so the path is unique and the search order does not matter."""
-    prev: dict[str, Optional[tuple[str, str]]] = {start_vertex: None}
-    frontier = deque([start_vertex])
-    while frontier and end_vertex not in prev:
-        vtx = frontier.popleft()
-        for h in g.triple(vtx):
-            p = g.partner(h)
-            if p is None or ((h, p) if h < p else (p, h)) in cut:
-                continue
-            w = g.vertex_of(p)
-            if w not in prev:
-                prev[w] = (h, p)
-                frontier.append(w)
-    if end_vertex not in prev:
-        raise GraphError(f"no tree path from {start_vertex!r} to {end_vertex!r}")
-    path, cur = [], end_vertex
-    while cur != start_vertex:
-        path.append(prev[cur])
-        cur = g.vertex_of(path[-1][0])
-    return path[::-1]
+    """Oriented edges (out_half, in_half) from start_vertex to end_vertex in
+    the rooted forest ``up``, which maps each non-root vertex to its tree edge
+    (parent half, child half), as ``_forest`` records it.  Both ends climb in
+    turn until one reaches a vertex the other has passed, their lowest common
+    ancestor, so the cost follows the path's length, not the graph's size."""
+    a, b, vertex_of = start_vertex, end_vertex, g.vertex_of
+    above_a, above_b = {a: None}, {b: None}  # vertex -> tree edge climbed to it
+    while a not in above_b and b not in above_a:
+        ea, eb = up.get(a), up.get(b)
+        if ea is None and eb is None:
+            raise GraphError(f"no tree path from {start_vertex!r} to {end_vertex!r}")
+        if ea is not None:
+            a = vertex_of(ea[0])
+            above_a[a] = ea
+        if eb is not None:
+            b = vertex_of(eb[0])
+            above_b[b] = eb
+    top = a if a in above_b else b
+    rise = list(above_a.values())[1 : list(above_a).index(top) + 1]
+    fall = list(above_b.values())[1 : list(above_b).index(top) + 1]
+    return [(p, h) for h, p in rise] + fall[::-1]
 
 
 def cycle_basis(g: TrivalentGraph) -> list[OrientedCycle]:
@@ -354,22 +353,11 @@ def cycle_basis(g: TrivalentGraph) -> list[OrientedCycle]:
 
 @_per_graph
 def _cycle_basis(g: TrivalentGraph) -> tuple[OrientedCycle, ...]:
-    _, _, non_tree, up, depth = _forest(g)
-    basis = []
-    for a, b in non_tree:
-        # Climb from both ends to where they meet: up from b's vertex, then
-        # down to a's, the unique tree path between them.
-        x, y, rise, fall = g.vertex_of(b), g.vertex_of(a), [], []
-        while x != y:
-            if depth[x] >= depth[y]:
-                h, p = up[x]
-                rise.append((p, h))
-                x = g.vertex_of(h)
-            else:
-                fall.append(up[y])
-                y = g.vertex_of(up[y][0])
-        basis.append(OrientedCycle(((a, b), *rise, *reversed(fall))))
-    return tuple(basis)
+    _, _, non_tree, up = _forest(g)
+    return tuple(
+        OrientedCycle(((a, b), *tree_path(g, up, g.vertex_of(b), g.vertex_of(a))))
+        for a, b in non_tree
+    )
 
 
 def _check_boundary_map(

@@ -46,11 +46,11 @@ from .graph import (
     NotConnected,
     TrivalentGraph,
     _check_boundary_map,
+    _forest,
     _PartialMap,
     build_graph,
     graph_stats,
     is_connected,
-    spanning_tree,
     tree_path,
 )
 from .lattice import solve_lattice
@@ -108,6 +108,9 @@ class LocalB:
     def generators_common(self) -> list[tuple[int, int, int, int]]:
         a, a2 = self.alpha_u, self.alpha_uprime
         return [(1, 1, 1, 1), (0, 0, a, a), (0, a2, 0, a2)]
+
+
+_BARE_B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)  # the B of a bare move
 
 
 @dataclass(frozen=True)
@@ -244,10 +247,13 @@ class _PlanState:
     A decoration must fit its graph.  ``freeze`` builds the immutable graph
     and the decoration bound to it, and keeps them until the next move
     changes the state.  Applied steps are recorded in ``steps``, with one
-    trace per IH move in ``traces``; the planner also keeps its frozen
-    vertices and cut edges here.  A state made with ``hashed`` keeps the
-    hash of each line of its canonical text and their sum, its
-    snapshot_hash; each edit replaces the lines it rewrites.
+    trace per IH move in ``traces``.  The planner keeps its frozen vertices
+    here, and in ``up`` the tree edge (parent half, child half) of each
+    non-root vertex of the spanning tree of its non-cut edges, from
+    ``_forest``; a tree move changes at most two, any other IH move drops
+    them.  A state made with ``hashed`` keeps the hash of each line of its
+    canonical text and their sum, its snapshot_hash; each edit replaces the
+    lines it rewrites.
     """
 
     # Read access as on TrivalentGraph and Decoration, so that _labels,
@@ -271,7 +277,7 @@ class _PlanState:
         self.steps: list[Union[TrivialMod, IhMove]] = []
         self.traces: list[IhTrace] = []
         self.frozen: set[str] = set()  # vertex names
-        self.cut: set[tuple[str, str]] = set()  # sorted half pairs
+        self.up: Optional[dict[str, tuple[str, str]]] = None
         self._hashes = self._sum = None
         if hashed:
             self._hashes = {h: _line_hash(h) for h in _canonical_lines(g, dec)}
@@ -322,13 +328,17 @@ class _PlanState:
         return self.dec
 
     def apply(
-        self, step: Union[TrivialMod, IhMove], names: Optional[Sequence[str]] = None
+        self,
+        step: Union[TrivialMod, IhMove],
+        names: Optional[Sequence[str]] = None,
+        labels: Optional[tuple[str, ...]] = None,
     ) -> Optional[IhTrace]:
         """Apply one step in place; returns the trace of an IH move, which
-        keeps its edge's names: ``names`` can only order u and v by vertex."""
+        keeps its edge's names: ``names`` can only order u and v by vertex.
+        ``labels`` are the move's ``_labels``, when the caller has them."""
         trace = None
         if isinstance(step, IhMove):
-            trace = self._ih_move(step, names)
+            trace = self._ih_move(step, names, labels or _labels(self, step.edge))
             self.traces.append(trace)
         elif isinstance(step, TrivialMod):
             self._trivial_mod(step)
@@ -337,21 +347,18 @@ class _PlanState:
         self.steps.append(step)
         return trace
 
-    def _ih_move(self, move: IhMove, names: Optional[Sequence[str]]) -> IhTrace:
+    def _ih_move(self, move: IhMove, names: Optional[Sequence[str]], labels) -> IhTrace:
         """One IH move as a local edit, as described at ih_apply."""
-        u, v, x, y, z, w = _labels(self, move.edge)
+        u, v, x, y, z, w = labels
         if move.pairing_choice == "c":
             x, y = y, x
         u_new, v_new = names or (u, v)
-        if sorted((u_new, v_new)) != [u, v]:
+        if names and sorted(names) != [u, v]:
             raise InvalidMove(f"{names!r} do not name the halves of {(u, v)!r}")
         decorated = self._beta is not None
-        if decorated:
-            B = _local_B_labelled(self, u, v, x, y, z, w)
-        else:
-            B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
+        B = _local_B_labelled(self, u, v, x, y, z, w) if decorated else _BARE_B
 
-        vertex_of = self._vertex_of
+        vertex_of, up = self._vertex_of, self.up
         vu, vv = vertex_of[u], vertex_of[v]
         if self._hashes is not None:
             old = self._lines((vu, vv), (u, v))
@@ -360,6 +367,19 @@ class _PlanState:
         self._triple_of[vu] = tuple(sorted((x, z, u_new)))
         self._triple_of[vv] = tuple(sorted((y, w, v_new)))
         self.g = self.dec = None
+        if up is not None:
+            # The parent-side vertex keeps its up edge unless that edge's
+            # half moved; then the two swap roles and it hangs below by u~v.
+            top = vu if up.get(vv) == (u, v) else vv if up.get(vu) == (v, u) else None
+            if top is None:
+                self.up = None  # not a tree move
+            else:
+                held = up.get(top)
+                head = vertex_of[held[1]] if held else top
+                if held:
+                    up[head] = held
+                half = u_new if head == vu else v_new
+                up[vv if head == vu else vu] = (half, self._partner[half])
 
         if decorated:
             alpha, lifts = self._alpha, self._beta
@@ -408,16 +428,18 @@ class _PlanState:
     def meet(self, a: str, b: str) -> str:
         """IH moves until a and b share a vertex; returns the vertex name.
 
-        The non-cut edges stay a spanning tree, and each move along the tree
-        path from a to b leaves a at the start of the rest of that path, so
-        the path is found once.
+        The non-cut edges stay a spanning tree, kept in ``up``, and each
+        move along the tree path from a to b leaves a at the start of the
+        rest of that path, so the path is climbed once.
         """
         va, vb = self._vertex_of[a], self._vertex_of[b]
         if va == vb:
             return va
         if va in self.frozen or vb in self.frozen:
             raise InternalError(f"planner met at a frozen vertex {va!r}/{vb!r}")
-        path = tree_path(self, self.cut, va, vb)
+        if self.up is None:
+            raise InternalError("planner tree was dropped by a non-tree move")
+        path = tree_path(self, self.up, va, vb)
         for i, (p, q) in enumerate(path):
             cont = path[i + 1][0] if i + 1 < len(path) else b
             if p == a or self._vertex_of[q] in self.frozen:
@@ -432,7 +454,8 @@ class _PlanState:
         """The IH move on ``edge`` that puts a and b (one from each end
         vertex) on one vertex; returns the edge's two halves, the one now at
         a's vertex first."""
-        trace = self.apply(choice_for(self, edge, {a, b}))
+        labels = _labels(self, edge)
+        trace = self.apply(IhMove(labels[:2], _choice(labels, {a, b})), None, labels)
         if self._vertex_of[trace.u_new] == self._vertex_of[a]:
             return trace.u_new, trace.v_new
         return trace.v_new, trace.u_new
@@ -462,12 +485,18 @@ def choice_for(
 ) -> IhMove:
     """The IhMove on ``edge`` that puts the two half-edges in ``together``
     (one from each end vertex) onto the same new vertex."""
-    u, v, x, y, z, w = _labels(g, edge)
-    pair = frozenset(together)
-    if pair in (frozenset((x, z)), frozenset((y, w))):
-        return IhMove((u, v), "b")
-    if pair in (frozenset((y, z)), frozenset((x, w))):
-        return IhMove((u, v), "c")
+    labels = _labels(g, edge)
+    return IhMove(labels[:2], _choice(labels, together))
+
+
+def _choice(labels: tuple[str, ...], together: set[str]) -> str:
+    """The pairing choice that puts the cross pair ``together`` of the
+    outer half-edges of ``_labels`` onto one vertex."""
+    _, _, x, y, z, w = labels
+    if together in ({x, z}, {y, w}):
+        return "b"
+    if together in ({y, z}, {x, w}):
+        return "c"
     raise InvalidMove(
         f"{sorted(together)} is not a cross pair of the outer half-edges"
     )
@@ -557,8 +586,8 @@ def normalize_to_apple_tree(
     if not is_connected(g):
         raise NotConnected("planner requires a connected graph")
     state = _PlanState(g)
-    _, non_tree = spanning_tree(g)
-    state.cut = set(non_tree)
+    _, _, non_tree, up = _forest(g)
+    state.up = dict(up)
     order = list(external_order) if external_order is not None else sorted(g.boundary)
     if sorted(order) != sorted(g.boundary):
         raise BadBoundaryMap("external_order must list the boundary")

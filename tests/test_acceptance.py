@@ -33,16 +33,16 @@ from decograph import (
     parse_decorated_graph,
     reduce_lift,
     refined_epsilon,
-    run_command,
     serialize_decorated_graph,
     sl2_orbit,
     weak_class,
     zero_beta,
 )
+from decograph.cli import run_command
 from decograph.decoration import ConditionFails
 from decograph.graph import OrientedCycle
 from decograph.invariants import ConditionsFail, _check_conditions, arf, frak_C
-from decograph.moves import _labels, _local_B_labelled
+from decograph.moves import _labels, _local_B_labelled, normalize_to_apple_tree
 from conftest import (
     corpus_decorations,
     named_corpus,
@@ -499,6 +499,15 @@ def test_cycle_basis_of_many_chords():
     with budget(2):
         basis = cycle_basis(g)
     assert len(basis) == 1500
+
+
+def test_planner_at_v4000():
+    # Each IH step of the planner costs the same at any size: its tree path
+    # is climbed along parent pointers kept through the moves.
+    g = tree_with_chords(random.Random(11), 4000, 80)
+    with budget(3.5):
+        state, loops = normalize_to_apple_tree(g)
+    assert len(loops) == 80 and len(state.steps) == 99623
 
 
 def bubble_chain(n):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from decograph import parse_decorated_graph, run_command, serialize_decorated_graph
+from decograph import parse_decorated_graph, serialize_decorated_graph
+from decograph.cli import run_command
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -258,14 +259,27 @@ class TestByteStability:
             assert serialize_decorated_graph(g2, dec2) == text
 
 
-def test_python_dash_m_runs_the_cli(files):
-    """``python -m decograph`` runs the command line, with nothing on stderr."""
+def _python_dash_m(module, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "decograph", "validate", files["wheel46"]],
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli(files):
+    """``python -m decograph`` runs the command line, with nothing on stderr."""
+    proc = _python_dash_m("decograph", "validate", files["wheel46"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("ok: decorated graph")
+
+
+def test_python_dash_m_cli_runs_without_warning(files):
+    """``python -m decograph.cli`` too: the package does not import cli, so
+    runpy prints no RuntimeWarning about finding it in sys.modules."""
+    proc = _python_dash_m("decograph.cli", "validate", files["wheel46"])
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("ok: decorated graph")

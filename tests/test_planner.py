@@ -1,20 +1,25 @@
-"""The planner's read-off bijection, and the propagating isomorphism search.
+"""The planner's read-off bijection, its maintained tree, and the
+propagating isomorphism search.
 
 ih_plan normalizes both graphs to the apple tree and reads the bijection
 psi between the two normal forms off their alignment.  Before, it searched
 for psi with boundary_isomorphism; that planner is kept here as the oracle.
-boundary_isomorphism now propagates forced assignments; the plain
-backtracking it replaced is kept here as its oracle.
+The planner keeps the parent pointers of its spanning tree through its IH
+moves and climbs them for each path; the breadth-first search it replaced
+is kept here as the oracle.  boundary_isomorphism now propagates forced
+assignments; the plain backtracking it replaced is kept here as its oracle.
 """
 
 import itertools
 import random
 import time
+from collections import deque
 
 import pytest
 
 from decograph import (
     BadBoundaryMap,
+    IhMove,
     InternalError,
     MoveScript,
     apply_script,
@@ -24,6 +29,8 @@ from decograph import (
     ih_plan,
     is_connected,
 )
+from decograph import moves
+from decograph.graph import GraphError, _forest, spanning_tree
 from decograph.moves import (
     _PlanState,
     _read_off_psi,
@@ -112,6 +119,30 @@ def backtracking_isomorphism(g1, g2, boundary_map):
         return False
 
     return dict(hmap) if extend(0) else None
+
+
+def bfs_tree_path(g, cut, start_vertex, end_vertex):
+    """graph.tree_path as it was: a breadth-first search from start_vertex
+    over the internal edges not in ``cut`` (sorted pairs)."""
+    prev = {start_vertex: None}
+    frontier = deque([start_vertex])
+    while frontier and end_vertex not in prev:
+        vtx = frontier.popleft()
+        for h in g.triple(vtx):
+            p = g.partner(h)
+            if p is None or tuple(sorted((h, p))) in cut:
+                continue
+            w = g.vertex_of(p)
+            if w not in prev:
+                prev[w] = (h, p)
+                frontier.append(w)
+    if end_vertex not in prev:
+        raise GraphError(f"no tree path from {start_vertex!r} to {end_vertex!r}")
+    path, cur = [], end_vertex
+    while cur != start_vertex:
+        path.append(prev[cur])
+        cur = g.vertex_of(path[-1][0])
+    return path[::-1]
 
 
 def _normalizations(g1, g2, bmap):
@@ -337,3 +368,147 @@ class TestReadOffCheck:
         state = _PlanState(wheel_graph())
         with pytest.raises(InternalError, match="planner bug"):
             _read_off_psi(state, state, {"x": "z", "z": "x", "y": "y"}, [], [])
+
+
+# -- the maintained tree ---------------------------------------------------
+
+
+def check_tree(state, cut, vertices=None):
+    """state.up is a rooted spanning tree of the non-cut edges: each entry
+    is a non-cut internal edge, parent half first, with its child half at
+    its vertex, every non-cut edge is one, and every vertex climbs to the
+    one root.  With ``vertices``, the two vertices of a move, only their
+    entries are checked, and that one hangs below the other."""
+    up = state.up
+    for c in up if vertices is None else [c for c in vertices if c in up]:
+        h, p = up[c]
+        assert state.partner(h) == p and state.vertex_of(p) == c
+        assert tuple(sorted((h, p))) not in cut
+    if vertices is not None:
+        parents = [state.vertex_of(up[c][0]) for c in vertices if c in up]
+        assert sum(p in vertices for p in parents) == 1
+        return
+    tree = {tuple(sorted(e)) for e in up.values()}
+    internal = {tuple(sorted(e)) for e in state._partner.items()}
+    assert tree == internal - cut and len(tree) == len(up)
+    (root,) = set(state._triple_of) - set(up)
+    reached = {root}
+    for c in up:
+        climb = []
+        while c not in reached:
+            assert len(climb) <= len(up), "parent pointers form a cycle"
+            climb.append(c)
+            c = state.vertex_of(up[c][0])
+        reached.update(climb)
+
+
+class _Touched(dict):
+    """A copy of the pointers that records the vertices a climb reads."""
+
+    def __init__(self, up):
+        super().__init__(up)
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+
+def cut_of(state):
+    """The planner's cut edges: the non-tree edges of its start graph."""
+    return set(spanning_tree(state.start)[1])
+
+
+class Watch:
+    """Wraps the planner's IH move and tree_path: checks the pointers after
+    every tree move (in full every ``full_every`` moves, else at the move's
+    two vertices) and, on every meet, the climb against bfs_tree_path and
+    the vertices it touches against 2 * len(path) + 2."""
+
+    def __init__(self, monkeypatch, full_every=1):
+        self.full_every = full_every
+        self.moves = self.paths = 0
+        cuts = {}  # id(state) -> (state, its cut edges); the state keeps its id
+
+        def cut(state):
+            if id(state) not in cuts:
+                cuts[id(state)] = state, cut_of(state)
+            return cuts[id(state)][1]
+
+        ih_move, climb = _PlanState._ih_move, moves.tree_path
+
+        def checked_move(state, move, names, labels):
+            ends = (state.vertex_of(labels[0]), state.vertex_of(labels[1]))
+            trace = ih_move(state, move, names, labels)
+            if state.up is not None:
+                self.moves += 1
+                full = self.moves % self.full_every == 0
+                check_tree(state, cut(state), None if full else ends)
+            return trace
+
+        def checked_path(state, up, start, end):
+            touched = _Touched(up)
+            path = climb(state, touched, start, end)
+            assert path == bfs_tree_path(state, cut(state), start, end)
+            seen = {start, end, *touched.read}
+            seen.update(state.vertex_of(up[c][0]) for c in touched.read if c in up)
+            assert len(seen) <= 2 * len(path) + 2
+            self.paths += 1
+            return path
+
+        monkeypatch.setattr(_PlanState, "_ih_move", checked_move)
+        monkeypatch.setattr(moves, "tree_path", checked_path)
+
+
+class TestMaintainedTree:
+    def test_at_normalize_benchmark_sizes(self, monkeypatch):
+        rng = random.Random(17)
+        watch = Watch(monkeypatch)
+        steps = 0
+        for k in range(18):
+            g = tree_with_chords(rng, rng.randint(36, 44), k % 9)
+            state, _ = normalize_to_apple_tree(g)
+            check_tree(state, cut_of(state))
+            steps += len(state.steps)
+        assert watch.moves == steps and watch.paths > 18
+
+    @pytest.mark.parametrize("v, genus, full_every", [(200, 10, 1), (2000, 40, 500)])
+    def test_at_scale(self, monkeypatch, v, genus, full_every):
+        g = tree_with_chords(random.Random(11), v, genus)
+        watch = Watch(monkeypatch, full_every)
+        state, _ = normalize_to_apple_tree(g)
+        check_tree(state, cut_of(state))
+        assert watch.moves == len(state.steps) and watch.paths > 0
+
+    def test_plan_replay_moves_drop_the_tree(self, monkeypatch):
+        # ih_plan's replay of g2's inverse moves on state1 after its own
+        # normalization; the watch checks the tree while it is kept.
+        rng = random.Random(23)
+        g1, g2 = tree_with_chords(rng, 40, 4), tree_with_chords(rng, 40, 4)
+        Watch(monkeypatch)
+        bmap = dict(zip(sorted(g1.boundary), sorted(g2.boundary)))
+        script = ih_plan(g1, g2, bmap)
+        gN, _ = apply_script(g1, None, script)
+        assert boundary_isomorphism(gN, g2, bmap) is not None
+
+    def test_non_tree_move_drops_the_pointers(self):
+        g = tree_with_chords(random.Random(5), 12, 3)
+        state = _PlanState(g)
+        state.up = dict(_forest(g)[3])
+        (m, o), *_ = [e for e in spanning_tree(g)[1]
+                      if g.vertex_of(e[0]) != g.vertex_of(e[1])]
+        state.apply(IhMove((m, o), "b"))
+        assert state.up is None
+        a = next(h for h in g.half_edges() if state.vertex_of(h) != state.vertex_of(m))
+        with pytest.raises(InternalError, match="dropped"):
+            state.meet(m, a)
+
+    def test_climb_between_components_raises(self):
+        g = tree_with_chords(random.Random(3), 6, 1)
+        state = _PlanState(g)
+        up = dict(_forest(g)[3])
+        (root,) = set(state._triple_of) - set(up)
+        child = next(c for c in up if state.vertex_of(up[c][0]) == root)
+        del up[child]  # child now roots a second component
+        with pytest.raises(GraphError, match="no tree path"):
+            moves.tree_path(state, up, root, child)

@@ -24,11 +24,11 @@ from decograph import (
     build_graph,
     ih_plan,
     parse_script,
-    run_command,
     serialize_decorated_graph,
     serialize_script,
 )
 from decograph import moves, textio
+from decograph.cli import run_command
 from decograph.moves import HASH_TAG, ScriptError, _PlanState, snapshot_hash, with_hashes
 from conftest import random_decoration, tree_with_chords
 

@@ -233,21 +233,18 @@ def equivalent(
     dec2: Decoration,
     boundary_map: dict[str, str],
 ) -> bool:
-    """The theorems' decision rule: genus, boundary alpha, and the
-    genus-appropriate invariant (nothing / A~ / class)."""
+    """The theorems' decision rule: genus, boundary alpha under the map,
+    then the genus-appropriate invariant of the two classify reports
+    (nothing / A~ / class)."""
     _check_fit(g1, dec1)
     _check_fit(g2, dec2)
     _check_boundary_map(g1, g2, boundary_map)
-    genus1, genus2 = _connected_genus(g1), _connected_genus(g2)
-    if genus1 != genus2:
+    if _connected_genus(g1) != _connected_genus(g2):
         return False
     if any(dec1.a(h) != dec2.a(boundary_map[h]) for h in g1.boundary):
         return False
-    if genus1 == 0:
-        return True
-    if genus1 == 1:
-        return a_tilde(g1, dec1) == a_tilde(g2, dec2)
-    return decoration_class(g1, dec1) == decoration_class(g2, dec2)
+    r1, r2 = classify(g1, dec1), classify(g2, dec2)
+    return (r1.a_tilde, r1.cls) == (r2.a_tilde, r2.cls)
 
 
 # -- loop tuples and the normal form -------------------------------------
@@ -348,9 +345,7 @@ def build_canonical_apple(
             new_vertex((sb, la, lb))
             edges.append((sa, sb))
             leaves.append(sa)
-        m = len(leaves)
-        if m < 3:
-            raise InternalError(f"apple tree spine over {m} leaves")
+        m = len(leaves)  # n + g >= 3 by the check above
         # The spine: vertex k holds (cur, leaves[k + 1], next), where cur
         # is leaves[0] or the edge from vertex k - 1, and next the edge
         # s{k}a~s{k}b to vertex k + 1 or, at the last vertex, the last leaf.

@@ -110,13 +110,10 @@ class LocalB:
         return [(1, 1, 1, 1), (0, 0, a, a), (0, a2, 0, a2)]
 
 
-_BARE_B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)  # the B of a bare move
-
-
 @dataclass(frozen=True)
 class IhTrace:
-    """One applied IH move: labels (x, y swapped for 'c'), the halves at u's
-    and v's vertex after it (u, v unless apply's ``names`` swapped them), B."""
+    """One applied IH move, in its labels: the edge u~v keeps its names, x and
+    z share u's vertex after it, y and w share v's (x, y swapped for 'c')."""
 
     u: str
     v: str
@@ -124,9 +121,6 @@ class IhTrace:
     y: str
     z: str
     w: str
-    u_new: str
-    v_new: str
-    B: LocalB
 
 
 @dataclass(frozen=True)
@@ -182,8 +176,7 @@ def local_B_prime(dec: Decoration, trace: IhTrace) -> LocalB:
     beta'_{wv'}+delta') with delta' = beta'_{u'x} - beta'_{v'w}.  Under the
     canonical transport gauge this equals B(beta) on the nose.
     """
-    x, y, z, w = trace.x, trace.y, trace.z, trace.w
-    un, vn = trace.u_new, trace.v_new
+    un, vn, x, y, z, w = trace.u, trace.v, trace.x, trace.y, trace.z, trace.w
     delta = dec.b(un, x) - dec.b(vn, w)
     ax, ay, az, aw = dec.a(x), dec.a(y), dec.a(z), dec.a(w)
     lifts = (
@@ -328,35 +321,26 @@ class _PlanState:
         return self.dec
 
     def apply(
-        self,
-        step: Union[TrivialMod, IhMove],
-        names: Optional[Sequence[str]] = None,
-        labels: Optional[tuple[str, ...]] = None,
+        self, step: Union[TrivialMod, IhMove], names: Optional[Sequence[str]] = None
     ) -> Optional[IhTrace]:
         """Apply one step in place; returns the trace of an IH move, which
-        keeps its edge's names: ``names`` can only order u and v by vertex.
-        ``labels`` are the move's ``_labels``, when the caller has them."""
-        trace = None
+        keeps its edge's names: ``names`` can only order u and v by vertex."""
         if isinstance(step, IhMove):
-            trace = self._ih_move(step, names, labels or _labels(self, step.edge))
-            self.traces.append(trace)
-        elif isinstance(step, TrivialMod):
-            self._trivial_mod(step)
-        else:
+            return self._ih_move(step, names, _labels(self, step.edge))
+        if not isinstance(step, TrivialMod):
             raise ScriptError(f"unknown step type {type(step).__name__}")
-        self.steps.append(step)
-        return trace
+        self._trivial_mod(step)
+        return None
 
     def _ih_move(self, move: IhMove, names: Optional[Sequence[str]], labels) -> IhTrace:
-        """One IH move as a local edit, as described at ih_apply."""
+        """One IH move as a local edit, as described at ih_apply, given its
+        ``_labels``; records the move and its trace."""
         u, v, x, y, z, w = labels
         if move.pairing_choice == "c":
             x, y = y, x
         u_new, v_new = names or (u, v)
         if names and sorted(names) != [u, v]:
             raise InvalidMove(f"{names!r} do not name the halves of {(u, v)!r}")
-        decorated = self._beta is not None
-        B = _local_B_labelled(self, u, v, x, y, z, w) if decorated else _BARE_B
 
         vertex_of, up = self._vertex_of, self.up
         vu, vv = vertex_of[u], vertex_of[v]
@@ -381,7 +365,9 @@ class _PlanState:
                 half = u_new if head == vu else v_new
                 up[vv if head == vu else vu] = (half, self._partner[half])
 
-        if decorated:
+        if self._beta is not None:
+            # B reads only alpha and beta, which the edit above leaves.
+            B = _local_B_labelled(self, u, v, x, y, z, w)
             alpha, lifts = self._alpha, self._beta
             alpha[u_new], alpha[v_new] = B.alpha_uprime, -B.alpha_uprime
             # Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four
@@ -394,7 +380,10 @@ class _PlanState:
                 lifts[s] = stored_lift(alpha, s, t, other, lift)
         if self._hashes is not None:
             self._swap_lines(old, self._lines((vu, vv), (u, v)))
-        return IhTrace(u, v, x, y, z, w, u_new, v_new, B)
+        trace = IhTrace(u, v, x, y, z, w)
+        self.steps.append(move)
+        self.traces.append(trace)
+        return trace
 
     def _trivial_mod(self, mod: TrivialMod) -> None:
         if self._beta is None:
@@ -424,6 +413,7 @@ class _PlanState:
         if self._hashes is not None:
             self._swap_lines(old, self._lines(sources=sources))
         self.dec = None
+        self.steps.append(mod)
 
     def meet(self, a: str, b: str) -> str:
         """IH moves until a and b share a vertex; returns the vertex name.
@@ -455,10 +445,10 @@ class _PlanState:
         vertex) on one vertex; returns the edge's two halves, the one now at
         a's vertex first."""
         labels = _labels(self, edge)
-        trace = self.apply(IhMove(labels[:2], _choice(labels, {a, b})), None, labels)
-        if self._vertex_of[trace.u_new] == self._vertex_of[a]:
-            return trace.u_new, trace.v_new
-        return trace.v_new, trace.u_new
+        trace = self._ih_move(IhMove(labels[:2], _choice(labels, {a, b})), None, labels)
+        if self._vertex_of[trace.u] == self._vertex_of[a]:
+            return trace.u, trace.v
+        return trace.v, trace.u
 
 
 def ih_apply(
@@ -504,7 +494,7 @@ def _choice(labels: tuple[str, ...], together: set[str]) -> str:
 
 def invert_move(g_after: TrivalentGraph, trace: IhTrace) -> IhMove:
     """The IH move on the moved edge that undoes the recorded move."""
-    return choice_for(g_after, (trace.u_new, trace.v_new), {trace.x, trace.y})
+    return choice_for(g_after, (trace.u, trace.v), {trace.x, trace.y})
 
 
 HASH_TAG = "m1:"
@@ -681,7 +671,7 @@ def ih_plan(
     psi = _read_off_psi(state2, state1, inv_map, loops2, loops1)
 
     for trace in reversed(state2.traces):
-        edge = (psi.pop(trace.u_new), psi.pop(trace.v_new))
+        edge = (psi[trace.u], psi[trace.v])
         # The half at the vertex of psi(x), psi(y) replays trace.u.
         psi[trace.u], psi[trace.v] = state1.rejoin(edge, psi[trace.x], psi[trace.y])
     return MoveScript(steps=tuple(state1.steps))

@@ -78,7 +78,7 @@ def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
                 tr1 = state.apply(IhMove(edge, choice))
             except InvalidMove:
                 break  # loop edge: no IH move either way
-            at_x, at_y = state.rejoin((tr1.u_new, tr1.v_new), tr1.x, tr1.y)
+            at_x, at_y = state.rejoin((tr1.u, tr1.v), tr1.x, tr1.y)
             ren = {at_x: tr1.u, at_y: tr1.v}
             restored = {
                 frozenset(ren.get(h, h) for h in state.triple(n))
@@ -88,8 +88,7 @@ def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
                 raise InternalError(
                     "IH round trip did not restore the graph (internal bug)"
                 )
-            tr2 = state.traces[-1]
-            names = (ren[tr2.u_new], ren[tr2.v_new])
+            names = (ren[tr1.u], ren[tr1.v])
             out.append((IhMove(edge, choice), state.steps[-1], names, (tr1.x, tr1.z)))
     return out
 
@@ -113,7 +112,7 @@ def _round_trips(g, dec, max_param, trips, every=False) -> Iterable[Decoration]:
             state = _PlanState(g, dec)
             tr1 = state.apply(move)
             if m:
-                state.apply(TrivialMod("I", (tr1.u_new, tr1.v_new), m))
+                state.apply(TrivialMod("I", (tr1.u, tr1.v), m))
             state.apply(inverse, names)
             yield state.decoration()
 
@@ -257,6 +256,8 @@ def check_classification(
     # Bounded BFS orbits are not transitively closed, so orbits seeded at
     # different decorations may partially overlap; overlapping orbits are
     # merged (union-find) since overlap proves they lie in one true orbit.
+    # An orbit with one key shares it with every orbit it overlaps, so each
+    # orbit's keys are checked on their own.
     parent = list(range(len(decs)))
 
     def find(i: int) -> int:
@@ -265,13 +266,8 @@ def check_classification(
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    records: dict[int, set] = {}
     keys: dict[Decoration, tuple] = {}  # classify(g, d).key(), once per d
+    violations: list[str] = []
     for i, d in enumerate(decs):
         if d in keys:  # already in an orbit
             continue
@@ -279,23 +275,17 @@ def check_classification(
             orbit = move_orbit(g, d, bounds)
         except FrontierExceeded as exc:
             orbit = exc.partial
-        recs = records.setdefault(i, set())
+        recs = set()
         for member in orbit:
             j = index.get(member)
             if j is not None:
-                union(i, j)
+                parent[find(j)] = find(i)
             if member not in keys:
                 keys[member] = classify(g, member).key()
             recs.add(keys[member])
-    # merge record sets along the union-find classes
-    merged: dict[int, set] = {}
-    for i, recs in records.items():
-        merged.setdefault(find(i), set()).update(recs)
-    violations: list[str] = []
-    for root, recs in sorted(merged.items()):
         if len(recs) > 1:
             violations.append(
-                f"orbit of decoration {root} carries {len(recs)} distinct "
+                f"orbit of decoration {i} carries {len(recs)} distinct "
                 f"classification records"
             )
     by_class: dict = {}
@@ -307,7 +297,7 @@ def check_classification(
     }
     return ClassificationReport(
         n_decorations=len(decs),
-        n_orbits=len(merged),
+        n_orbits=len({find(i) for i in range(len(decs))}),
         n_classes=len(by_class),
         violations=violations,
         orbits_per_class=orbits_per_class,

@@ -339,14 +339,14 @@ def reference_ih_round_trips(g, dec, max_param):
                 d1 = dec1
                 if m:
                     d1 = apply_trivial_mod(
-                        g1, d1, TrivialMod("I", (tr1.u_new, tr1.v_new), m)
+                        g1, d1, TrivialMod("I", (tr1.u, tr1.v), m)
                     )
                 g2, dec2, tr2 = ih_apply(g1, d1, invert_move(g1, tr1))
                 vx = g2.vertex_of(tr1.x)
-                if tr2.u_new in g2.triple(vx):
-                    ren = {tr2.u_new: tr1.u, tr2.v_new: tr1.v}
+                if tr2.u in g2.triple(vx):
+                    ren = {tr2.u: tr1.u, tr2.v: tr1.v}
                 else:
-                    ren = {tr2.v_new: tr1.u, tr2.u_new: tr1.v}
+                    ren = {tr2.v: tr1.u, tr2.u: tr1.v}
                 restored = {
                     frozenset(ren.get(h, h) for h in triple)
                     for _, triple in g2.vertices

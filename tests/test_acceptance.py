@@ -90,8 +90,8 @@ def transport_cycle(tr, c):
         p_left, q_left = prev_in in left, next_out in left
         if p_left == q_left:
             return "short", OrientedCycle(c.steps[:j] + c.steps[j + 1:])
-        out_half = tr.u_new if p_left else tr.v_new
-        in_half = tr.v_new if p_left else tr.u_new
+        out_half = tr.u if p_left else tr.v
+        in_half = tr.v if p_left else tr.u
         return "same", OrientedCycle(
             c.steps[:j] + ((out_half, in_half),) + c.steps[j + 1:]
         )

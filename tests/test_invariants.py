@@ -382,3 +382,15 @@ class TestRareShapes:
         # no closed graph is decorated
         with pytest.raises(InvariantError, match="no decorated graph"):
             build_canonical_apple([], [(2, 0)] * genus)
+
+    @pytest.mark.parametrize("n, genus", [(3, 0), (2, 1), (1, 2)])
+    def test_smallest_spines(self, n, genus):
+        # past the one-vertex wheel (n, genus) = (1, 1), the input check
+        # leaves n + genus >= 3 leaves, so the smallest spine is one vertex
+        boundary = [("e0", 4 * genus - 2)] + [(f"e{i}", 2) for i in range(1, n)]
+        g, dec = build_canonical_apple(boundary, [(2, 0)] * genus)
+        assert validate_decoration(g, dec) == []
+        assert len(g.vertex_names()) == 2 * genus - 2 + n
+        leaves = [h for h, _ in boundary] + [f"_t{i}a" for i in range(genus)]
+        assert set(g.triple(g.vertex_of("e0"))) == set(leaves)
+        assert classify(g, dec).genus == genus

@@ -31,7 +31,6 @@ from decograph import (
 from decograph.decoration import BadTarget
 from decograph.moves import (
     IhTrace,
-    LocalB,
     _labels,
     _local_B_labelled,
     normalize_to_apple_tree,
@@ -62,8 +61,7 @@ def reference_ih_apply(g, dec, move):
     g2 = build_graph(new_vertices, new_edges, boundary=g.boundary)
 
     if dec is None:
-        B = LocalB((0, 0, 0, 0), (0, 0, 0, 0), 0, 0)
-        return g2, None, IhTrace(u, v, x, y, z, w, u_new, v_new, B)
+        return g2, None, IhTrace(u, v, x, y, z, w)
 
     B = _local_B_labelled(dec, u, v, x, y, z, w)
     a_unew = B.alpha_uprime
@@ -86,7 +84,7 @@ def reference_ih_apply(g, dec, move):
     beta[(z, u_new)] = bz
     beta[(w, v_new)] = bw
     dec2 = make_decoration(g2, alpha, beta)
-    return g2, dec2, IhTrace(u, v, x, y, z, w, u_new, v_new, B)
+    return g2, dec2, IhTrace(u, v, x, y, z, w)
 
 
 def reference_apply_trivial_mod(g, dec, mod):

@@ -127,9 +127,9 @@ class TestIhApply:
         g, dec = fig_a_decoration()
         g2, dec2, tr = ih_apply(g, dec, IhMove(("u", "v"), "b"))
         assert validate_decoration(g2, dec2) == []
-        assert dec2.a(tr.u_new) == 2 - dec.a(tr.x) - dec.a(tr.z)
+        assert dec2.a(tr.u) == 2 - dec.a(tr.x) - dec.a(tr.z)
         # left vertex groups the trace's {x, z}
-        assert set(g2.triple(g2.vertex_of(tr.x))) == {tr.x, tr.z, tr.u_new}
+        assert set(g2.triple(g2.vertex_of(tr.x))) == {tr.x, tr.z, tr.u}
 
     def test_transport_exactness_and_epsilon(self):
         rng = random.Random(4)
@@ -238,8 +238,7 @@ class TestNamesKept:
         state = _PlanState(g, dec)
         with pytest.raises(InvalidMove, match="do not name the halves"):
             state.apply(IhMove(("u", "v"), "b"), ("u", "q"))
-        trace = state.apply(IhMove(("u", "v"), "b"), ("v", "u"))
-        assert (trace.u_new, trace.v_new) == ("v", "u")
+        state.apply(IhMove(("u", "v"), "b"), ("v", "u"))
         assert state.vertex_of("v") == "A" and state.vertex_of("u") == "B"
         assert validate_decoration(*state.freeze()) == []
 

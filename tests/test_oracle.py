@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -136,6 +137,30 @@ class TestCheckClassification:
         )
         assert report.ok
         assert len(classified) == len(set(classified)) >= report.n_decorations
+
+    def test_reports_a_key_that_splits_an_orbit(self, monkeypatch):
+        import decograph.oracle as oracle
+
+        bounds = OrbitBounds(max_param=2, max_depth=4)
+        report = check_classification(wheel_graph(), bounds, window=2)
+        assert report.ok
+        assert (report.n_decorations, report.n_orbits, report.n_classes) == (70, 15, 5)
+        assert report.orbits_per_class == {
+            f"(1, (('z', 2),), {a}, None, None)": n
+            for a, n in ((0, 1), (1, 6), (2, 4), (3, 2), (4, 2))
+        }
+        classify = oracle.classify
+
+        def split(g, dec):
+            # The loop's lift moves by the I modification on x~y, so its
+            # parity is no invariant of the moves.
+            key = (classify(g, dec).key(), dec.b("x", "y") % 2)
+            return SimpleNamespace(key=lambda: key)
+
+        monkeypatch.setattr(oracle, "classify", split)
+        report = check_classification(wheel_graph(), bounds, window=2)
+        assert not report.ok and len(report.violations) == 13
+        assert all("distinct classification records" in v for v in report.violations)
 
     @pytest.mark.parametrize("field", ["max_param", "max_depth", "max_frontier"])
     def test_negative_bounds_are_rejected(self, field):

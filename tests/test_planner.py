@@ -163,14 +163,14 @@ def search_plan(g1, g2, bmap):
     psi = boundary_isomorphism(state2.freeze()[0], state1.freeze()[0], inv_map)
     found = dict(psi)
     for trace in reversed(state2.traces):
-        edge = (psi[trace.u_new], psi[trace.v_new])
+        edge = (psi[trace.u], psi[trace.v])
         tr2 = state1.apply(choice_for(state1, edge, {psi[trace.x], psi[trace.y]}))
-        del psi[trace.u_new], psi[trace.v_new]
+        del psi[trace.u], psi[trace.v]
         vx = state1.vertex_of(psi[trace.x])
-        if tr2.u_new in state1.triple(vx):
-            psi[trace.u], psi[trace.v] = tr2.u_new, tr2.v_new
+        if tr2.u in state1.triple(vx):
+            psi[trace.u], psi[trace.v] = tr2.u, tr2.v
         else:
-            psi[trace.u], psi[trace.v] = tr2.v_new, tr2.u_new
+            psi[trace.u], psi[trace.v] = tr2.v, tr2.u
     return MoveScript(steps=tuple(state1.steps)), found, read
 
 
@@ -299,7 +299,7 @@ class TestRejoin:
                         at_a, at_b = state.rejoin((u, v), a, b)
                         trace = state.traces[-1]
                         assert state.steps == [choice_for(g, (u, v), {a, b})]
-                        assert {at_a, at_b} == {trace.u_new, trace.v_new}
+                        assert {at_a, at_b} == {trace.u, trace.v}
                         assert state.partner(at_a) == at_b
                         assert state.vertex_of(at_a) == state.vertex_of(a)
                         assert state.vertex_of(b) == state.vertex_of(a)

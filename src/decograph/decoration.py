@@ -284,8 +284,8 @@ def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
 
 def _check_fit(g: TrivalentGraph, dec: Optional[Decoration]) -> None:
     """Raise DecorationError unless dec (None fits any g) fits g: at once if
-    bound to g or an equal graph, else by validate_decoration, then bound to g."""
-    if dec is not None and dec._graph is not g and dec._graph != g:
+    bound to g itself, else by validate_decoration, then bound to g."""
+    if dec is not None and dec._graph is not g:
         problems = validate_decoration(g, dec)
         if problems:
             msg = "decoration does not fit the graph: " + "; ".join(problems)

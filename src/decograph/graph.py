@@ -254,7 +254,15 @@ def graph_stats(g: TrivalentGraph) -> GraphStats:
 
 
 def is_connected(g: TrivalentGraph) -> bool:
-    return len(_forest(g)[0]) <= 1
+    return len(_forest(g)[0]) == 1
+
+
+def _connected_genus(g: TrivalentGraph) -> int:
+    """The genus of g, which must be one component."""
+    genus = _forest(g)[0]
+    if len(genus) != 1:
+        raise NotConnected(f"graph has {len(genus)} components")
+    return genus[0]
 
 
 @dataclass(frozen=True)

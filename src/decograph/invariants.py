@@ -22,13 +22,12 @@ from .decoration import (
 )
 from .graph import (
     InternalError,
-    NotConnected,
     OrientedCycle,
     TrivalentGraph,
     _check_boundary_map,
+    _connected_genus,
     build_graph,
     cycle_basis,
-    graph_stats,
 )
 from .moves import MoveScript, normalize_to_apple_tree
 
@@ -49,13 +48,6 @@ class ReductionStuck(InvariantError):
     pass
 
 
-def _connected_genus(g: TrivalentGraph) -> int:
-    stats = graph_stats(g)
-    if stats.components != 1:
-        raise NotConnected(f"graph has {stats.components} components")
-    return stats.genus[0]
-
-
 def _a_tilde(boundary_alpha: Iterable[int], a: int, b: int) -> int:
     """A~ = gcd({alpha_x - 2 : x external}, a, b) of a genus-1 graph whose
     cycle has alpha a and b_c = b."""
@@ -73,13 +65,12 @@ def a_tilde(g: TrivalentGraph, dec: Decoration) -> int:
 def _check_conditions(
     g: TrivalentGraph, dec: Decoration, through: int
 ) -> list[str]:
-    """Violations of conditions (1)..(through) of the Arf setup."""
+    """Violations of conditions (1)..(through), through 2 or 3, of the Arf setup."""
     _check_fit(g, dec)
     problems = []
-    if through >= 1:
-        odd = sorted(h for h, a in dec.alpha if a % 2)
-        if odd:
-            problems.append(f"(1) odd alpha at {odd}")
+    odd = sorted(h for h, a in dec.alpha if a % 2)
+    if odd:
+        problems.append(f"(1) odd alpha at {odd}")
     if through >= 2:
         bad = sorted(h for h in g.boundary if dec.a(h) % 4 != 2)
         if bad:
@@ -277,15 +268,15 @@ def _canonical_pairs(genus: int, a_tilde: Optional[int], cls: Optional[str]):
     return (first,) + (rest,) * (genus - 1)
 
 
-def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
+def tuple_reduce(t: LoopTuple) -> LoopTuple:
     """Canonical representative of a LoopTuple under the proof's moves.
 
     Euclid's moves (a, b) -> (b, -a) and b -> b mod a take each pair to
-    (gcd, 0), and the mod-4 moves reach the representative of the class.
-    Genus >= 2 canonical tuples: class I ((1,0))^g, class II and III
-    ((2,0))^g, class IV ((0,0),(2,0)^(g-1)).  Genus 1 has no mod-4 move
-    (the double-apple needs two loops), so the canonical pair is (A~, 0)
-    with A~ = gcd({alpha_x - 2}, alpha_1, b~_1).
+    (gcd, 0), and the mod-4 moves reach the representative of the tuple's
+    class, read off t by _tuple_class.  Genus >= 2 canonical tuples: class I
+    ((1,0))^g, class II and III ((2,0))^g, class IV ((0,0),(2,0)^(g-1)).
+    Genus 1 has no mod-4 move (the double-apple needs two loops), so the
+    canonical pair is (A~, 0) with A~ = gcd({alpha_x - 2}, alpha_1, b~_1).
     """
     g = len(t.pairs)
     if g == 0:
@@ -293,12 +284,7 @@ def tuple_reduce(t: LoopTuple, cls: Optional[str] = None) -> LoopTuple:
     if g == 1:
         at = _a_tilde(t.boundary_alpha, *t.pairs[0])
         return LoopTuple(_canonical_pairs(1, at, None), t.boundary_alpha)
-    if cls is None:
-        cls = _tuple_class(t)
-    elif cls != _tuple_class(t):
-        raise ReductionStuck(
-            f"tuple {t.pairs} is in class {_tuple_class(t)}, not {cls}"
-        )
+    cls = _tuple_class(t)
     out = LoopTuple(_canonical_pairs(g, None, cls), t.boundary_alpha)
     if _tuple_class(out) != cls:
         raise ReductionStuck("reduced tuple changed class (internal bug)")

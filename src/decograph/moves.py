@@ -43,14 +43,12 @@ from .decoration import (
 from .graph import (
     BadBoundaryMap,
     InternalError,
-    NotConnected,
     TrivalentGraph,
     _check_boundary_map,
+    _connected_genus,
     _forest,
     _PartialMap,
     build_graph,
-    graph_stats,
-    is_connected,
     tree_path,
 )
 from .lattice import solve_lattice
@@ -288,15 +286,15 @@ class _PlanState:
             self._hashes[line] = h = _line_hash(line)
             self._sum += h
 
-    def _lines(self, vertices=(), edge=(), sources=()) -> list[str]:
-        """The vertex and beta lines at ``vertices``, the edge and alpha
-        lines of ``edge`` and the beta lines of ``sources``."""
-        from .textio import alpha_line, beta_line, edge_line, vertex_line
+    def _lines(self, vertices=(), halves=(), sources=()) -> list[str]:
+        """The vertex and beta lines at ``vertices``, the alpha lines of
+        ``halves`` and the beta lines of ``sources``.  No edge line: no move
+        changes the pairing."""
+        from .textio import alpha_line, beta_line, vertex_line
 
         lines = [vertex_line(n, self._triple_of[n]) for n in vertices]
-        lines += [edge_line(*sorted(edge))] if edge else []
         if self._beta is not None:
-            lines += [alpha_line(h, self._alpha[h]) for h in edge]
+            lines += [alpha_line(h, self._alpha[h]) for h in halves]
             sources = [*sources, *(s for n in vertices for s in self._triple_of[n])]
             beta, vertex_of = self._beta, self._vertex_of
             lines += [beta_line(vertex_of[s], s, beta[s]) for s in sources]
@@ -314,7 +312,7 @@ class _PlanState:
         start graph when its triples are back, as after an IH round trip."""
         if self.dec is None and self._beta is not None:
             g, now, then = self.g, self._triple_of, self.start._triple_of
-            if g is None and (now == then or {*now.values()} == {*then.values()}):
+            if g is None and {*now.values()} == {*then.values()}:
                 g = self.start
             # Reduced already, as make_decoration would leave it.
             self.dec = _decoration(dict(self._alpha), dict(self._beta), g)
@@ -573,8 +571,7 @@ def normalize_to_apple_tree(
     the final plan state and the loop records (m, o, stem half at the loop
     vertex; stem is None for the bare wheel).
     """
-    if not is_connected(g):
-        raise NotConnected("planner requires a connected graph")
+    _connected_genus(g)
     state = _PlanState(g)
     _, _, non_tree, up = _forest(g)
     state.up = dict(up)
@@ -656,12 +653,9 @@ def ih_plan(
     on top of g1's.
     """
     _check_boundary_map(g1, g2, boundary_map)
-    for g in (g1, g2):
-        if not is_connected(g):
-            raise NotConnected("planner requires connected graphs")
-    s1, s2 = graph_stats(g1), graph_stats(g2)
-    if s1.genus != s2.genus:
-        raise GenusMismatch(f"genus {s1.genus} vs {s2.genus}")
+    genus1, genus2 = _connected_genus(g1), _connected_genus(g2)
+    if genus1 != genus2:
+        raise GenusMismatch(f"genus {genus1} vs {genus2}")
 
     state1, loops1 = normalize_to_apple_tree(g1, external_order=sorted(g1.boundary))
     order2 = [boundary_map[h] for h in sorted(g1.boundary)]

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .decoration import (Decoration, TrivialMod, _check_fit, apply_trivial_mod,
                          make_decoration)
-from .graph import InternalError, NotConnected, TrivalentGraph, is_connected
+from .graph import InternalError, TrivalentGraph, _connected_genus
 from .invariants import classify
 from .moves import InvalidMove, IhMove, _PlanState
 
@@ -247,8 +247,7 @@ def check_classification(
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    if not is_connected(g):
-        raise NotConnected("classification check needs a connected graph")
+    _connected_genus(g)
     decs: list[Decoration] = []
     for alpha in enumerate_alpha(g, window):
         decs.extend(enumerate_decorations(g, alpha, window))

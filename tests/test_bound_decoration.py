@@ -2,9 +2,9 @@
 
 ``make_decoration`` and the working state's ``freeze`` record that graph on
 the Decoration, and equality ignores it.  ``decoration._check_fit`` returns
-at once for a decoration bound to the graph it is given (or to an equal
-one), runs ``validate_decoration`` only otherwise, and binds a decoration
-that fits.  Every public reader of a (graph, decoration) pair goes through
+at once for a decoration bound to the very graph it is given, runs
+``validate_decoration`` only otherwise (an equal graph included), and binds
+a decoration that fits.  Every public reader of a (graph, decoration) pair goes through
 it, so none answers for a decoration of another graph, and the flows of the
 benchmark's four workloads, built from parsed files, never scan a
 decoration at all.
@@ -186,6 +186,28 @@ def test_unbound_decoration_is_checked_once(monkeypatch):
         with pytest.raises(DecorationError):
             classify(g1, stray)
     assert stray._graph is None and len(calls) == 3
+
+
+def test_an_equal_graph_is_checked_once_and_bound(monkeypatch):
+    # the fit is known by identity: the same text parsed twice gives equal
+    # graphs, and the decoration of the first is checked once on the second
+    rng = random.Random(5)
+    g0 = tree_with_chords(rng, 12, 3)
+    text = serialize_decorated_graph(g0, random_decoration(g0, rng))
+    g, dec = parse_decorated_graph(text)
+    g2, _ = parse_decorated_graph(text)
+    assert g2 == g and g2 is not g and dec._graph is g
+    calls = []
+    validate = decoration.validate_decoration
+
+    def counted(g, dec):
+        calls.append(g)
+        return validate(g, dec)
+
+    monkeypatch.setattr(decoration, "validate_decoration", counted)
+    for _ in range(2):
+        classify(g2, dec)
+    assert calls == [g2] and calls[0] is g2 and dec._graph is g2
 
 
 def test_round_trips_come_back_bound_to_the_start_graph(monkeypatch):

@@ -179,6 +179,15 @@ class TestTransformers:
         g0, dec0 = parse_decorated_graph(WHEEL46)
         assert (g, dec) == (g0, dec0)
 
+    def test_plan_two_components_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "two.dg"
+        p.write_text(
+            "vertex V : p q r\nvertex W : x y z\nedge p q\nedge x y\nboundary r z\n"
+        )
+        out = str(tmp_path / "plan.moves")
+        assert run_command(["plan", str(p), str(p), "-o", out]) == 2
+        assert "graph has 2 components" in capsys.readouterr().err
+
     def test_run_binary_script_is_invalid_input(self, files, tmp_path, capsys):
         script = tmp_path / "bin.moves"
         script.write_bytes(b"IH u-v b\n\xff\xfe\n")

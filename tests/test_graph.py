@@ -11,16 +11,23 @@ from decograph import (
     GraphError,
     HalfEdgeInTwoVertices,
     InvalidCycle,
+    NotConnected,
+    OrbitBounds,
     OrientedCycle,
     SelfPairing,
     TrivalentGraph,
     boundary_isomorphism,
     build_graph,
+    check_classification,
+    classify,
     cycle_basis,
     graph_stats,
+    ih_plan,
     is_connected,
+    zero_beta,
 )
 from decograph.graph import spanning_tree
+from decograph.moves import normalize_to_apple_tree
 from conftest import (
     fig_a_graph,
     small_graph_corpus,
@@ -128,6 +135,36 @@ class TestStatsAndCycles:
         g = build_graph([("a", "b", "c"), ("d", "e", "f")])
         assert not is_connected(g)
         assert graph_stats(g).components == 2
+        assert not is_connected(build_graph({}))  # no vertices, 0 components
+
+
+def _not_one_component():
+    """(g, dec) with no vertices, and with two components."""
+    empty = build_graph({})
+    two = build_graph([("a", "b", "c"), ("d", "e", "f")], [("a", "b"), ("d", "e")])
+    alpha = {"a": 1, "b": -1, "c": 2, "d": 1, "e": -1, "f": 2}
+    return [(empty, zero_beta(empty, {})), (two, zero_beta(two, alpha))]
+
+
+READERS = {
+    "ih_plan": lambda g, dec: ih_plan(g, g, {h: h for h in g.boundary}),
+    "normalize_to_apple_tree": lambda g, dec: normalize_to_apple_tree(g),
+    "check_classification": lambda g, dec: check_classification(
+        g, OrbitBounds(max_depth=1), window=1
+    ),
+    "classify": classify,
+}
+
+
+class TestOneComponent:
+    """Every reader needs one component: a graph with no vertices has none."""
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("g, dec", _not_one_component(), ids=("empty", "two"))
+    def test_readers_raise(self, g, dec, reader):
+        components = graph_stats(g).components
+        with pytest.raises(NotConnected, match=f"graph has {components} components"):
+            READERS[reader](g, dec)
 
 
 def _union(parts):

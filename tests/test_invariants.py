@@ -11,7 +11,6 @@ from decograph import (
     InvariantError,
     LoopTuple,
     NotConnected,
-    ReductionStuck,
     WrongGenus,
     a_tilde,
     arf,
@@ -140,33 +139,32 @@ class TestClasses:
 class TestTupleReduce:
     def test_class_II_pair(self):
         t = LoopTuple(((2, 4), (2, 0)), (4,))
-        out = tuple_reduce(t, "II")
+        assert _tuple_class(t) == "II"
+        out = tuple_reduce(t)
         assert out.pairs == ((2, 0), (2, 0))
 
     def test_class_I_tuple(self):
         t = LoopTuple(((1, 5), (3, 7)), (6,))
-        out = tuple_reduce(t, "I")
+        assert _tuple_class(t) == "I"
+        out = tuple_reduce(t)
         assert out.pairs == ((1, 0), (1, 0))
 
     def test_class_IV_fixed_point(self):
         t = LoopTuple(((0, 0), (2, 0)), (6,))
-        out = tuple_reduce(t, "IV")
+        assert _tuple_class(t) == "IV"
+        out = tuple_reduce(t)
         assert out.pairs == ((0, 0), (2, 0))
 
     def test_class_III(self):
         t = LoopTuple(((4, 0), (4, 0)), (6,))
-        out = tuple_reduce(t, "III")
+        assert _tuple_class(t) == "III"
+        out = tuple_reduce(t)
         assert out.pairs == ((2, 0), (2, 0))
 
     def test_genus_one(self):
         t = LoopTuple(((4, 6),), (2,))
         out = tuple_reduce(t)
         assert out.pairs == ((2, 0),)
-
-    def test_wrong_class_stuck(self):
-        t = LoopTuple(((1, 5), (3, 7)), (6,))
-        with pytest.raises(ReductionStuck):
-            tuple_reduce(t, "II")
 
 
 class TestNormalFormAndEquivalence:

@@ -250,3 +250,29 @@ def test_hashing_does_not_serialize_per_step(monkeypatch):
     calls.update(serialize=0, build=0)
     apply_script(g1, dec1, hashed)
     assert calls["serialize"] + calls["build"] <= 2
+
+
+@pytest.mark.parametrize(
+    "decorated, per_step", [(True, 10), (False, 2)], ids=("decorated", "bare")
+)
+def test_ih_moves_rehash_only_the_lines_they_rewrite(monkeypatch, decorated, per_step):
+    """An IH move keeps its edge's names and the pairing, so its edge line
+    is not rehashed: two vertex lines, and on a decorated state the two
+    alpha lines of the edge and the six beta lines at its vertices."""
+    rng = random.Random(11)
+    g = tree_with_chords(rng, 200, 10)
+    dec = random_decoration(g, rng, 5) if decorated else None
+    script = ih_plan(g, g, {h: h for h in g.boundary})
+    state = _PlanState(g, dec, hashed=True)
+    calls = []
+    line_hash = moves._line_hash
+
+    def counted(line):
+        calls.append(line)
+        return line_hash(line)
+
+    monkeypatch.setattr(moves, "_line_hash", counted)
+    for step in script.steps:
+        state.apply(step)
+    assert len(calls) == per_step * len(script.steps)
+    assert state.snapshot_hash() == snapshot_hash(*state.freeze())

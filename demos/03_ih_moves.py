@@ -4,21 +4,19 @@ An IH move contracts an internal edge u~v and re-expands it the other way,
 regrouping the four surrounding half-edges.  The decoration is transported
 so that the local class B(beta) = (beta_{xu}, beta_{yx}, beta_{zw}+delta,
 beta_{wv}+delta) is preserved identically; the refined epsilon residues
-provide a mod-4 fingerprint of that class.
+provide a mod-4 fingerprint of that class.  B, B' and the epsilon residues
+are steps of the proof, so they are computed by the lemma checks of the
+tests (tests/lemmas.py), not by the library.
 """
 
-from decograph import (
-    IhMove,
-    apply_script,
-    build_graph,
-    ih_apply,
-    local_B,
-    local_B_prime,
-    local_equivalent,
-    refined_epsilon,
-    zero_beta,
-)
-from decograph.moves import invert_move, with_hashes, MoveScript
+import sys
+from pathlib import Path
+
+from decograph import IhMove, apply_script, build_graph, ih_apply, zero_beta
+from decograph.moves import with_hashes, MoveScript
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from lemmas import invert_move, local_B, local_B_prime, local_equivalent, refined_epsilon
 
 g = build_graph({"A": ("x", "y", "u"), "B": ("z", "w", "v")}, [("u", "v")])
 dec = zero_beta(g, {"x": 2, "y": 0, "u": 0, "v": 0, "z": 0, "w": 2})

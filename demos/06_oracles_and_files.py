@@ -1,13 +1,15 @@
 """Brute-force oracles and the text-file interface.
 
 The oracles cross-check the closed-form invariants by explicit bounded
-search: sl2_orbit walks a single (a, b) pair under the loop moves,
-move_orbit enumerates whole-decoration orbits, and check_classification
-exhaustively compares orbits with classification records in a small
-window.  The same objects round-trip through the text format and CLI.
+search: sl2_orbit (a lemma check of the tests, tests/lemmas.py) walks a
+single (a, b) pair under the loop moves, move_orbit enumerates
+whole-decoration orbits, and check_classification exhaustively compares
+orbits with classification records in a small window.  The same objects
+round-trip through the text format and CLI.
 """
 
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,9 +20,11 @@ from decograph import (
     make_decoration,
     move_orbit,
     serialize_decorated_graph,
-    sl2_orbit,
 )
 from decograph.cli import run_command
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from lemmas import sl2_orbit
 
 # The genus-1 moves only preserve gcd(a, b); the window orbit confirms it.
 orbit = sl2_orbit(4, 6, bound=10)

@@ -8,26 +8,18 @@ reducer, brute-force orbit oracles, and a text-file CLI.
 from .decoration import (
     AlphaMismatch,
     BadTarget,
-    ConditionFails,
     Decoration,
     DecorationError,
     ExternalEdge,
-    NotAtVertex,
-    OddAlpha,
     Residue,
     TrivialMod,
     apply_trivial_mod,
-    canonical_beta_planar,
     cycle_b,
-    delta_edge,
-    gamma,
     gcd_all,
     make_decoration,
     reduce_lift,
     trivial_mod_equivalent,
     validate_decoration,
-    weak_class,
-    weaken,
     zero_beta,
 )
 from .graph import (
@@ -53,9 +45,7 @@ from .invariants import (
     ConditionsFail,
     InvariantError,
     InvariantReport,
-    LoopTuple,
     NormalForm,
-    ReductionStuck,
     WrongGenus,
     a_tilde,
     arf,
@@ -64,7 +54,6 @@ from .invariants import (
     equivalent,
     frak_C,
     normal_form,
-    tuple_reduce,
 )
 from .moves import (
     GenusMismatch,
@@ -72,17 +61,12 @@ from .moves import (
     IhTrace,
     InvalidMove,
     LocalB,
-    ModuliMismatch,
     MoveError,
     MoveScript,
     ScriptError,
     apply_script,
     ih_apply,
     ih_plan,
-    local_B,
-    local_B_prime,
-    local_equivalent,
-    refined_epsilon,
 )
 from .oracle import (
     ClassificationReport,
@@ -90,7 +74,6 @@ from .oracle import (
     OrbitBounds,
     check_classification,
     move_orbit,
-    sl2_orbit,
 )
 from .textio import (
     FileSyntaxError,

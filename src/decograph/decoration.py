@@ -1,4 +1,5 @@
-"""Decorations of trivalent graphs and their congruence invariants.
+"""Decorations of trivalent graphs, the cycle invariant b_c, and trivial
+modifications.
 
 A decoration assigns an integer alpha to every half-edge (summing to 2 at
 each vertex, opposite across internal edges) and an integer lift beta_{xy}
@@ -11,7 +12,9 @@ So each source half-edge has one free lift; a Decoration stores that one
 and derives the other.
 
 All residues live in Z modulo a nonnegative modulus, with modulus 0 meaning
-the integers, and gcd(0, n) = |n| throughout.
+the integers, and gcd(0, n) = |n| throughout.  The local residues gamma and
+delta, the weak (mod 2) class and the canonical planar beta are steps of
+the proofs, not of a decision; tests/lemmas.py computes them.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ class DecorationError(ValueError):
     pass
 
 
-class NotAtVertex(DecorationError):
-    pass
-
-
 class ExternalEdge(DecorationError):
     pass
 
@@ -41,14 +40,6 @@ class BadTarget(DecorationError):
 
 
 class AlphaMismatch(DecorationError):
-    pass
-
-
-class OddAlpha(DecorationError):
-    pass
-
-
-class ConditionFails(DecorationError):
     pass
 
 
@@ -137,15 +128,6 @@ class Decoration:
         raise DecorationError(
             f"beta of {src!r} is stored toward {(least, other)}, not {tgt!r}"
         )
-
-    def beta_map(self) -> dict[tuple[str, str], int]:
-        """All six lifts per vertex, derived from the stored ones."""
-        return {
-            (s, t): self.b(s, t) for s, (t0, t1, _) in self.beta for t in (t0, t1)
-        }
-
-    def alpha_map(self) -> dict[str, int]:
-        return dict(self.alpha)
 
 
 def _companion(lift: int, a_to: int, a_src: int) -> int:
@@ -293,35 +275,7 @@ def _check_fit(g: TrivalentGraph, dec: Optional[Decoration]) -> None:
         object.__setattr__(dec, "_graph", g)
 
 
-# -- invariants ----------------------------------------------------------
-
-
-def gamma(g: TrivalentGraph, dec: Decoration, vertex: str, x: str, y: str) -> Residue:
-    """gamma_{xy} = beta_{xy} - beta_{yx} mod gcd(alpha_x, alpha_y)."""
-    _check_fit(g, dec)
-    triple = g.triple(vertex)
-    if x not in triple or y not in triple or x == y:
-        raise NotAtVertex(f"{x!r}, {y!r} are not distinct half-edges at {vertex!r}")
-    return Residue(dec.b(x, y) - dec.b(y, x), gcd_all((dec.a(x), dec.a(y))))
-
-
-def delta_edge(
-    g: TrivalentGraph, dec: Decoration, edge: tuple[str, str]
-) -> dict[tuple[str, str], Residue]:
-    """The four invariants delta_{x_i y_j} of an internal edge x1~y1.
-
-    x1 is the smaller half-edge of the edge.  Keys are (x_i, y_j) where x_i
-    runs over the other half-edges at x1's vertex and y_j over the others at
-    y1's vertex; delta_{x_i y_j} = beta_{x1 x_i} - beta_{y1 y_j} mod alpha_{x1}.
-    """
-    _check_fit(g, dec)
-    x1, y1 = sorted(edge)
-    if g.partner(x1) != y1:
-        raise ExternalEdge(f"{edge!r} is not an internal edge")
-    mod = abs(dec.a(x1))
-    xs, ys = g.others_at_vertex(x1), g.others_at_vertex(y1)
-    pairs = ((xi, yj) for xi in xs for yj in ys)
-    return {(xi, yj): Residue(dec.b(x1, xi) - dec.b(y1, yj), mod) for xi, yj in pairs}
+# -- the cycle invariant ------------------------------------------------
 
 
 def cycle_b(g: TrivalentGraph, dec: Decoration, c: OrientedCycle) -> Residue:
@@ -445,70 +399,3 @@ def trivial_mod_equivalent(
         amount = _nearest(d[x] - n[vertex_of(x)], dec1.a(x))
         steps.append(TrivialMod("E", x, amount))
     return MoveScript(steps=tuple(m for m in steps if m.amount))
-
-
-# -- weak decorations ----------------------------------------------------
-
-
-def weaken(g: TrivalentGraph, dec: Decoration) -> Decoration:
-    """The weak (mod 2) data of dec: a Decoration with the same alpha and
-    each stored lift taken mod 2.  Every alpha is even, so the parity of
-    every lift and of its companion stays that of dec."""
-    _check_fit(g, dec)
-    if any(a % 2 for _, a in dec.alpha):
-        raise OddAlpha("weak decorations require all alpha even")
-    lifts = {s: (t0, t1, v % 2) for s, (t0, t1, v) in dec.beta}
-    return _decoration(dict(dec._alpha), lifts, g)
-
-
-def weak_class(g: TrivalentGraph, dec: Decoration) -> tuple[int, ...]:
-    """The H^1(Gamma, Z_2) class: b_c mod 2 over the cycle basis.  Every
-    alpha is even, so I_c is even and b_c has a parity."""
-    weak = weaken(g, dec)  # raises OddAlpha when inapplicable
-    return tuple(cycle_b(g, weak, c).value % 2 for c in cycle_basis(g))
-
-
-# -- canonical planar beta ----------------------------------------------
-
-
-def canonical_beta_planar(
-    g: TrivalentGraph,
-    rotation_system: Mapping[str, tuple[str, str, str]],
-    alpha: Mapping[str, int],
-) -> Decoration:
-    """The canonical beta of a planar rotation system.
-
-    For every half-edge h with cyclic successor sigma(h) at its vertex we
-    set beta_{h, sigma(h)} = 0 for the smaller half of each internal edge
-    and beta_{h, sigma^{-1}(h)} = 0 for the larger half (and for externals
-    beta_{h, sigma(h)} = 0).  This puts delta = 0 on the preferred side
-    pairing of every internal edge; the other side vanishes as a residue
-    because of the admissibility condition alpha_x == alpha_z, alpha_y ==
-    alpha_w mod alpha_u, which is checked per edge.
-    """
-    succ: dict[str, str] = {}
-    pred: dict[str, str] = {}
-    for name, triple in g.vertices:
-        rot = rotation_system[name]
-        if sorted(rot) != sorted(triple):
-            raise ConditionFails(f"rotation at {name!r} does not list its triple")
-        for i, h in enumerate(rot):
-            succ[h] = rot[(i + 1) % 3]
-            pred[h] = rot[(i - 1) % 3]
-    # Admissibility: across each internal edge u~v, the side partners must
-    # carry congruent alpha mod alpha_u.
-    for u, v in g.edges:
-        au = alpha[u]
-        for x, z in ((succ[u], pred[v]), (pred[u], succ[v])):
-            if reduce_lift(alpha[x] - alpha[z], au) != 0:
-                raise ConditionFails(
-                    f"edge {u!r}~{v!r}: alpha_{x} != alpha_{z} mod alpha_{u} = {au}"
-                )
-    beta: dict[tuple[str, str], int] = {}
-    for h in g.half_edges():
-        p = g.partner(h)
-        if p is not None and h > p:
-            beta[(h, pred[h])] = 0
-        else:
-            beta[(h, succ[h])] = 0
-    return make_decoration(g, alpha, beta)

@@ -295,9 +295,6 @@ class OrientedCycle:
                 raise InvalidCycle(f"vertex {vtx!r} visited twice")
             seen_vertices.add(vtx)
 
-    def reversed(self) -> "OrientedCycle":
-        return OrientedCycle(tuple((inn, out) for out, inn in reversed(self.steps)))
-
     def half_edges(self) -> list[str]:
         out = []
         for a, b in self.steps:

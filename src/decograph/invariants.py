@@ -10,7 +10,7 @@ disjoint cycle system frak_C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .decoration import (
     Decoration,
@@ -44,10 +44,6 @@ class ConditionsFail(InvariantError):
     pass
 
 
-class ReductionStuck(InvariantError):
-    pass
-
-
 def _a_tilde(boundary_alpha: Iterable[int], a: int, b: int) -> int:
     """A~ = gcd({alpha_x - 2 : x external}, a, b) of a genus-1 graph whose
     cycle has alpha a and b_c = b."""
@@ -63,19 +59,19 @@ def a_tilde(g: TrivalentGraph, dec: Decoration) -> int:
 
 
 def _check_conditions(
-    g: TrivalentGraph, dec: Decoration, through: int
+    g: TrivalentGraph, dec: Decoration, even_b: bool
 ) -> list[str]:
-    """Violations of conditions (1)..(through), through 2 or 3, of the Arf setup."""
+    """Violations of conditions (1) and (2) of the Arf setup, and of (3),
+    even b_c on the basis cycles, when ``even_b`` and (1), (2) hold."""
     _check_fit(g, dec)
     problems = []
     odd = sorted(h for h, a in dec.alpha if a % 2)
     if odd:
         problems.append(f"(1) odd alpha at {odd}")
-    if through >= 2:
-        bad = sorted(h for h in g.boundary if dec.a(h) % 4 != 2)
-        if bad:
-            problems.append(f"(2) boundary alpha != 2 mod 4 at {bad}")
-    if through >= 3 and not problems:
+    bad = sorted(h for h in g.boundary if dec.a(h) % 4 != 2)
+    if bad:
+        problems.append(f"(2) boundary alpha != 2 mod 4 at {bad}")
+    if even_b and not problems:
         for idx, c in enumerate(cycle_basis(g)):
             if cycle_b(g, dec, c).value % 2:
                 problems.append(f"(3) odd b_c on basis cycle {idx}")
@@ -89,7 +85,7 @@ def frak_C(g: TrivalentGraph, dec: Decoration) -> list[OrientedCycle]:
     degree exactly 2 (the mod-2 residues p_x sum to zero at vertices), so
     components are simple cycles, returned in deterministic order.
     """
-    problems = _check_conditions(g, dec, through=2)
+    problems = _check_conditions(g, dec, even_b=False)
     if problems:
         raise ConditionsFail("; ".join(problems))
     sub: set[str] = set()
@@ -157,9 +153,14 @@ def _graph_class(g: TrivalentGraph, dec: Decoration, bs: Iterable[int]) -> str:
     )
 
 
+def _basis_bs(g: TrivalentGraph, dec: Decoration) -> Iterator[int]:
+    """The b_c values over the cycle basis, each computed when read."""
+    return (cycle_b(g, dec, c).value for c in cycle_basis(g))
+
+
 def arf(g: TrivalentGraph, dec: Decoration) -> int:
     """A = sum over frak_C of q_c = b_c/2 + 1 in Z_2 (b_c taken mod 4)."""
-    problems = _check_conditions(g, dec, through=3)
+    problems = _check_conditions(g, dec, even_b=True)
     if problems:
         raise ConditionsFail("; ".join(problems))
     # Conditions (1)-(3) leave class III (A = 0) or IV (A = 1).
@@ -170,7 +171,7 @@ def decoration_class(g: TrivalentGraph, dec: Decoration) -> str:
     """The four-way partition I | II | III | IV (total on connected graphs)."""
     _check_fit(g, dec)
     _connected_genus(g)
-    return _graph_class(g, dec, (cycle_b(g, dec, c).value for c in cycle_basis(g)))
+    return _graph_class(g, dec, _basis_bs(g, dec))
 
 
 @dataclass(frozen=True)
@@ -199,22 +200,28 @@ class InvariantReport:
         return out | {key: v for key, v in optional.items() if v is not None}
 
 
+def _invariant(
+    g: TrivalentGraph, dec: Decoration, genus: int, bs: Iterable[int]
+) -> tuple[Optional[int], Optional[str]]:
+    """(A~, class) of a connected (g, dec) of this genus, None where the
+    genus has none, from the basis b_c values ``bs``, read only as far as
+    the rule needs them."""
+    if genus == 0:
+        return None, None
+    if genus == 1:
+        a = dec.a(cycle_basis(g)[0].steps[0][0])
+        return _a_tilde((dec.a(h) for h in g.boundary), a, next(iter(bs))), None
+    return None, _graph_class(g, dec, bs)
+
+
 def classify(g: TrivalentGraph, dec: Decoration) -> InvariantReport:
     _check_fit(g, dec)
     genus = _connected_genus(g)
     boundary_alpha = tuple((h, dec.a(h)) for h in g.boundary)
-    basis = cycle_basis(g)
-    bs = [cycle_b(g, dec, c) for c in basis]
-    cycle_bs = tuple(map(str, bs))
-    if genus == 0:
-        return InvariantReport(genus, boundary_alpha, cycle_bs)
-    if genus == 1:
-        a = dec.a(basis[0].steps[0][0])
-        at = _a_tilde((x for _, x in boundary_alpha), a, bs[0].value)
-        return InvariantReport(genus, boundary_alpha, cycle_bs, a_tilde=at)
-    cls = _graph_class(g, dec, [b.value for b in bs])
+    bs = [cycle_b(g, dec, c) for c in cycle_basis(g)]
+    at, cls = _invariant(g, dec, genus, [b.value for b in bs])
     a = {"III": 0, "IV": 1}.get(cls)
-    return InvariantReport(genus, boundary_alpha, cycle_bs, cls=cls, arf=a)
+    return InvariantReport(genus, boundary_alpha, tuple(map(str, bs)), at, cls, a)
 
 
 def equivalent(
@@ -225,70 +232,29 @@ def equivalent(
     boundary_map: dict[str, str],
 ) -> bool:
     """The theorems' decision rule: genus, boundary alpha under the map,
-    then the genus-appropriate invariant of the two classify reports
-    (nothing / A~ / class)."""
+    then the genus-appropriate invariant (nothing / A~ / class), which
+    computes a b_c only when the rule reads it."""
     _check_fit(g1, dec1)
     _check_fit(g2, dec2)
     _check_boundary_map(g1, g2, boundary_map)
-    if _connected_genus(g1) != _connected_genus(g2):
+    genus = _connected_genus(g1)
+    if genus != _connected_genus(g2):
         return False
     if any(dec1.a(h) != dec2.a(boundary_map[h]) for h in g1.boundary):
         return False
-    r1, r2 = classify(g1, dec1), classify(g2, dec2)
-    return (r1.a_tilde, r1.cls) == (r2.a_tilde, r2.cls)
+    k1 = _invariant(g1, dec1, genus, _basis_bs(g1, dec1))
+    return k1 == _invariant(g2, dec2, genus, _basis_bs(g2, dec2))
 
 
-# -- loop tuples and the normal form -------------------------------------
-
-
-@dataclass(frozen=True)
-class LoopTuple:
-    """(alpha_i, b~_i) per loop of an apple tree, plus the boundary alpha."""
-
-    pairs: tuple[tuple[int, int], ...]
-    boundary_alpha: tuple[int, ...]
-
-
-def _tuple_class(t: LoopTuple) -> str:
-    """decoration_class recomputed at tuple level (on the apple tree all
-    other alpha values are even combinations of these)."""
-    return _class_rule(
-        (*t.boundary_alpha, *(a for a, _ in t.pairs)),
-        (b for _, b in t.pairs),
-        t.boundary_alpha,
-        lambda: (b for a, b in t.pairs if a % 4 == 0),
-    )
+# -- the normal form ------------------------------------------------------
 
 
 def _canonical_pairs(genus: int, a_tilde: Optional[int], cls: Optional[str]):
-    """The loop pairs of the canonical apple tree, as tuple_reduce gives them."""
+    """The loop pairs of the canonical apple tree of a genus, A~ and class."""
     if genus < 2:
         return ((a_tilde, 0),) * genus
     first, rest = {"I": ((1, 0),) * 2, "IV": ((0, 0), (2, 0))}.get(cls, ((2, 0),) * 2)
     return (first,) + (rest,) * (genus - 1)
-
-
-def tuple_reduce(t: LoopTuple) -> LoopTuple:
-    """Canonical representative of a LoopTuple under the proof's moves.
-
-    Euclid's moves (a, b) -> (b, -a) and b -> b mod a take each pair to
-    (gcd, 0), and the mod-4 moves reach the representative of the tuple's
-    class, read off t by _tuple_class.  Genus >= 2 canonical tuples: class I
-    ((1,0))^g, class II and III ((2,0))^g, class IV ((0,0),(2,0)^(g-1)).
-    Genus 1 has no mod-4 move (the double-apple needs two loops), so the
-    canonical pair is (A~, 0) with A~ = gcd({alpha_x - 2}, alpha_1, b~_1).
-    """
-    g = len(t.pairs)
-    if g == 0:
-        return t
-    if g == 1:
-        at = _a_tilde(t.boundary_alpha, *t.pairs[0])
-        return LoopTuple(_canonical_pairs(1, at, None), t.boundary_alpha)
-    cls = _tuple_class(t)
-    out = LoopTuple(_canonical_pairs(g, None, cls), t.boundary_alpha)
-    if _tuple_class(out) != cls:
-        raise ReductionStuck("reduced tuple changed class (internal bug)")
-    return out
 
 
 def build_canonical_apple(
@@ -364,21 +330,6 @@ class NormalForm:
     decoration: Decoration
     report: InvariantReport
     script: MoveScript = field(compare=False)
-
-
-def extract_loop_tuple(
-    g: TrivalentGraph,
-    dec: Decoration,
-    loops: list[tuple[str, str, Optional[str]]],
-) -> LoopTuple:
-    _check_fit(g, dec)
-    pairs = []
-    for m, o, _ in loops:
-        cyc = OrientedCycle(((m, o),))
-        b = cycle_b(g, dec, cyc)
-        pairs.append((dec.a(m), b.value))
-    boundary_alpha = tuple(dec.a(h) for h in sorted(g.boundary))
-    return LoopTuple(tuple(pairs), boundary_alpha)
 
 
 def normal_form(g: TrivalentGraph, dec: Decoration) -> NormalForm:

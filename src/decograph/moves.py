@@ -32,7 +32,6 @@ from .decoration import (
     BadTarget,
     Decoration,
     ExternalEdge,
-    Residue,
     TrivialMod,
     _check_fit,
     _decoration,
@@ -51,7 +50,6 @@ from .graph import (
     build_graph,
     tree_path,
 )
-from .lattice import solve_lattice
 
 
 class MoveError(ValueError):
@@ -59,10 +57,6 @@ class MoveError(ValueError):
 
 
 class InvalidMove(MoveError):
-    pass
-
-
-class ModuliMismatch(MoveError):
     pass
 
 
@@ -102,10 +96,6 @@ class LocalB:
     moduli: tuple[int, int, int, int]  # (alpha_x, alpha_y, alpha_z, alpha_w)
     alpha_u: int
     alpha_uprime: int  # 2 - alpha_x - alpha_z, u's alpha after the move
-
-    def generators_common(self) -> list[tuple[int, int, int, int]]:
-        a, a2 = self.alpha_u, self.alpha_uprime
-        return [(1, 1, 1, 1), (0, 0, a, a), (0, a2, 0, a2)]
 
 
 @dataclass(frozen=True)
@@ -161,75 +151,6 @@ def _local_B_labelled(dec: Decoration, u, v, x, y, z, w) -> LocalB:
     )
 
 
-def local_B(g: TrivalentGraph, dec: Decoration, edge: Sequence[str]) -> LocalB:
-    """B(beta) at an internal edge, labels fixed by stable sorted order."""
-    _check_fit(g, dec)
-    return _local_B_labelled(dec, *_labels(g, edge))
-
-
-def local_B_prime(dec: Decoration, trace: IhTrace) -> LocalB:
-    """B'(beta') on the re-glued graph, in the labels recorded by the trace.
-
-    B'(beta') = (beta'_{xu'}, beta'_{yv'}+delta', beta'_{zu'},
-    beta'_{wv'}+delta') with delta' = beta'_{u'x} - beta'_{v'w}.  Under the
-    canonical transport gauge this equals B(beta) on the nose.
-    """
-    un, vn, x, y, z, w = trace.u, trace.v, trace.x, trace.y, trace.z, trace.w
-    delta = dec.b(un, x) - dec.b(vn, w)
-    ax, ay, az, aw = dec.a(x), dec.a(y), dec.a(z), dec.a(w)
-    lifts = (
-        reduce_lift(dec.b(x, un), ax),
-        reduce_lift(dec.b(y, vn) + delta, ay),
-        reduce_lift(dec.b(z, un), az),
-        reduce_lift(dec.b(w, vn) + delta, aw),
-    )
-    return LocalB(
-        lifts=lifts,
-        moduli=(ax, ay, az, aw),
-        alpha_u=2 - ax - ay,
-        alpha_uprime=dec.a(un),
-    )
-
-
-def refined_epsilon(B: LocalB) -> tuple[Residue, ...]:
-    """The refined mod-4 invariant vector.
-
-    Component order (eps_yx, eps_zx, eps_wx, eps_zy, eps_wy, eps_wz).  The
-    two Z_4 identities are
-
-        eps_wz - eps_yx = eps_wy - eps_zx + 2
-        eps_yx + eps_wz = eps_zx + eps_wy - 2*eps_zy
-
-    and hold identically for every B.
-    """
-    bx, by, bz, bw = B.lifts
-    vals = (
-        by - bx + 1,
-        bz - bx,
-        bw - bx,
-        bz - by,
-        bw - by,
-        bw - bz - 1,
-    )
-    return tuple(Residue(v, 4) for v in vals)
-
-
-def local_equivalent(B1: LocalB, B2: LocalB) -> bool:
-    """Equality in the common quotient G^alpha, by lattice membership."""
-    if B1.moduli != B2.moduli:
-        raise ModuliMismatch(
-            f"moduli differ: {B1.moduli} vs {B2.moduli}"
-        )
-    columns = [list(v) for v in B1.generators_common()]
-    for i, a in enumerate(B1.moduli):
-        if a != 0:
-            vec = [0, 0, 0, 0]
-            vec[i] = abs(a)
-            columns.append(vec)
-    target = [p - q for p, q in zip(B1.lifts, B2.lifts)]
-    return solve_lattice(columns, target) is not None
-
-
 class _PlanState:
     """The mutable working state that moves edit in place.
 
@@ -248,7 +169,7 @@ class _PlanState:
     """
 
     # Read access as on TrivalentGraph and Decoration, so that _labels,
-    # choice_for, tree_path and _local_B_labelled accept a state.
+    # tree_path and _local_B_labelled accept a state.
     vertex_of = TrivalentGraph.vertex_of
     triple = TrivalentGraph.triple
     partner = TrivalentGraph.partner
@@ -468,15 +389,6 @@ def ih_apply(
     return g2, dec2, trace
 
 
-def choice_for(
-    g: TrivalentGraph, edge: Sequence[str], together: set[str]
-) -> IhMove:
-    """The IhMove on ``edge`` that puts the two half-edges in ``together``
-    (one from each end vertex) onto the same new vertex."""
-    labels = _labels(g, edge)
-    return IhMove(labels[:2], _choice(labels, together))
-
-
 def _choice(labels: tuple[str, ...], together: set[str]) -> str:
     """The pairing choice that puts the cross pair ``together`` of the
     outer half-edges of ``_labels`` onto one vertex."""
@@ -488,11 +400,6 @@ def _choice(labels: tuple[str, ...], together: set[str]) -> str:
     raise InvalidMove(
         f"{sorted(together)} is not a cross pair of the outer half-edges"
     )
-
-
-def invert_move(g_after: TrivalentGraph, trace: IhTrace) -> IhMove:
-    """The IH move on the moved edge that undoes the recorded move."""
-    return choice_for(g_after, (trace.u, trace.v), {trace.x, trace.y})
 
 
 HASH_TAG = "m1:"

@@ -1,10 +1,9 @@
 """Brute-force oracles: bounded orbit enumeration and classification checks.
 
 These are deliberately dumb searches used to cross-check the closed-form
-invariants on desk-scale instances: an SL(2,Z)-style orbit walker for single
-(a, b) pairs, a bounded walker over the full move groupoid (trivial
-modifications and IH round trips), and an exhaustive small-window comparison
-of move orbits against the classification.
+invariants on desk-scale instances: a bounded walker over the full move
+groupoid (trivial modifications and IH round trips), and an exhaustive
+small-window comparison of move orbits against the classification.
 """
 
 from __future__ import annotations
@@ -45,26 +44,6 @@ class OrbitBounds:
                 raise ValueError(f"OrbitBounds.{name} must be >= 0, got {value}")
 
 
-def sl2_orbit(a: int, b: int, bound: int) -> set[tuple[int, int]]:
-    """Orbit of (a, b) under b -> b +- a and (a, b) -> (b, -a), restricted
-    to the max-norm window |a|, |b| <= bound.
-
-    The Euclidean reduction path from any window point to (gcd, 0) never
-    leaves the window, so the restriction does not split gcd classes.
-    """
-    if max(abs(a), abs(b)) > bound:
-        raise ValueError("seed outside the window")
-    seen = {(a, b)}
-    frontier = deque(seen)
-    while frontier:
-        p, q = frontier.popleft()
-        for cand in ((p, q + p), (p, q - p), (q, -p), (-q, p)):
-            if max(abs(cand[0]), abs(cand[1])) <= bound and cand not in seen:
-                seen.add(cand)
-                frontier.append(cand)
-    return seen
-
-
 def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
     """(move, inverse, names, (x, z)) per IH round trip on g, by edge then
     choice, worked out once on a bare state: the inverse rejoins x and y,
@@ -93,22 +72,14 @@ def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
     return out
 
 
-def ih_round_trips(
-    g: TrivalentGraph, dec: Decoration, max_param: int
-) -> Iterable[Decoration]:
+def _round_trips(g, dec, max_param, trips) -> Iterable[Decoration]:
     """Decorations obtained by an IH move, an I-modification on the moved
-    edge by each amount 0, 1, -1, ..., max_param, -max_param, and the
-    inverse IH move, its halves named as on g.  Each is one in-place
-    edit of a working state; no graph is built."""
-    return _round_trips(g, dec, max_param, _round_trip_moves(g), every=True)
-
-
-def _round_trips(g, dec, max_param, trips, every=False) -> Iterable[Decoration]:
-    """ih_round_trips, less (unless every) the amounts that repeat a
-    decoration: the I step acts modulo |alpha_u'| = |2 - alpha_x - alpha_z|."""
+    edge by 0 and by each amount 1, -1, ..., max_param, -max_param that does
+    not repeat a decoration (the I step acts modulo |alpha_u'| =
+    |2 - alpha_x - alpha_z|), and the inverse IH move, its halves named as
+    on g.  Each is one in-place edit of a working state; no graph is built."""
     for move, inverse, names, (x, z) in trips:
-        alpha = 0 if every else 2 - dec.a(x) - dec.a(z)
-        for m in [0, *_amounts(max_param, [alpha])]:
+        for m in [0, *_amounts(max_param, [2 - dec.a(x) - dec.a(z)])]:
             state = _PlanState(g, dec)
             tr1 = state.apply(move)
             if m:

@@ -23,7 +23,7 @@ from decograph import (
 )
 from decograph.decoration import TrivialMod, apply_trivial_mod, stored_lift
 from decograph.graph import InternalError, spanning_tree
-from decograph.moves import IhMove, InvalidMove, ih_apply, invert_move
+from decograph.moves import IhMove, InvalidMove, ih_apply
 
 
 # -- exhaustive small-graph enumeration ----------------------------------
@@ -325,9 +325,13 @@ def _rename_halves(dec: Decoration, mapping: dict[str, str]) -> Decoration:
 
 
 def reference_ih_round_trips(g, dec, max_param):
-    """oracle.ih_round_trips as two whole ih_apply calls per round trip and
-    a rename of every lift: the differential reference for the in-place
-    walk."""
+    """The IH round trips of the orbit walk (oracle._round_trips) at every
+    amount 0, 1, -1, ..., max_param, -max_param, repeats included, as two
+    whole ih_apply calls per round trip and a rename of every lift: the
+    differential reference for the in-place walk."""
+    # Imported here: bench/tests loads this file by path, without tests/.
+    from lemmas import invert_move
+
     amounts = [0] + [s * k for k in range(1, max_param + 1) for s in (1, -1)]
     for edge in g.edges:
         for choice in ("b", "c"):

@@ -16,33 +16,34 @@ from decograph import (
     apply_script,
     boundary_isomorphism,
     build_graph,
-    canonical_beta_planar,
     check_classification,
     classify,
     cycle_b,
     cycle_basis,
     equivalent,
-    gamma,
     gcd_all,
     graph_stats,
     ih_apply,
     ih_plan,
     is_connected,
-    local_B_prime,
     normal_form,
     parse_decorated_graph,
     reduce_lift,
-    refined_epsilon,
     serialize_decorated_graph,
-    sl2_orbit,
-    weak_class,
     zero_beta,
 )
 from decograph.cli import run_command
-from decograph.decoration import ConditionFails
-from decograph.graph import OrientedCycle
 from decograph.invariants import ConditionsFail, _check_conditions, arf, frak_C
 from decograph.moves import _labels, _local_B_labelled, normalize_to_apple_tree
+from lemmas import (
+    OrientedCycle,
+    canonical_beta_planar,
+    gamma,
+    local_B_prime,
+    refined_epsilon,
+    sl2_orbit,
+    weak_class,
+)
 from conftest import (
     corpus_decorations,
     named_corpus,
@@ -158,7 +159,7 @@ def _gamma_record(g, dec):
 
 
 def _delta_record(g, dec):
-    from decograph import delta_edge
+    from lemmas import delta_edge
 
     return tuple(
         tuple(sorted(delta_edge(g, dec, e).items())) for e in g.edges

@@ -32,14 +32,11 @@ from decograph import (
     cycle_b,
     cycle_basis,
     decoration_class,
-    delta_edge,
     dot_export,
     equivalent,
     frak_C,
-    gamma,
     ih_apply,
     ih_plan,
-    local_B,
     make_decoration,
     move_orbit,
     normal_form,
@@ -49,13 +46,11 @@ from decograph import (
     serialize_script,
     trivial_mod_equivalent,
     validate_decoration,
-    weak_class,
-    weaken,
     zero_beta,
 )
-from decograph.invariants import extract_loop_tuple
 from decograph.moves import snapshot_hash, with_hashes
-from decograph.oracle import ih_round_trips
+from decograph.oracle import _round_trip_moves, _round_trips
+from lemmas import delta_edge, extract_loop_tuple, gamma, local_B, weak_class, weaken
 
 from conftest import random_decoration, small_graph_corpus, tree_with_chords
 
@@ -89,7 +84,9 @@ def _own(g, d):
     return d._graph or g
 
 
-# Every public reader of a (graph, decoration) pair.
+# Every public reader of a (graph, decoration) pair, and the lemma readers
+# of tests/lemmas.py, which check the fit as the library's readers do.  The
+# orbit walk's round trips are read through move_orbit, which checks it.
 READERS = {
     "ih_apply": lambda g, d: ih_apply(g, d, IhMove(("a", "d"), "b")),
     "apply_trivial_mod": lambda g, d: apply_trivial_mod(g, d, TrivialMod("E", "f", 1)),
@@ -111,7 +108,6 @@ READERS = {
     "local_B": lambda g, d: local_B(g, d, ("a", "d")),
     "move_orbit": lambda g, d: move_orbit(g, d, OrbitBounds(max_depth=2)),
     "move_orbit depth 0": lambda g, d: move_orbit(g, d, OrbitBounds(max_depth=0)),
-    "ih_round_trips": lambda g, d: list(ih_round_trips(g, d, 1)),
     "serialize_decorated_graph": serialize_decorated_graph,
     "snapshot_hash": snapshot_hash,
     "trivial_mod_equivalent": lambda g, d: trivial_mod_equivalent(g, d, d),
@@ -224,7 +220,7 @@ def test_round_trips_come_back_bound_to_the_start_graph(monkeypatch):
         dec = random_decoration(g, rng)
         orbit = move_orbit(g, dec, OrbitBounds(max_param=1, max_depth=2))
         assert all(d._graph is g for d in orbit)
-        trips = list(ih_round_trips(g, dec, 1))
+        trips = list(_round_trips(g, dec, 1, _round_trip_moves(g)))
         assert all(d._graph is g for d in trips)
         walked += len(trips)
     assert walked and built == []

@@ -5,31 +5,34 @@ import pytest
 from decograph import (
     AlphaMismatch,
     BadTarget,
-    ConditionFails,
     Decoration,
     DecorationError,
-    NotAtVertex,
-    OddAlpha,
     Residue,
     TrivialMod,
     apply_trivial_mod,
     apply_script,
     build_graph,
-    canonical_beta_planar,
     cycle_b,
     cycle_basis,
-    delta_edge,
-    gamma,
     gcd_all,
     make_decoration,
     trivial_mod_equivalent,
     validate_decoration,
-    weak_class,
-    weaken,
     zero_beta,
 )
-from decograph.graph import OrientedCycle
 from decograph.textio import parse_decorated_graph, serialize_decorated_graph
+from lemmas import (
+    ConditionFails,
+    NotAtVertex,
+    OddAlpha,
+    OrientedCycle,
+    beta_map,
+    canonical_beta_planar,
+    delta_edge,
+    gamma,
+    weak_class,
+    weaken,
+)
 from conftest import (
     fig_a_graph,
     random_alpha,
@@ -110,16 +113,16 @@ class TestValidation:
     def test_bad_beta_key_is_named(self, bad):
         # each key must be an ordered pair of distinct half-edges at a vertex
         g, dec = wheel_decoration(3, 1)
-        beta = {**dec.beta_map(), bad: 123, ("q", "r"): 1}
+        beta = {**beta_map(dec), bad: 123, ("q", "r"): 1}
         with pytest.raises(DecorationError, match="beta key") as exc:
-            make_decoration(g, dec.alpha_map(), beta)
+            make_decoration(g, dict(dec.alpha), beta)
         assert repr(bad) in str(exc.value)
 
     def test_missing_lifts_default_to_zero(self):
         g, dec = wheel_decoration(3, 1)
-        assert make_decoration(g, dec.alpha_map(), {}) == zero_beta(g, dec.alpha_map())
+        assert make_decoration(g, dict(dec.alpha), {}) == zero_beta(g, dict(dec.alpha))
         beta = {("x", "y"): 1}  # y and z get lift 0 toward their least co-half
-        partial = make_decoration(g, dec.alpha_map(), beta)
+        partial = make_decoration(g, dict(dec.alpha), beta)
         assert partial.b("x", "y") == 1
         assert partial.b("y", "x") == partial.b("z", "x") == 0
 
@@ -369,7 +372,7 @@ class TestStoredLifts:
                         )
             dec = make_decoration(g, alpha, beta)
             want = reference_completion(g, alpha, beta)
-            assert dec.beta_map() == want
+            assert beta_map(dec) == want
             assert all(dec.b(s, t) == lift for (s, t), lift in want.items())
             assert len(dec.beta) == 3 * v
             text = serialize_decorated_graph(g, dec)

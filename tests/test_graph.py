@@ -28,6 +28,7 @@ from decograph import (
 )
 from decograph.graph import spanning_tree
 from decograph.moves import normalize_to_apple_tree
+import lemmas
 from conftest import (
     fig_a_graph,
     small_graph_corpus,
@@ -129,7 +130,9 @@ class TestStatsAndCycles:
     def test_reversed_cycle_valid(self):
         g = triangle_graph()
         c = cycle_basis(g)[0]
-        c.reversed().validate(g)
+        reversed_cycle = lemmas.OrientedCycle(c.steps).reversed()
+        reversed_cycle.validate(g)
+        assert reversed_cycle.half_edges() == c.half_edges()[::-1]
 
     def test_disconnected(self):
         g = build_graph([("a", "b", "c"), ("d", "e", "f")])

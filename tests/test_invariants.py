@@ -9,7 +9,6 @@ from decograph import (
     ConditionsFail,
     DecorationError,
     InvariantError,
-    LoopTuple,
     NotConnected,
     WrongGenus,
     a_tilde,
@@ -23,12 +22,12 @@ from decograph import (
     graph_stats,
     make_decoration,
     normal_form,
-    tuple_reduce,
     validate_decoration,
     zero_beta,
 )
-from decograph.invariants import _tuple_class, build_canonical_apple, extract_loop_tuple
+from decograph.invariants import build_canonical_apple
 from decograph.moves import MoveScript, apply_script, normalize_to_apple_tree
+from lemmas import LoopTuple, extract_loop_tuple, tuple_class, tuple_reduce
 from conftest import (
     apple2_graph,
     fig_a_graph,
@@ -139,25 +138,25 @@ class TestClasses:
 class TestTupleReduce:
     def test_class_II_pair(self):
         t = LoopTuple(((2, 4), (2, 0)), (4,))
-        assert _tuple_class(t) == "II"
+        assert tuple_class(t) == "II"
         out = tuple_reduce(t)
         assert out.pairs == ((2, 0), (2, 0))
 
     def test_class_I_tuple(self):
         t = LoopTuple(((1, 5), (3, 7)), (6,))
-        assert _tuple_class(t) == "I"
+        assert tuple_class(t) == "I"
         out = tuple_reduce(t)
         assert out.pairs == ((1, 0), (1, 0))
 
     def test_class_IV_fixed_point(self):
         t = LoopTuple(((0, 0), (2, 0)), (6,))
-        assert _tuple_class(t) == "IV"
+        assert tuple_class(t) == "IV"
         out = tuple_reduce(t)
         assert out.pairs == ((0, 0), (2, 0))
 
     def test_class_III(self):
         t = LoopTuple(((4, 0), (4, 0)), (6,))
-        assert _tuple_class(t) == "III"
+        assert tuple_class(t) == "III"
         out = tuple_reduce(t)
         assert out.pairs == ((2, 0), (2, 0))
 
@@ -165,6 +164,24 @@ class TestTupleReduce:
         t = LoopTuple(((4, 6),), (2,))
         out = tuple_reduce(t)
         assert out.pairs == ((2, 0),)
+
+    def test_reduction_keeps_the_class_at_genus_2_to_6(self):
+        rng = random.Random(6)
+        seen = set()
+        for genus in range(2, 7):
+            for _ in range(80):
+                # mostly even entries, so that classes II to IV come up
+                step = 2 if rng.random() < 0.8 else 1
+                pairs = tuple(
+                    (rng.randrange(-4, 5, step), rng.randrange(-4, 5, step))
+                    for _ in range(genus)
+                )
+                boundary = tuple(rng.choice((2, 6, -2, -6, 4)) for _ in range(3))
+                t = LoopTuple(pairs, boundary[: rng.randint(1, 3)])
+                cls = tuple_class(t)
+                assert tuple_class(tuple_reduce(t)) == cls
+                seen.add((genus, cls))
+        assert seen == {(g, c) for g in range(2, 7) for c in ("I", "II", "III", "IV")}
 
 
 class TestNormalFormAndEquivalence:
@@ -309,7 +326,7 @@ class TestOneClassRule:
         state, loops = normalize_to_apple_tree(g, sorted(g.boundary))
         g_norm, dec_norm = apply_script(g, dec, MoveScript(tuple(state.steps)))
         t = extract_loop_tuple(g_norm, dec_norm, loops)
-        return _tuple_class(t), decoration_class(g_norm, dec_norm)
+        return tuple_class(t), decoration_class(g_norm, dec_norm)
 
     def test_tuple_class_on_corpus(self, decorated_corpus):
         seen = set()
@@ -333,9 +350,9 @@ class TestOneClassRule:
                 seen.add(cls)
         assert seen == {"I", "II", "III", "IV"}
 
-    @pytest.mark.parametrize("args", [(4, 0, 4, 0), (4, 2, 4, 0), (2, 0, 2, 0)])
-    def test_classify_reads_each_basis_cycle_once(self, args, monkeypatch):
-        g, dec = apple2_decoration(*args)
+    @staticmethod
+    def _cycle_b_calls(monkeypatch):
+        """The cycles invariants.cycle_b is called on from now, as a live list."""
         cycle_b = invariants.cycle_b
         calls = []
 
@@ -344,10 +361,25 @@ class TestOneClassRule:
             return cycle_b(g_, dec_, c)
 
         monkeypatch.setattr(invariants, "cycle_b", counting)
+        return calls
+
+    @pytest.mark.parametrize("args", [(4, 0, 4, 0), (4, 2, 4, 0), (2, 0, 2, 0)])
+    def test_classify_reads_each_basis_cycle_once(self, args, monkeypatch):
+        g, dec = apple2_decoration(*args)
+        calls = self._cycle_b_calls(monkeypatch)
         report = classify(g, dec)
         assert report.cls in ("III", "IV")
         # once per basis cycle, and once per frak_C cycle for the Arf sum
         assert len(calls) == len(cycle_basis(g)) + len(frak_C(g, dec))
+
+    def test_equivalent_reads_no_b_c_past_an_odd_alpha(self, monkeypatch):
+        # an odd alpha makes both sides class I, so the rule reads no b_c
+        g, dec1 = apple2_decoration(3, 1, 2, 5)
+        _, dec2 = apple2_decoration(3, 2, 2, 4)
+        assert classify(g, dec1).cls == classify(g, dec2).cls == "I"
+        calls = self._cycle_b_calls(monkeypatch)
+        assert equivalent(g, dec1, g, dec2, {h: h for h in g.boundary})
+        assert calls == []
 
 
 class TestRareShapes:
@@ -357,7 +389,7 @@ class TestRareShapes:
         g = straight_tree_graph(5)
         rng = random.Random(3)
         d1 = random_decoration(g, rng, 5)
-        d2 = random_decoration(g, rng, 5, alpha=d1.alpha_map())
+        d2 = random_decoration(g, rng, 5, alpha=dict(d1.alpha))
         assert d1 != d2 and graph_stats(g).genus == (0,)
         assert equivalent(g, d1, g, d2, {h: h for h in g.boundary})
 

@@ -37,6 +37,7 @@ from decograph.moves import (
     with_hashes,
 )
 from conftest import random_connected_graph, random_decoration, tree_with_chords
+from lemmas import beta_map
 
 
 # -- references: one whole-graph rebuild per move --------------------------
@@ -65,13 +66,13 @@ def reference_ih_apply(g, dec, move):
 
     B = _local_B_labelled(dec, u, v, x, y, z, w)
     a_unew = B.alpha_uprime
-    alpha = dec.alpha_map()
+    alpha = dict(dec.alpha)
     del alpha[u], alpha[v]
     alpha[u_new] = a_unew
     alpha[v_new] = -a_unew
     beta = {
         p: val
-        for p, val in dec.beta_map().items()
+        for p, val in beta_map(dec).items()
         if u not in p and v not in p and not (
             {p[0], p[1]} <= {x, y, u} or {p[0], p[1]} <= {z, w, v}
         )
@@ -88,7 +89,7 @@ def reference_ih_apply(g, dec, move):
 
 
 def reference_apply_trivial_mod(g, dec, mod):
-    beta = dec.beta_map()
+    beta = beta_map(dec)
     n = mod.amount
     if mod.kind == "V":
         if mod.target not in dict(g.vertices):
@@ -113,7 +114,7 @@ def reference_apply_trivial_mod(g, dec, mod):
             raise BadTarget(f"half-edge {x!r} is not external")
         for t in g.others_at_vertex(x):
             beta[(x, t)] += n
-    return make_decoration(g, dec.alpha_map(), beta)
+    return make_decoration(g, dict(dec.alpha), beta)
 
 
 def reference_replay(g, dec, steps):

@@ -7,7 +7,6 @@ from decograph import (
     IhMove,
     InvalidMove,
     LocalB,
-    ModuliMismatch,
     MoveScript,
     Residue,
     ScriptError,
@@ -18,14 +17,19 @@ from decograph import (
     build_graph,
     ih_apply,
     ih_plan,
-    local_B,
-    local_equivalent,
-    refined_epsilon,
     trivial_mod_equivalent,
     validate_decoration,
 )
 from decograph.decoration import ExternalEdge
-from decograph.moves import _PlanState, _local_B_labelled, invert_move, with_hashes
+from decograph.moves import _PlanState, _local_B_labelled, with_hashes
+from lemmas import (
+    ModuliMismatch,
+    invert_move,
+    local_B,
+    local_B_prime,
+    local_equivalent,
+    refined_epsilon,
+)
 from conftest import (
     fig_a_graph,
     random_connected_graph,
@@ -145,8 +149,6 @@ class TestIhApply:
             choice = rng.choice("bc")
             B = _labelled_B(g, dec, edge, choice)
             g2, dec2, tr = ih_apply(g, dec, IhMove(edge, choice))
-            from decograph import local_B_prime
-
             B2 = local_B_prime(dec2, tr)
             assert B2.lifts == B.lifts
             assert B2.moduli == B.moduli

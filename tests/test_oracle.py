@@ -14,11 +14,16 @@ from decograph import (
     check_classification,
     cycle_b,
     move_orbit,
-    sl2_orbit,
     zero_beta,
 )
 from decograph.graph import OrientedCycle
-from decograph.oracle import enumerate_alpha, enumerate_decorations
+from decograph.oracle import (
+    _round_trip_moves,
+    _round_trips,
+    enumerate_alpha,
+    enumerate_decorations,
+)
+from lemmas import beta_map, sl2_orbit
 from conftest import straight_tree_graph, wheel_decoration, wheel_graph
 
 
@@ -80,7 +85,7 @@ class TestMoveOrbit:
         small = [
             d
             for d in enumerate_decorations(g, alpha, 2)
-            if all(abs(v) <= 1 for v in d.beta_map().values())
+            if all(abs(v) <= 1 for v in beta_map(d).values())
         ]
         assert small and all(d in orbit for d in small)
 
@@ -107,7 +112,7 @@ class TestEnumerators:
         # lifts: beta_{xy} in range(3), beta_{yx} in range(3), beta_{zx} in
         # range(2), but completion reduces to canonical reps
         assert len(decs) == len(set(decs))
-        assert all(0 <= d.beta_map()[("x", "y")] < 3 for d in decs)
+        assert all(0 <= beta_map(d)[("x", "y")] < 3 for d in decs)
 
 
 class TestCheckClassification:
@@ -181,15 +186,13 @@ class TestCheckClassification:
 
 class TestRoundTripNeighbors:
     def test_ih_round_trip_changes_nothing_essential(self):
-        from decograph.oracle import ih_round_trips
-
         g = straight_tree_graph(4)
         rng = random.Random(9)
         from conftest import random_decoration
 
         dec = random_decoration(g, rng)
-        outs = list(ih_round_trips(g, dec, max_param=1))
-        assert outs  # one internal edge, two choices, three amounts
+        outs = list(_round_trips(g, dec, 1, _round_trip_moves(g)))
+        assert outs  # one internal edge, two choices, up to three amounts
         for d in outs:
             assert dict(d.alpha) == dict(dec.alpha)
 

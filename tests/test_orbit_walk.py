@@ -1,11 +1,12 @@
 """The orbit walk edits decorations in place, and graphs keep their topology.
 
-``oracle.ih_round_trips`` runs each IH round trip as one edit of a working
-state; ``reference_ih_round_trips`` (conftest) is the old form, two whole
-``ih_apply`` calls and a rename of every lift, kept as the differential
-reference.  ``graph_stats``, ``spanning_tree`` and ``cycle_basis`` are
-computed once per (immutable) graph and must hand out values that callers
-cannot use to change what is kept.
+``oracle._round_trips`` runs each IH round trip as one edit of a working
+state, and skips the amounts that repeat a decoration;
+``reference_ih_round_trips`` (conftest) is the old form, two whole
+``ih_apply`` calls and a rename of every lift at every amount, kept as the
+differential reference.  ``graph_stats``, ``spanning_tree`` and
+``cycle_basis`` are computed once per (immutable) graph and must hand out
+values that callers cannot use to change what is kept.
 """
 
 import dataclasses
@@ -68,9 +69,19 @@ def _prefix_named_decorated():
 def test_round_trips_match_reference(max_param):
     pairs = _small_decorated() + _prefix_named_decorated()
     assert len({g for g, _ in pairs}) >= 40
+    amounts = [0] + [s * k for k in range(1, max_param + 1) for s in (1, -1)]
     for g, dec in pairs:
-        new = list(oracle.ih_round_trips(g, dec, max_param))
-        assert new == list(reference_ih_round_trips(g, dec, max_param))
+        trips = oracle._round_trip_moves(g)
+        ref = list(reference_ih_round_trips(g, dec, max_param))
+        assert len(ref) == len(trips) * len(amounts)
+        want = []  # the reference's decoration at each amount the walk keeps
+        for i, (_, _, _, (x, z)) in enumerate(trips):
+            at = dict(zip(amounts, ref[i * len(amounts):(i + 1) * len(amounts)]))
+            kept = [0, *oracle._amounts(max_param, [2 - dec.a(x) - dec.a(z)])]
+            want += [at[m] for m in kept]
+        new = list(oracle._round_trips(g, dec, max_param, trips))
+        assert new == want
+        assert set(new) == set(ref)  # a skipped amount repeats a kept one
 
 
 def test_orbits_match_reference(monkeypatch):
@@ -101,7 +112,7 @@ def reference_neighbors(g, dec, bounds, trips):
     for kind, target in targets:
         for n in amounts:
             yield apply_trivial_mod(g, dec, TrivialMod(kind, target, n))
-    yield from oracle.ih_round_trips(g, dec, bounds.max_param)
+    yield from reference_ih_round_trips(g, dec, bounds.max_param)
 
 
 @pytest.mark.parametrize("max_param", [1, 2, 3, 4])

@@ -34,9 +34,9 @@ from decograph.graph import GraphError, _forest, spanning_tree
 from decograph.moves import (
     _PlanState,
     _read_off_psi,
-    choice_for,
     normalize_to_apple_tree,
 )
+from lemmas import choice_for
 from conftest import (
     fig_a_graph,
     named_corpus,

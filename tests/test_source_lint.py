@@ -4,7 +4,8 @@ The library's behaviour must not depend on ``assert`` (stripped under
 ``python -O``), and modules and functions import only what they use.  ``__init__.py``
 re-exports names, so its imports are not checked.  An import inside a
 function breaks an import cycle or is not there.  Every function, method
-and class the library defines is named somewhere in the repository.  The
+and class the library defines is named somewhere in the repository, and a
+public one in the library or the benchmark, unless it is an entry point.  The
 planner in ``moves.py`` stays free of the isomorphism search and of
 decorations, ``normal_form`` reads its class off ``classify``, and the orbit
 walk in ``oracle.py`` free of whole-graph rebuilds and of the working
@@ -13,6 +14,7 @@ pairing.  Only ``_check_fit`` runs the fit rule, ``validate_decoration``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,11 +85,23 @@ def test_lazy_imports_break_cycles():
     assert misplaced == [], f"lazy imports that break no cycle: {misplaced}"
 
 
+def _references(node):
+    """The names node refers to: a name, an attribute, an imported name or a
+    string constant that is an identifier (tables of names in bench/)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value] if node.value.isidentifier() else []
+    return []
+
+
 def test_no_unreferenced_definitions():
     """A function, method or class defined in the library and named nowhere
-    in src/, tests/, demos/ or bench/ is dead code.  A reference is a name,
-    an attribute, an imported name or a string constant that is an
-    identifier (tables of names in bench/); dunders are skipped."""
+    in src/, tests/, demos/ or bench/ is dead code; dunders are skipped."""
     defined = {}
     for path in SOURCES:
         for node in ast.walk(_tree(path)):
@@ -98,20 +112,45 @@ def test_no_unreferenced_definitions():
     for top in ("src", "tests", "demos", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(_tree(path)):
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    for alias in node.names:
-                        referenced.add(alias.name.rsplit(".", 1)[-1])
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    if node.value.isidentifier():
-                        referenced.add(node.value)
+                referenced.update(_references(node))
     dead = sorted(
         f"{name} ({where})" for name, where in defined.items() if name not in referenced
     )
     assert dead == [], f"definitions named nowhere: {dead}"
+
+
+# Public definitions that stay though nothing in src/ or bench/ names them.
+ENTRY_POINTS = {
+    "check_classification": "a decision path: bounded move orbits against classify",
+    "decoration_class": "a reader kept on purpose: the class rule on any genus",
+    "zero_beta": "a reader kept on purpose: the gauge-zero decoration",
+}
+
+
+def test_library_names_are_called_by_the_library_or_bench():
+    """A public top-level function or class of the library stays only if
+    src/ or bench/ names it outside its own definition (``__init__.py``'s
+    re-exports aside), or it is one of ENTRY_POINTS: the CLI, the decision
+    paths and the benchmark are what the library is for.  A step of a proof
+    that only tests check belongs in tests/lemmas.py."""
+    paths = [p for p in SOURCES if p.name != "__init__.py"]
+    trees = {p: _tree(p) for p in [*paths, *sorted((ROOT / "bench").rglob("*.py"))]}
+    named = Counter(
+        name for tree in trees.values() for node in ast.walk(tree) for name in _references(node)
+    )
+    uncalled = []
+    for path in paths:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in ENTRY_POINTS:
+                continue
+            inside = sum(
+                _references(n).count(node.name) for n in ast.walk(node)
+            )
+            if named[node.name] == inside:
+                uncalled.append(f"{node.name} ({path.name}:{node.lineno})")
+    assert uncalled == [], f"library names only tests or demos call: {uncalled}"
 
 
 def _names(filename):
@@ -190,7 +229,7 @@ def test_planner_takes_no_decoration():
 def test_normal_form_reads_the_class_off_classify():
     """normal_form builds the canonical apple from classify's key, so it
     names none of the loop-tuple path; that cross-check lives in the tests."""
-    loop_tuple_path = {"extract_loop_tuple", "tuple_reduce", "_tuple_class"}
+    loop_tuple_path = {"extract_loop_tuple", "tuple_reduce", "tuple_class"}
     flagged = [
         f"line {node.lineno}: {node.id}"
         for node in ast.walk(_function("invariants.py", "normal_form"))

@@ -143,7 +143,7 @@ def shifted(g, dec, src, delta):
     """dec with the stored lift of ``src`` moved by ``delta``."""
     beta = {(s, t0): lift for s, (t0, _, lift) in dec.beta}
     beta[(src, dec._beta[src][0])] += delta
-    return make_decoration(g, dec.alpha_map(), beta)
+    return make_decoration(g, dict(dec.alpha), beta)
 
 
 def off_class(g, dec):
@@ -306,7 +306,7 @@ def test_two_components_agree_with_dense_oracle():
     for mag in (0, 4):
         g, alpha = disjoint_union(rng, g1, g2, mag)
         for dec1 in decorations_sharing_alpha(g, rng, alpha, 3):
-            for dec2 in decorations_sharing_alpha(g, rng, dec1.alpha_map(), 1):
+            for dec2 in decorations_sharing_alpha(g, rng, dict(dec1.alpha), 1):
                 tally.check(g, dec1, dec2)
     assert tally.positive > 0 and tally.negative > 0
     assert tally.largest <= tally.largest_oracle

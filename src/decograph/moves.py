@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .decoration import (
@@ -134,17 +135,21 @@ def _labels(g: TrivalentGraph, edge: Sequence[str]):
     return u, v, x, y, z, w
 
 
-def _local_B_labelled(dec: Decoration, u, v, x, y, z, w) -> LocalB:
+def _B_lifts(dec: Decoration, u, v, x, y, z, w) -> tuple[int, int, int, int]:
+    """The minimal lifts (B_x, B_y, B_z, B_w) of B(beta) at the labelled edge."""
     delta = dec.b(u, x) - dec.b(v, w)
-    ax, ay, az, aw = dec.a(x), dec.a(y), dec.a(z), dec.a(w)
-    lifts = (
-        reduce_lift(dec.b(x, u), ax),
-        reduce_lift(dec.b(y, x), ay),
-        reduce_lift(dec.b(z, w) + delta, az),
-        reduce_lift(dec.b(w, v) + delta, aw),
+    return (
+        reduce_lift(dec.b(x, u), dec.a(x)),
+        reduce_lift(dec.b(y, x), dec.a(y)),
+        reduce_lift(dec.b(z, w) + delta, dec.a(z)),
+        reduce_lift(dec.b(w, v) + delta, dec.a(w)),
     )
+
+
+def _local_B_labelled(dec: Decoration, u, v, x, y, z, w) -> LocalB:
+    ax, ay, az, aw = dec.a(x), dec.a(y), dec.a(z), dec.a(w)
     return LocalB(
-        lifts=lifts,
+        lifts=_B_lifts(dec, u, v, x, y, z, w),
         moduli=(ax, ay, az, aw),
         alpha_u=dec.a(u),
         alpha_uprime=2 - ax - az,
@@ -159,17 +164,20 @@ class _PlanState:
     A decoration must fit its graph.  ``freeze`` builds the immutable graph
     and the decoration bound to it, and keeps them until the next move
     changes the state.  Applied steps are recorded in ``steps``, with one
-    trace per IH move in ``traces``.  The planner keeps its frozen vertices
-    here, and in ``up`` the tree edge (parent half, child half) of each
-    non-root vertex of the spanning tree of its non-cut edges, from
-    ``_forest``; a tree move changes at most two, any other IH move drops
-    them.  A state made with ``hashed`` keeps the hash of each line of its
-    canonical text and their sum, its snapshot_hash; each edit replaces the
-    lines it rewrites.
+    trace per IH move in ``traces``.  An IH move edits the graph and then
+    ``transport``s the decoration; a trivial modification ``shift``s lifts.
+    The orbit walk calls these two edits alone, which record no step and
+    leave the graph as it is, and reads and sets the lifts as one
+    ``lift_vector``.  The planner keeps its frozen vertices here, and in
+    ``up`` the tree edge (parent half, child half) of each non-root vertex
+    of the spanning tree of its non-cut edges, from ``_forest``; a tree move
+    changes at most two, any other IH move drops them.  A state made with
+    ``hashed`` keeps the hash of each line of its canonical text and their
+    sum, its snapshot_hash; each edit replaces the lines it rewrites.
     """
 
     # Read access as on TrivalentGraph and Decoration, so that _labels,
-    # tree_path and _local_B_labelled accept a state.
+    # tree_path and _B_lifts accept a state.
     vertex_of = TrivalentGraph.vertex_of
     triple = TrivalentGraph.triple
     partner = TrivalentGraph.partner
@@ -229,46 +237,36 @@ class _PlanState:
         return self.g, self.decoration()
 
     def decoration(self) -> Optional[Decoration]:
-        """The current decoration, bound to the graph freeze built or else to the
-        start graph when its triples are back, as after an IH round trip."""
+        """The current decoration, bound to the current graph: the start graph
+        until an IH move, after one the graph that freeze builds."""
         if self.dec is None and self._beta is not None:
-            g, now, then = self.g, self._triple_of, self.start._triple_of
-            if g is None and {*now.values()} == {*then.values()}:
-                g = self.start
             # Reduced already, as make_decoration would leave it.
-            self.dec = _decoration(dict(self._alpha), dict(self._beta), g)
+            self.dec = _decoration(dict(self._alpha), dict(self._beta), self.g)
         return self.dec
 
-    def apply(
-        self, step: Union[TrivialMod, IhMove], names: Optional[Sequence[str]] = None
-    ) -> Optional[IhTrace]:
-        """Apply one step in place; returns the trace of an IH move, which
-        keeps its edge's names: ``names`` can only order u and v by vertex."""
+    def apply(self, step: Union[TrivialMod, IhMove]) -> Optional[IhTrace]:
+        """Apply one step in place; returns the trace of an IH move."""
         if isinstance(step, IhMove):
-            return self._ih_move(step, names, _labels(self, step.edge))
+            return self._ih_move(step, _labels(self, step.edge))
         if not isinstance(step, TrivialMod):
             raise ScriptError(f"unknown step type {type(step).__name__}")
         self._trivial_mod(step)
         return None
 
-    def _ih_move(self, move: IhMove, names: Optional[Sequence[str]], labels) -> IhTrace:
+    def _ih_move(self, move: IhMove, labels) -> IhTrace:
         """One IH move as a local edit, as described at ih_apply, given its
         ``_labels``; records the move and its trace."""
         u, v, x, y, z, w = labels
         if move.pairing_choice == "c":
             x, y = y, x
-        u_new, v_new = names or (u, v)
-        if names and sorted(names) != [u, v]:
-            raise InvalidMove(f"{names!r} do not name the halves of {(u, v)!r}")
 
         vertex_of, up = self._vertex_of, self.up
         vu, vv = vertex_of[u], vertex_of[v]
         if self._hashes is not None:
             old = self._lines((vu, vv), (u, v))
-        vertex_of[u_new], vertex_of[z] = vu, vu
-        vertex_of[v_new], vertex_of[y] = vv, vv
-        self._triple_of[vu] = tuple(sorted((x, z, u_new)))
-        self._triple_of[vv] = tuple(sorted((y, w, v_new)))
+        vertex_of[z], vertex_of[y] = vu, vv
+        self._triple_of[vu] = tuple(sorted((x, z, u)))
+        self._triple_of[vv] = tuple(sorted((y, w, v)))
         self.g = self.dec = None
         if up is not None:
             # The parent-side vertex keeps its up edge unless that edge's
@@ -281,25 +279,14 @@ class _PlanState:
                 head = vertex_of[held[1]] if held else top
                 if held:
                     up[head] = held
-                half = u_new if head == vu else v_new
+                half = u if head == vu else v
                 up[vv if head == vu else vu] = (half, self._partner[half])
 
+        trace = IhTrace(u, v, x, y, z, w)
         if self._beta is not None:
-            # B reads only alpha and beta, which the edit above leaves.
-            B = _local_B_labelled(self, u, v, x, y, z, w)
-            alpha, lifts = self._alpha, self._beta
-            alpha[u_new], alpha[v_new] = B.alpha_uprime, -B.alpha_uprime
-            # Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four
-            # B(beta) components, so B'(beta') = B(beta).
-            bx, by, bz, bw = B.lifts
-            for s, t, other, lift in (
-                (u_new, x, z, 0), (x, u_new, z, bx), (z, u_new, x, bz),
-                (v_new, w, y, 0), (y, v_new, w, by), (w, v_new, y, bw),
-            ):
-                lifts[s] = stored_lift(alpha, s, t, other, lift)
+            self.transport(trace, (u, v))
         if self._hashes is not None:
             self._swap_lines(old, self._lines((vu, vv), (u, v)))
-        trace = IhTrace(u, v, x, y, z, w)
         self.steps.append(move)
         self.traces.append(trace)
         return trace
@@ -323,16 +310,64 @@ class _PlanState:
             if self.partner(x) is not None:
                 raise BadTarget(f"half-edge {x!r} is not external")
             sources = (x,)
-        lifts = self._beta
         if self._hashes is not None:
             old = self._lines(sources=sources)
-        for s in sources:
-            least, other, lift = lifts[s]
-            lifts[s] = (least, other, reduce_lift(lift + mod.amount, self._alpha[s]))
+        self.shift(sources, mod.amount)
         if self._hashes is not None:
             self._swap_lines(old, self._lines(sources=sources))
-        self.dec = None
         self.steps.append(mod)
+
+    def transport(self, trace: IhTrace, names: Sequence[str]) -> None:
+        """The decoration's part of the IH move that ``trace`` records: alpha
+        and the six beta lifts at the edge's vertices, with the edge's halves
+        at u's and v's vertex after the move named ``names``.  An applied
+        move keeps (u, v); the orbit walk trades them where the inverse of a
+        round trip leaves v at u's vertex.  It reads only alpha and beta, so
+        it needs the graph neither before nor after the move."""
+        u_new, v_new = names
+        x, y, z, w = trace.x, trace.y, trace.z, trace.w
+        bx, by, bz, bw = _B_lifts(self, trace.u, trace.v, x, y, z, w)
+        alpha, lifts = self._alpha, self._beta
+        alpha_uprime = 2 - alpha[x] - alpha[z]
+        alpha[u_new], alpha[v_new] = alpha_uprime, -alpha_uprime
+        # Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four
+        # B(beta) components, so B'(beta') = B(beta).
+        for s, t, other, lift in (
+            (u_new, x, z, 0), (x, u_new, z, bx), (z, u_new, x, bz),
+            (v_new, w, y, 0), (y, v_new, w, by), (w, v_new, y, bw),
+        ):
+            lifts[s] = stored_lift(alpha, s, t, other, lift)
+        self.dec = None
+
+    def shift(self, sources: Sequence[str], amount: int) -> None:
+        """Add ``amount`` to the stored lift of each source, modulo its
+        |alpha|: the lift edit of every trivial modification."""
+        alpha, lifts = self._alpha, self._beta
+        for s in sources:
+            least, other, lift = lifts[s]
+            lifts[s] = (least, other, reduce_lift(lift + amount, alpha[s]))
+        self.dec = None
+
+    @cached_property
+    def _sources(self) -> list[str]:
+        """Every half-edge, sorted as Decoration.beta lists its sources."""
+        return sorted(self._vertex_of)
+
+    def lift_vector(self) -> tuple[int, ...]:
+        """The stored lifts in the order of ``_sources``.  Over one alpha and
+        one graph, where every stored co-half is fixed, they determine the
+        decoration."""
+        lifts = self._beta
+        return tuple([lifts[s][2] for s in self._sources])
+
+    def load(self, vector: Sequence[int]) -> None:
+        """Store the lifts of ``vector``, as lift_vector reads them, keeping
+        alpha and every stored co-half."""
+        lifts = self._beta
+        for s, lift in zip(self._sources, vector):
+            least, other, _ = lifts[s]
+            lifts[s] = (least, other, lift)
+        self.dec = None
 
     def meet(self, a: str, b: str) -> str:
         """IH moves until a and b share a vertex; returns the vertex name.
@@ -364,7 +399,7 @@ class _PlanState:
         vertex) on one vertex; returns the edge's two halves, the one now at
         a's vertex first."""
         labels = _labels(self, edge)
-        trace = self._ih_move(IhMove(labels[:2], _choice(labels, {a, b})), None, labels)
+        trace = self._ih_move(IhMove(labels[:2], _choice(labels, {a, b})), labels)
         if self._vertex_of[trace.u] == self._vertex_of[a]:
             return trace.u, trace.v
         return trace.v, trace.u

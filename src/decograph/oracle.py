@@ -4,6 +4,9 @@ These are deliberately dumb searches used to cross-check the closed-form
 invariants on desk-scale instances: a bounded walker over the full move
 groupoid (trivial modifications and IH round trips), and an exhaustive
 small-window comparison of move orbits against the classification.
+
+The walker edits one working state in place, with no graph edit, and keys
+each member by its stored lifts; it builds one Decoration per member.
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .decoration import (Decoration, TrivialMod, _check_fit, apply_trivial_mod,
-                         make_decoration)
+from .decoration import Decoration, make_decoration
 from .graph import InternalError, TrivalentGraph, _connected_genus
 from .invariants import classify
-from .moves import InvalidMove, IhMove, _PlanState
+from .moves import IhMove, IhTrace, InvalidMove, _PlanState
 
 
 class FrontierExceeded(RuntimeError):
@@ -44,21 +46,24 @@ class OrbitBounds:
                 raise ValueError(f"OrbitBounds.{name} must be >= 0, got {value}")
 
 
-def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
-    """(move, inverse, names, (x, z)) per IH round trip on g, by edge then
-    choice, worked out once on a bare state: the inverse rejoins x and y,
-    and names orders u and v so that u is the half at x's vertex, as on g.
-    x and z share a vertex with the moved edge's u after the move."""
+def _round_trip_moves(g: TrivalentGraph) -> list[tuple[IhTrace, IhTrace, tuple]]:
+    """(there, back, names) per IH round trip on g, by edge then choice,
+    worked out once on a bare state: the traces of the move and of its
+    inverse, which rejoins x and y, and the names that the inverse gives the
+    edge's halves, ordered so that u is the half at x's vertex, as on g.
+    Raises InternalError unless the two moves' graph edits cancel: then
+    every stored co-half comes back too, and a round trip is the two
+    decoration transports alone."""
     out = []
     for edge in g.edges:
         for choice in ("b", "c"):
             state = _PlanState(g)
             try:
-                tr1 = state.apply(IhMove(edge, choice))
+                there = state.apply(IhMove(edge, choice))
             except InvalidMove:
                 break  # loop edge: no IH move either way
-            at_x, at_y = state.rejoin((tr1.u, tr1.v), tr1.x, tr1.y)
-            ren = {at_x: tr1.u, at_y: tr1.v}
+            at_x, at_y = state.rejoin((there.u, there.v), there.x, there.y)
+            ren = {at_x: there.u, at_y: there.v}
             restored = {
                 frozenset(ren.get(h, h) for h in state.triple(n))
                 for n in g.vertex_names()
@@ -67,25 +72,9 @@ def _round_trip_moves(g: TrivalentGraph) -> list[tuple]:
                 raise InternalError(
                     "IH round trip did not restore the graph (internal bug)"
                 )
-            names = (ren[tr1.u], ren[tr1.v])
-            out.append((IhMove(edge, choice), state.steps[-1], names, (tr1.x, tr1.z)))
+            back = state.traces[-1]
+            out.append((there, back, (ren[back.u], ren[back.v])))
     return out
-
-
-def _round_trips(g, dec, max_param, trips) -> Iterable[Decoration]:
-    """Decorations obtained by an IH move, an I-modification on the moved
-    edge by 0 and by each amount 1, -1, ..., max_param, -max_param that does
-    not repeat a decoration (the I step acts modulo |alpha_u'| =
-    |2 - alpha_x - alpha_z|), and the inverse IH move, its halves named as
-    on g.  Each is one in-place edit of a working state; no graph is built."""
-    for move, inverse, names, (x, z) in trips:
-        for m in [0, *_amounts(max_param, [2 - dec.a(x) - dec.a(z)])]:
-            state = _PlanState(g, dec)
-            tr1 = state.apply(move)
-            if m:
-                state.apply(TrivialMod("I", (tr1.u, tr1.v), m))
-            state.apply(inverse, names)
-            yield state.decoration()
 
 
 def _amounts(max_param: int, alphas: Iterable[int]) -> list[int]:
@@ -99,16 +88,27 @@ def _amounts(max_param: int, alphas: Iterable[int]) -> list[int]:
     return [n for k in range(1, top + 1) for n in (k, -k) if n == k or 2 * k != period]
 
 
-def _neighbors(
-    g: TrivalentGraph, dec: Decoration, bounds: OrbitBounds, trips: list
-) -> Iterable[Decoration]:
-    targets = [("V", name, g.triple(name)) for name in g.vertex_names()]
-    targets += [("I", edge, edge) for edge in g.edges]
-    targets += [("E", x, (x,)) for x in g.boundary]
-    for kind, target, sources in targets:
-        for n in _amounts(bounds.max_param, map(dec.a, sources)):
-            yield apply_trivial_mod(g, dec, TrivialMod(kind, target, n))
-    yield from _round_trips(g, dec, bounds.max_param, trips)
+def _neighbour_lifts(state: _PlanState, vector: tuple, shifts: list, trips: list):
+    """The lift vector of each neighbour of the member whose lift vector is
+    ``vector``, the state holding that neighbour until the next is asked
+    for: first each shift (sources, amount), then each round trip ((there,
+    back, names), amount): the transport of the move, an I shift of its
+    edge by the amount unless 0, and the transport of the inverse.  Each
+    edit is undone before the next: a shift by its negative, exact as every
+    stored lift is reduced, and a round trip by loading the member again."""
+    state.load(vector)
+    for sources, n in shifts:
+        state.shift(sources, n)
+        yield state.lift_vector()
+        state.shift(sources, -n)
+    for (there, back, names), m in trips:
+        edge = (there.u, there.v)
+        state.transport(there, edge)
+        if m:
+            state.shift(edge, m)
+        state.transport(back, names)
+        yield state.lift_vector()
+        state.load(vector)
 
 
 def move_orbit(
@@ -116,24 +116,43 @@ def move_orbit(
 ) -> set[Decoration]:
     """Bounded BFS orbit of dec under trivial modifications and IH round
     trips (the graph-preserving moves).  Raises FrontierExceeded past the
-    frontier cap; the exception carries the partial orbit."""
-    _check_fit(g, dec)
-    seen = {dec}
-    frontier = deque([(dec, 0)])
-    trips = _round_trip_moves(g)
+    frontier cap; the exception carries the partial orbit.
+
+    Every such move keeps alpha and every stored co-half, so a member is
+    its lift vector, and one working state walks them all: each neighbour
+    is one edit of the state, and a Decoration, bound to g, is built only
+    for a vector not seen before.  A shift moves each lift modulo its
+    |alpha|, so only the amounts that reach a new residue are tried; an I
+    shift inside a round trip acts modulo |alpha_u'| = |2 - alpha_x -
+    alpha_z|.  Neighbours come by target (vertices, internal edges,
+    external half-edges) and amount, then by round trip and amount."""
+    state = _PlanState(g, dec)
+    targets = [g.triple(name) for name in g.vertex_names()]
+    targets += [*g.edges, *((x,) for x in g.boundary)]
+    top = bounds.max_param
+    shifts = [(t, n) for t in targets for n in _amounts(top, map(dec.a, t))]
+    trips = [
+        (trip, m)
+        for trip in _round_trip_moves(g)
+        for m in [0, *_amounts(top, [2 - dec.a(trip[0].x) - dec.a(trip[0].z)])]
+    ]
+    start = state.lift_vector()
+    seen = {start: dec}
+    frontier = deque([(start, 0)])
     while frontier:
         cur, depth = frontier.popleft()
         if depth >= bounds.max_depth:
             continue
-        for nxt in _neighbors(g, cur, bounds, trips):
+        for nxt in _neighbour_lifts(state, cur, shifts, trips):
             if nxt not in seen:
-                seen.add(nxt)
+                seen[nxt] = state.decoration()
                 if len(seen) > bounds.max_frontier:
                     raise FrontierExceeded(
-                        f"orbit exceeded {bounds.max_frontier} states", seen
+                        f"orbit exceeded {bounds.max_frontier} states",
+                        set(seen.values()),
                     )
                 frontier.append((nxt, depth + 1))
-    return seen
+    return set(seen.values())
 
 
 # -- exhaustive classification check -------------------------------------

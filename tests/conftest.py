@@ -325,10 +325,10 @@ def _rename_halves(dec: Decoration, mapping: dict[str, str]) -> Decoration:
 
 
 def reference_ih_round_trips(g, dec, max_param):
-    """The IH round trips of the orbit walk (oracle._round_trips) at every
+    """The IH round trips of the orbit walk (oracle.move_orbit) at every
     amount 0, 1, -1, ..., max_param, -max_param, repeats included, as two
     whole ih_apply calls per round trip and a rename of every lift: the
-    differential reference for the in-place walk."""
+    differential reference for the walk's two transports."""
     # Imported here: bench/tests loads this file by path, without tests/.
     from lemmas import invert_move
 

@@ -49,7 +49,8 @@ from decograph import (
     zero_beta,
 )
 from decograph.moves import snapshot_hash, with_hashes
-from decograph.oracle import _round_trip_moves, _round_trips
+from decograph.moves import _PlanState
+from decograph.oracle import _neighbour_lifts, _round_trip_moves
 from lemmas import delta_edge, extract_loop_tuple, gamma, local_B, weak_class, weaken
 
 from conftest import random_decoration, small_graph_corpus, tree_with_chords
@@ -207,9 +208,9 @@ def test_an_equal_graph_is_checked_once_and_bound(monkeypatch):
 
 
 def test_round_trips_come_back_bound_to_the_start_graph(monkeypatch):
-    # an IH round trip brings back the start graph's triples, at most under
-    # two traded vertex names, so the walk binds each decoration it reaches
-    # to the very graph it started from and builds no graph
+    # the walk replays an IH round trip as two decoration transports on a
+    # state whose graph it never edits, so it binds each decoration it
+    # reaches to the very graph it started from and builds no graph
     built = []
     monkeypatch.setattr(moves, "build_graph", lambda *a, **k: built.append(a))
     rng = random.Random(9)
@@ -220,7 +221,10 @@ def test_round_trips_come_back_bound_to_the_start_graph(monkeypatch):
         dec = random_decoration(g, rng)
         orbit = move_orbit(g, dec, OrbitBounds(max_param=1, max_depth=2))
         assert all(d._graph is g for d in orbit)
-        trips = list(_round_trips(g, dec, 1, _round_trip_moves(g)))
+        state = _PlanState(g, dec)
+        steps = [(trip, m) for trip in _round_trip_moves(g) for m in (0, 1, -1)]
+        vectors = _neighbour_lifts(state, state.lift_vector(), [], steps)
+        trips = [state.decoration() for _ in vectors]
         assert all(d._graph is g for d in trips)
         walked += len(trips)
     assert walked and built == []

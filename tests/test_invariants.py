@@ -287,13 +287,13 @@ class TestNormalFormReadsTheClass:
 
     def test_no_transport(self, monkeypatch):
         calls = []
-        local_B = moves._local_B_labelled
+        transport = moves._PlanState.transport
 
         def counted(*args):
             calls.append(args)
-            return local_B(*args)
+            return transport(*args)
 
-        monkeypatch.setattr(moves, "_local_B_labelled", counted)
+        monkeypatch.setattr(moves._PlanState, "transport", counted)
         rng = random.Random(5)
         for genus in (0, 1, 3):
             g = tree_with_chords(rng, 20, genus)

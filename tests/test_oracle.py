@@ -17,9 +17,10 @@ from decograph import (
     zero_beta,
 )
 from decograph.graph import OrientedCycle
+from decograph.moves import _PlanState
 from decograph.oracle import (
+    _neighbour_lifts,
     _round_trip_moves,
-    _round_trips,
     enumerate_alpha,
     enumerate_decorations,
 )
@@ -191,8 +192,11 @@ class TestRoundTripNeighbors:
         from conftest import random_decoration
 
         dec = random_decoration(g, rng)
-        outs = list(_round_trips(g, dec, 1, _round_trip_moves(g)))
-        assert outs  # one internal edge, two choices, up to three amounts
+        state = _PlanState(g, dec)
+        steps = [(trip, m) for trip in _round_trip_moves(g) for m in (0, 1, -1)]
+        vectors = _neighbour_lifts(state, state.lift_vector(), [], steps)
+        outs = [state.decoration() for _ in vectors]
+        assert outs  # one internal edge, two choices, three amounts
         for d in outs:
             assert dict(d.alpha) == dict(dec.alpha)
 

@@ -437,9 +437,9 @@ class Watch:
 
         ih_move, climb = _PlanState._ih_move, moves.tree_path
 
-        def checked_move(state, move, names, labels):
+        def checked_move(state, move, labels):
             ends = (state.vertex_of(labels[0]), state.vertex_of(labels[1]))
-            trace = ih_move(state, move, names, labels)
+            trace = ih_move(state, move, labels)
             if state.up is not None:
                 self.moves += 1
                 full = self.moves % self.full_every == 0

@@ -11,6 +11,7 @@ decorations, ``normal_form`` reads its class off ``classify``, and the orbit
 walk in ``oracle.py`` free of whole-graph rebuilds and of the working
 state's internals.  The moves in ``moves.py`` keep every half-edge and the
 pairing.  Only ``_check_fit`` runs the fit rule, ``validate_decoration``.
+``tests/conftest.py`` imports its sibling test modules lazily.
 """
 
 import ast
@@ -68,6 +69,28 @@ def _imported_modules(nodes):
         elif isinstance(node, ast.Import):
             out.update((alias.name, node.lineno) for alias in node.names)
     return out
+
+
+def test_conftest_imports_siblings_lazily():
+    """bench/tests loads tests/conftest.py by path, without tests/ on the
+    import path, so conftest.py imports a sibling test module (lemmas or a
+    test file) only inside a function, which only the suite calls."""
+    tests = ROOT / "tests"
+    siblings = {p.stem for p in tests.glob("*.py")} - {"conftest"}
+    tree = _tree(tests / "conftest.py")
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    inside = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, kinds)
+        for node in ast.walk(fn)
+    }
+    outside = [node for node in ast.walk(tree) if id(node) not in inside]
+    flagged = [
+        f"line {line}: {module}"
+        for module, line in _imported_modules(outside).items()
+        if module.split(".")[0] in siblings
+    ]
+    assert flagged == [], f"conftest.py imports test modules at load: {flagged}"
 
 
 def test_lazy_imports_break_cycles():

@@ -60,7 +60,6 @@ from .moves import (
     IhMove,
     IhTrace,
     InvalidMove,
-    LocalB,
     MoveError,
     MoveScript,
     ScriptError,

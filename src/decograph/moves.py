@@ -90,16 +90,6 @@ class IhMove:
 
 
 @dataclass(frozen=True)
-class LocalB:
-    """Local torsor coordinate of a decoration at an internal edge."""
-
-    lifts: tuple[int, int, int, int]  # (B_x, B_y, B_z, B_w), minimal lifts
-    moduli: tuple[int, int, int, int]  # (alpha_x, alpha_y, alpha_z, alpha_w)
-    alpha_u: int
-    alpha_uprime: int  # 2 - alpha_x - alpha_z, u's alpha after the move
-
-
-@dataclass(frozen=True)
 class IhTrace:
     """One applied IH move, in its labels: the edge u~v keeps its names, x and
     z share u's vertex after it, y and w share v's (x, y swapped for 'c')."""
@@ -135,25 +125,23 @@ def _labels(g: TrivalentGraph, edge: Sequence[str]):
     return u, v, x, y, z, w
 
 
-def _B_lifts(dec: Decoration, u, v, x, y, z, w) -> tuple[int, int, int, int]:
-    """The minimal lifts (B_x, B_y, B_z, B_w) of B(beta) at the labelled edge."""
-    delta = dec.b(u, x) - dec.b(v, w)
-    return (
-        reduce_lift(dec.b(x, u), dec.a(x)),
-        reduce_lift(dec.b(y, x), dec.a(y)),
-        reduce_lift(dec.b(z, w) + delta, dec.a(z)),
-        reduce_lift(dec.b(w, v) + delta, dec.a(w)),
-    )
+def _B_lifts(alpha, lifts, u, v, x, y, z, w) -> tuple[int, int, int, int]:
+    """The minimal lifts (B_x, B_y, B_z, B_w) of B(beta) at the labelled edge,
+    read off alpha and stored-lift dicts laid out as in Decoration.  A lift
+    from a source of alpha 0 stays a raw integer."""
 
+    def b(s, t):  # beta_{st}, as Decoration.b derives it
+        least, _, lift = lifts[s]
+        if t != least:
+            m = abs(alpha[s])
+            lift += alpha[t] - 1
+            lift = lift % m if m else lift
+        return lift
 
-def _local_B_labelled(dec: Decoration, u, v, x, y, z, w) -> LocalB:
-    ax, ay, az, aw = dec.a(x), dec.a(y), dec.a(z), dec.a(w)
-    return LocalB(
-        lifts=_B_lifts(dec, u, v, x, y, z, w),
-        moduli=(ax, ay, az, aw),
-        alpha_u=dec.a(u),
-        alpha_uprime=2 - ax - az,
-    )
+    delta = b(u, x) - b(v, w)
+    mz, mw = abs(alpha[z]), abs(alpha[w])
+    bz, bw = b(z, w) + delta, b(w, v) + delta
+    return b(x, u), b(y, x), bz % mz if mz else bz, bw % mw if mw else bw
 
 
 class _PlanState:
@@ -171,19 +159,19 @@ class _PlanState:
     ``lift_vector``.  The planner keeps its frozen vertices here, and in
     ``up`` the tree edge (parent half, child half) of each non-root vertex
     of the spanning tree of its non-cut edges, from ``_forest``; a tree move
-    changes at most two, any other IH move drops them.  A state made with
-    ``hashed`` keeps the hash of each line of its canonical text and their
-    sum, its snapshot_hash; each edit replaces the lines it rewrites.
+    changes at most two, any other IH move drops them.
+
+    A state made with ``hashed`` keeps its snapshot_hash as the sum of its
+    canonical lines' hashes, and the hash of each line a move can rewrite
+    under its vertex, half-edge (alpha) or source (beta); edge and boundary
+    lines never change.  ``_rehash`` swaps the hashes of rewritten lines.
     """
 
-    # Read access as on TrivalentGraph and Decoration, so that _labels,
-    # tree_path and _B_lifts accept a state.
+    # Read access as on TrivalentGraph, for _labels and tree_path.
     vertex_of = TrivalentGraph.vertex_of
     triple = TrivalentGraph.triple
     partner = TrivalentGraph.partner
     others_at_vertex = TrivalentGraph.others_at_vertex
-    a = Decoration.a
-    b = Decoration.b
 
     def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None, hashed=False):
         _check_fit(g, dec)
@@ -198,36 +186,41 @@ class _PlanState:
         self.traces: list[IhTrace] = []
         self.frozen: set[str] = set()  # vertex names
         self.up: Optional[dict[str, tuple[str, str]]] = None
-        self._hashes = self._sum = None
+        self._sum = None
         if hashed:
-            self._hashes = {h: _line_hash(h) for h in _canonical_lines(g, dec)}
-            self._sum = sum(self._hashes.values())
+            fixed = [edge_line(h, p) for h, p in self._partner.items() if h < p]
+            if self.boundary:
+                fixed.append(boundary_line(self.boundary))
+            self._sum = sum(map(_line_hash, fixed))
+            # Rehashing every line from kept hashes of 0 seeds them.
+            self._vertex_hash = dict.fromkeys(self._triple_of, 0)
+            self._alpha_hash = dict.fromkeys(self._alpha or (), 0)
+            self._beta_hash = dict.fromkeys(self._beta or (), 0)
+            self._rehash(self._triple_of, self._alpha or (), self._beta or ())
 
     def snapshot_hash(self) -> str:
         """snapshot_hash of the current state, read off the kept sum."""
         return _digest(self._sum)
 
-    def _swap_lines(self, old: list[str], new: list[str]) -> None:
-        """Replace canonical lines in the kept hashes and sum."""
-        for line in old:
-            self._sum -= self._hashes.pop(line)
-        for line in new:
-            self._hashes[line] = h = _line_hash(line)
-            self._sum += h
-
-    def _lines(self, vertices=(), halves=(), sources=()) -> list[str]:
-        """The vertex and beta lines at ``vertices``, the alpha lines of
-        ``halves`` and the beta lines of ``sources``.  No edge line: no move
-        changes the pairing."""
-        from .textio import alpha_line, beta_line, vertex_line
-
-        lines = [vertex_line(n, self._triple_of[n]) for n in vertices]
+    def _rehash(self, vertices=(), halves=(), sources=()) -> None:
+        """Rehash the lines an edit rewrote: the vertex lines of ``vertices``
+        and, when decorated, the alpha lines of ``halves`` and the beta
+        lines of ``sources``.  No edge line: no move changes the pairing."""
+        total, triple_of = self._sum, self._triple_of
+        kept = self._vertex_hash
+        for n in vertices:
+            total += (h := _line_hash(vertex_line(n, triple_of[n]))) - kept[n]
+            kept[n] = h
         if self._beta is not None:
-            lines += [alpha_line(h, self._alpha[h]) for h in halves]
-            sources = [*sources, *(s for n in vertices for s in self._triple_of[n])]
-            beta, vertex_of = self._beta, self._vertex_of
-            lines += [beta_line(vertex_of[s], s, beta[s]) for s in sources]
-        return lines
+            kept, alpha = self._alpha_hash, self._alpha
+            for a in halves:
+                total += (h := _line_hash(alpha_line(a, alpha[a]))) - kept[a]
+                kept[a] = h
+            kept, beta, vertex_of = self._beta_hash, self._beta, self._vertex_of
+            for s in sources:
+                total += (h := _line_hash(beta_line(vertex_of[s], s, beta[s]))) - kept[s]
+                kept[s] = h
+        self._sum = total
 
     def freeze(self) -> tuple[TrivalentGraph, Optional[Decoration]]:
         """The current graph and the decoration bound to it, as immutable values."""
@@ -262,8 +255,6 @@ class _PlanState:
 
         vertex_of, up = self._vertex_of, self.up
         vu, vv = vertex_of[u], vertex_of[v]
-        if self._hashes is not None:
-            old = self._lines((vu, vv), (u, v))
         vertex_of[z], vertex_of[y] = vu, vv
         self._triple_of[vu] = tuple(sorted((x, z, u)))
         self._triple_of[vv] = tuple(sorted((y, w, v)))
@@ -285,8 +276,8 @@ class _PlanState:
         trace = IhTrace(u, v, x, y, z, w)
         if self._beta is not None:
             self.transport(trace, (u, v))
-        if self._hashes is not None:
-            self._swap_lines(old, self._lines((vu, vv), (u, v)))
+        if self._sum is not None:
+            self._rehash((vu, vv), (u, v), (u, v, x, y, z, w))
         self.steps.append(move)
         self.traces.append(trace)
         return trace
@@ -310,11 +301,9 @@ class _PlanState:
             if self.partner(x) is not None:
                 raise BadTarget(f"half-edge {x!r} is not external")
             sources = (x,)
-        if self._hashes is not None:
-            old = self._lines(sources=sources)
         self.shift(sources, mod.amount)
-        if self._hashes is not None:
-            self._swap_lines(old, self._lines(sources=sources))
+        if self._sum is not None:
+            self._rehash(sources=sources)
         self.steps.append(mod)
 
     def transport(self, trace: IhTrace, names: Sequence[str]) -> None:
@@ -326,8 +315,8 @@ class _PlanState:
         it needs the graph neither before nor after the move."""
         u_new, v_new = names
         x, y, z, w = trace.x, trace.y, trace.z, trace.w
-        bx, by, bz, bw = _B_lifts(self, trace.u, trace.v, x, y, z, w)
         alpha, lifts = self._alpha, self._beta
+        bx, by, bz, bw = _B_lifts(alpha, lifts, trace.u, trace.v, x, y, z, w)
         alpha_uprime = 2 - alpha[x] - alpha[z]
         alpha[u_new], alpha[v_new] = alpha_uprime, -alpha_uprime
         # Transport writes beta'_{u'x} = beta'_{v'w} = 0 and the four
@@ -440,18 +429,35 @@ def _choice(labels: tuple[str, ...], together: set[str]) -> str:
 HASH_TAG = "m1:"
 
 
+# The canonical lines of statements, as serialize_decorated_graph writes
+# them and a hashed _PlanState hashes them.
+def vertex_line(name: str, triple: tuple[str, str, str]) -> str:
+    return f"vertex {name} : {' '.join(triple)}"
+
+
+def edge_line(a: str, b: str) -> str:
+    return f"edge {a} {b}"
+
+
+def boundary_line(names: Sequence[str]) -> str:
+    return "boundary " + " ".join(names)
+
+
+def alpha_line(h: str, a: int) -> str:
+    return f"alpha {h} {a}"
+
+
+def beta_line(name: str, s: str, entry: tuple[str, str, int]) -> str:
+    return f"beta {name} {s} {entry[0]} {entry[2]}"  # stored (least, other, lift)
+
+
 def _line_hash(line: str) -> int:
     return int.from_bytes(hashlib.sha256(line.encode()).digest(), "big")
 
 
-def _canonical_lines(g: TrivalentGraph, dec: Optional[Decoration]) -> list[str]:
-    from .textio import serialize_decorated_graph
-
-    return [line for line in serialize_decorated_graph(g, dec).split("\n") if line]
-
-
 def _digest(total: int) -> str:
-    return HASH_TAG + f"{total % (1 << 256):064x}"[:16]
+    # The first 16 of the 64 hex digits of total modulo 2^256.
+    return f"{HASH_TAG}{total >> 192 & 0xFFFFFFFFFFFFFFFF:016x}"
 
 
 def snapshot_hash(g: TrivalentGraph, dec: Optional[Decoration]) -> str:
@@ -462,7 +468,10 @@ def snapshot_hash(g: TrivalentGraph, dec: Optional[Decoration]) -> str:
     can follow an edit by subtracting the lines it removes and adding those
     it writes (AdHash, Bellare and Micciancio, 1997), as _PlanState does.
     """
-    return _digest(sum(map(_line_hash, _canonical_lines(g, dec))))
+    from .textio import serialize_decorated_graph
+
+    lines = serialize_decorated_graph(g, dec).split("\n")
+    return _digest(sum(_line_hash(line) for line in lines if line))
 
 
 def apply_script(

@@ -26,7 +26,10 @@ from .decoration import (
     Decoration, DecorationError, TrivialMod, _check_fit, make_decoration
 )
 from .graph import GraphError, TrivalentGraph, build_graph
-from .moves import HASH_TAG, IhMove, MoveScript, ScriptError
+from .moves import (
+    HASH_TAG, IhMove, MoveScript, ScriptError, alpha_line, beta_line, boundary_line,
+    edge_line, vertex_line,
+)
 
 
 class TextError(ValueError):
@@ -162,24 +165,6 @@ def parse_decorated_graph(text: str) -> tuple[TrivalentGraph, Optional[Decoratio
         raise SemanticError(f"invalid decoration: {exc}") from exc
 
 
-# The canonical line of each statement; moves hashes the lines one by one.
-def vertex_line(name: str, triple: tuple[str, str, str]) -> str:
-    return f"vertex {name} : {' '.join(triple)}"
-
-
-def edge_line(a: str, b: str) -> str:
-    return f"edge {a} {b}"
-
-
-def alpha_line(h: str, a: int) -> str:
-    return f"alpha {h} {a}"
-
-
-def beta_line(name: str, s: str, entry: tuple[str, str, int]) -> str:
-    least, _, lift = entry  # the stored (least co-half, other, lift)
-    return f"beta {name} {s} {least} {lift}"
-
-
 def serialize_decorated_graph(
     g: TrivalentGraph, dec: Optional[Decoration] = None
 ) -> str:
@@ -191,7 +176,7 @@ def serialize_decorated_graph(
     lines = [vertex_line(name, triple) for name, triple in g.vertices]
     lines += [edge_line(a, b) for a, b in g.edges]
     if g.boundary:
-        lines.append("boundary " + " ".join(g.boundary))
+        lines.append(boundary_line(g.boundary))
     if dec is not None:
         lines += [alpha_line(h, a) for h, a in dec.alpha]
         beta = dec._beta

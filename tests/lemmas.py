@@ -28,15 +28,7 @@ from decograph.decoration import (
 from decograph.graph import TrivalentGraph, cycle_basis
 from decograph.invariants import _a_tilde, _canonical_pairs, _class_rule
 from decograph.lattice import solve_lattice
-from decograph.moves import (
-    IhMove,
-    IhTrace,
-    LocalB,
-    MoveError,
-    _choice,
-    _labels,
-    _local_B_labelled,
-)
+from decograph.moves import IhMove, IhTrace, MoveError, _B_lifts, _choice, _labels
 
 
 class NotAtVertex(DecorationError):
@@ -155,6 +147,27 @@ def canonical_beta_planar(
 
 
 # -- the local class of an IH move ----------------------------------------
+
+
+@dataclass(frozen=True)
+class LocalB:
+    """Local torsor coordinate of a decoration at an internal edge."""
+
+    lifts: tuple[int, int, int, int]  # (B_x, B_y, B_z, B_w), minimal lifts
+    moduli: tuple[int, int, int, int]  # (alpha_x, alpha_y, alpha_z, alpha_w)
+    alpha_u: int
+    alpha_uprime: int  # 2 - alpha_x - alpha_z, u's alpha after the move
+
+
+def _local_B_labelled(dec: Decoration, u, v, x, y, z, w) -> LocalB:
+    """B(beta) in given labels, its lifts by the library's transport."""
+    ax, ay, az, aw = dec.a(x), dec.a(y), dec.a(z), dec.a(w)
+    return LocalB(
+        lifts=_B_lifts(dec._alpha, dec._beta, u, v, x, y, z, w),
+        moduli=(ax, ay, az, aw),
+        alpha_u=dec.a(u),
+        alpha_uprime=2 - ax - az,
+    )
 
 
 def local_B(g: TrivalentGraph, dec: Decoration, edge: Sequence[str]) -> LocalB:

@@ -34,9 +34,10 @@ from decograph import (
 )
 from decograph.cli import run_command
 from decograph.invariants import ConditionsFail, _check_conditions, arf, frak_C
-from decograph.moves import _labels, _local_B_labelled, normalize_to_apple_tree
+from decograph.moves import _labels, normalize_to_apple_tree
 from lemmas import (
     OrientedCycle,
+    _local_B_labelled,
     canonical_beta_planar,
     gamma,
     local_B_prime,

@@ -29,13 +29,7 @@ from decograph import (
     serialize_script,
 )
 from decograph.decoration import BadTarget
-from decograph.moves import (
-    IhTrace,
-    _labels,
-    _local_B_labelled,
-    normalize_to_apple_tree,
-    with_hashes,
-)
+from decograph.moves import IhTrace, _labels, normalize_to_apple_tree, with_hashes
 from conftest import random_connected_graph, random_decoration, tree_with_chords
 from lemmas import beta_map
 
@@ -64,20 +58,24 @@ def reference_ih_apply(g, dec, move):
     if dec is None:
         return g2, None, IhTrace(u, v, x, y, z, w)
 
-    B = _local_B_labelled(dec, u, v, x, y, z, w)
-    a_unew = B.alpha_uprime
+    # B(beta) = (beta_xu, beta_yx, beta_zw + delta, beta_wv + delta),
+    # delta = beta_ux - beta_vw: the paper's formula on all six lifts.
+    old = beta_map(dec)
+    delta = old[(u, x)] - old[(v, w)]
+    bx, by = old[(x, u)], old[(y, x)]
+    bz, bw = old[(z, w)] + delta, old[(w, v)] + delta
+    a_unew = 2 - dec.a(x) - dec.a(z)
     alpha = dict(dec.alpha)
     del alpha[u], alpha[v]
     alpha[u_new] = a_unew
     alpha[v_new] = -a_unew
     beta = {
         p: val
-        for p, val in beta_map(dec).items()
+        for p, val in old.items()
         if u not in p and v not in p and not (
             {p[0], p[1]} <= {x, y, u} or {p[0], p[1]} <= {z, w, v}
         )
     }
-    bx, by, bz, bw = B.lifts
     beta[(u_new, x)] = 0
     beta[(v_new, w)] = 0
     beta[(x, u_new)] = bx

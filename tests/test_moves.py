@@ -6,7 +6,6 @@ from decograph import (
     GenusMismatch,
     IhMove,
     InvalidMove,
-    LocalB,
     MoveScript,
     Residue,
     ScriptError,
@@ -21,9 +20,11 @@ from decograph import (
     validate_decoration,
 )
 from decograph.decoration import ExternalEdge
-from decograph.moves import _PlanState, _local_B_labelled, with_hashes
+from decograph.moves import _PlanState, with_hashes
 from lemmas import (
+    LocalB,
     ModuliMismatch,
+    _local_B_labelled,
     invert_move,
     local_B,
     local_B_prime,

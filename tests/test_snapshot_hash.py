@@ -1,17 +1,21 @@
 """Snapshot hashes kept on the working state.
 
 ``snapshot_hash(g, dec)`` is defined from scratch on the canonical text.  The
-working state keeps the hash of each canonical line and their sum, and each
-edit replaces the lines it rewrites.  The tests below compare the kept lines
-and sum with the text after every step of random scripts, check that replays
-still catch tampering, that ``parse_script`` refuses partial and old-scheme
-hashes, and that hashing a long script serializes the graph a constant number
-of times, not once per step.
+working state keeps the sum of its lines' hashes and the hash of each line a
+move can rewrite, under its vertex (vertex line), half-edge (alpha line) or
+source (beta line); edge lines and the boundary line enter the sum once.  An
+edit subtracts the kept hashes of the lines it rewrites and hashes the lines
+it writes.  The tests below compare the kept hashes and sum with the text
+after every step of random scripts, check that replays still catch
+tampering, that ``parse_script`` refuses partial and old-scheme hashes, that
+hashing a long script serializes the graph a constant number of times, not
+once per step, and that a step hashes and builds only the lines it writes.
 """
 
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -84,10 +88,19 @@ class TestKeptSum:
             dec = random_decoration(g, rng, 5) if decorated else None
             state = _PlanState(g, dec, hashed=True)
             assert state.snapshot_hash() == snapshot_hash(g, dec)
+            # No move changes an edge line or the boundary line.
+            fixed = [
+                moves._line_hash(line) for line in serialize_decorated_graph(g, dec).splitlines()
+                if line.startswith(("edge ", "boundary "))
+            ]
             for _ in range(steps):
                 state.apply(random_step(rng, state))
                 text = serialize_decorated_graph(*state.freeze())
-                assert sorted(state._hashes) == sorted(text.splitlines())
+                kept = [*state._vertex_hash.values()]
+                if decorated:
+                    kept += [*state._alpha_hash.values(), *state._beta_hash.values()]
+                lines = map(moves._line_hash, text.splitlines())
+                assert sorted(kept + fixed) == sorted(lines)
                 assert state.snapshot_hash() == snapshot_hash(*state.freeze())
 
     def test_with_hashes_matches_definition(self):
@@ -275,4 +288,45 @@ def test_ih_moves_rehash_only_the_lines_they_rewrite(monkeypatch, decorated, per
     for step in script.steps:
         state.apply(step)
     assert len(calls) == per_step * len(script.steps)
+    assert state.snapshot_hash() == snapshot_hash(*state.freeze())
+
+
+@pytest.mark.parametrize("decorated", (True, False), ids=("decorated", "bare"))
+def test_steps_build_only_the_lines_they_write(monkeypatch, decorated):
+    """A hashed step builds each line it writes once and no line it
+    replaces: 10 for a decorated IH move, 2 for a bare one, and 3, 2 and 1
+    for V, I and E.  The line builders are wrapped in every module that
+    holds them."""
+    rng = random.Random(11)
+    g = tree_with_chords(rng, 200, 10)
+    dec = random_decoration(g, rng, 5) if decorated else None
+    steps = list(ih_plan(g, g, {h: h for h in g.boundary}).steps)
+    if decorated:
+        mods = [TrivialMod("V", g.vertices[0][0], 1), TrivialMod("I", g.edges[0], 1),
+                TrivialMod("E", g.boundary[0], 1)]
+        steps[len(steps) // 2:len(steps) // 2] = mods
+    state = _PlanState(g, dec, hashed=True)
+    built = []
+
+    def counted(fn):
+        def wrapper(*args):
+            built.append(args)
+            return fn(*args)
+        return wrapper
+
+    for module in (moves, textio):
+        for name in ("vertex_line", "edge_line", "alpha_line", "beta_line"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    per_step = Counter()
+    for step in steps:
+        before = len(built)
+        state.apply(step)
+        per_step[step.kind if isinstance(step, TrivialMod) else "IH", len(built) - before] += 1
+    ih_steps = sum(isinstance(step, IhMove) for step in steps)
+    want = {("IH", 10 if decorated else 2): ih_steps}
+    if decorated:
+        want.update({("V", 3): 1, ("I", 2): 1, ("E", 1): 1})
+    assert per_step == want
+    monkeypatch.undo()
     assert state.snapshot_hash() == snapshot_hash(*state.freeze())

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .decoration import (
     BadTarget,
@@ -35,6 +34,7 @@ from .decoration import (
     ExternalEdge,
     TrivialMod,
     _check_fit,
+    _companion,
     _decoration,
     _is_pair,
     reduce_lift,
@@ -89,8 +89,7 @@ class IhMove:
             raise InvalidMove(f"unknown pairing choice {self.pairing_choice!r}")
 
 
-@dataclass(frozen=True)
-class IhTrace:
+class IhTrace(NamedTuple):
     """One applied IH move, in its labels: the edge u~v keeps its names, x and
     z share u's vertex after it, y and w share v's (x, y swapped for 'c')."""
 
@@ -132,16 +131,11 @@ def _B_lifts(alpha, lifts, u, v, x, y, z, w) -> tuple[int, int, int, int]:
 
     def b(s, t):  # beta_{st}, as Decoration.b derives it
         least, _, lift = lifts[s]
-        if t != least:
-            m = abs(alpha[s])
-            lift += alpha[t] - 1
-            lift = lift % m if m else lift
-        return lift
+        return lift if t == least else _companion(lift, alpha[t], alpha[s])
 
     delta = b(u, x) - b(v, w)
-    mz, mw = abs(alpha[z]), abs(alpha[w])
     bz, bw = b(z, w) + delta, b(w, v) + delta
-    return b(x, u), b(y, x), bz % mz if mz else bz, bw % mw if mw else bw
+    return b(x, u), b(y, x), reduce_lift(bz, alpha[z]), reduce_lift(bw, alpha[w])
 
 
 class _PlanState:
@@ -149,10 +143,11 @@ class _PlanState:
 
     The graph is held as vertex/triple/partner lookups and, when decorated,
     the decoration as alpha and stored-lift dicts laid out as in Decoration.
-    A decoration must fit its graph.  ``freeze`` builds the immutable graph
-    and the decoration bound to it, and keeps them until the next move
-    changes the state.  Applied steps are recorded in ``steps``, with one
-    trace per IH move in ``traces``.  An IH move edits the graph and then
+    A decoration must fit its graph.  No move changes the pairing, so
+    ``freeze`` builds the immutable graph on the start graph's edges, and
+    the decoration bound to it, and keeps them until the next move changes
+    the state.  Applied steps are recorded in ``steps``, with one trace per
+    IH move in ``traces``.  An IH move edits the graph and then
     ``transport``s the decoration; a trivial modification ``shift``s lifts.
     The orbit walk calls these two edits alone, which record no step and
     leave the graph as it is, and reads and sets the lifts as one
@@ -164,7 +159,8 @@ class _PlanState:
     A state made with ``hashed`` keeps its snapshot_hash as the sum of its
     canonical lines' hashes, and the hash of each line a move can rewrite
     under its vertex, half-edge (alpha) or source (beta); edge and boundary
-    lines never change.  ``_rehash`` swaps the hashes of rewritten lines.
+    lines, read off the start graph, never change.  ``_rehash`` swaps the
+    hashes of rewritten lines.  snapshot_hash(g, dec) reads a fresh one.
     """
 
     # Read access as on TrivalentGraph, for _labels and tree_path.
@@ -188,7 +184,7 @@ class _PlanState:
         self.up: Optional[dict[str, tuple[str, str]]] = None
         self._sum = None
         if hashed:
-            fixed = [edge_line(h, p) for h, p in self._partner.items() if h < p]
+            fixed = [edge_line(h, p) for h, p in g.edges]
             if self.boundary:
                 fixed.append(boundary_line(self.boundary))
             self._sum = sum(map(_line_hash, fixed))
@@ -225,8 +221,7 @@ class _PlanState:
     def freeze(self) -> tuple[TrivalentGraph, Optional[Decoration]]:
         """The current graph and the decoration bound to it, as immutable values."""
         if self.g is None:
-            edges = [(h, p) for h, p in self._partner.items() if h < p]
-            self.g = build_graph(self._triple_of, edges, boundary=self.boundary)
+            self.g = build_graph(self._triple_of, self.start.edges, boundary=self.boundary)
         return self.g, self.decoration()
 
     def decoration(self) -> Optional[Decoration]:
@@ -337,24 +332,18 @@ class _PlanState:
             lifts[s] = (least, other, reduce_lift(lift + amount, alpha[s]))
         self.dec = None
 
-    @cached_property
-    def _sources(self) -> list[str]:
-        """Every half-edge, sorted as Decoration.beta lists its sources."""
-        return sorted(self._vertex_of)
-
     def lift_vector(self) -> tuple[int, ...]:
-        """The stored lifts in the order of ``_sources``.  Over one alpha and
-        one graph, where every stored co-half is fixed, they determine the
-        decoration."""
-        lifts = self._beta
-        return tuple([lifts[s][2] for s in self._sources])
+        """The stored lifts in the order the state holds their sources, which
+        no move changes.  Over one alpha and one graph, where every stored
+        co-half is fixed, they determine the decoration; vectors read off
+        different states may list their sources in different orders."""
+        return tuple([entry[2] for entry in self._beta.values()])
 
     def load(self, vector: Sequence[int]) -> None:
         """Store the lifts of ``vector``, as lift_vector reads them, keeping
         alpha and every stored co-half."""
         lifts = self._beta
-        for s, lift in zip(self._sources, vector):
-            least, other, _ = lifts[s]
+        for (s, (least, other, _)), lift in zip(list(lifts.items()), vector):
             lifts[s] = (least, other, lift)
         self.dec = None
 
@@ -429,7 +418,7 @@ def _choice(labels: tuple[str, ...], together: set[str]) -> str:
 HASH_TAG = "m1:"
 
 
-# The canonical lines of statements, as serialize_decorated_graph writes
+# The canonical lines of statements, as the canonical text (textio) holds
 # them and a hashed _PlanState hashes them.
 def vertex_line(name: str, triple: tuple[str, str, str]) -> str:
     return f"vertex {name} : {' '.join(triple)}"
@@ -462,16 +451,25 @@ def _digest(total: int) -> str:
 
 def snapshot_hash(g: TrivalentGraph, dec: Optional[Decoration]) -> str:
     """Multiset hash of the canonical text of (g, dec): the sum, modulo
-    2^256, of the SHA-256 of each line of serialize_decorated_graph(g, dec),
+    2^256, of the SHA-256 of each line of that text (as textio writes it),
     as the first 16 of its 64 hex digits behind HASH_TAG.  The canonical lines
     are distinct and sorted, so they determine the text; as a sum, the hash
     can follow an edit by subtracting the lines it removes and adding those
-    it writes (AdHash, Bellare and Micciancio, 1997), as _PlanState does.
+    it writes (AdHash, Bellare and Micciancio, 1997), as the fresh hashed
+    _PlanState it is read off does; making one checks that dec fits g.
     """
-    from .textio import serialize_decorated_graph
+    return _PlanState(g, dec, hashed=True).snapshot_hash()
 
-    lines = serialize_decorated_graph(g, dec).split("\n")
-    return _digest(sum(_line_hash(line) for line in lines if line))
+
+def _replay(state: _PlanState, steps: Sequence) -> Iterator[int]:
+    """Apply ``steps`` to ``state`` in order, yielding each step's index
+    once it is applied; a step that fails raises ScriptError."""
+    for idx, step in enumerate(steps):
+        try:
+            state.apply(step)
+        except ValueError as exc:
+            raise ScriptError(f"step {idx} failed: {exc}") from exc
+        yield idx
 
 
 def apply_script(
@@ -484,11 +482,7 @@ def apply_script(
     if check and len(script.hashes) != len(script.steps):
         raise ScriptError("hash count does not match step count")
     state = _PlanState(g, dec, hashed=check)
-    for idx, step in enumerate(script.steps):
-        try:
-            state.apply(step)
-        except ValueError as exc:
-            raise ScriptError(f"step {idx} failed: {exc}") from exc
+    for idx in _replay(state, script.steps):
         if check and script.hashes[idx] != state.snapshot_hash():
             raise ScriptError(f"step {idx}: snapshot hash mismatch")
     return state.freeze()
@@ -499,11 +493,8 @@ def with_hashes(
 ) -> MoveScript:
     """Attach snapshot hashes by replaying on (g, dec)."""
     state = _PlanState(g, dec, hashed=True)
-    hashes = []
-    for step in script.steps:
-        state.apply(step)
-        hashes.append(state.snapshot_hash())
-    return MoveScript(steps=script.steps, hashes=tuple(hashes))
+    hashes = tuple(state.snapshot_hash() for _ in _replay(state, script.steps))
+    return MoveScript(steps=script.steps, hashes=hashes)
 
 
 # -- planner -------------------------------------------------------------

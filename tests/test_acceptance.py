@@ -273,8 +273,8 @@ def test_criterion_4_ih_transport_exactness():
                 if kind == "same":
                     through_cases += 1
             # Arf preserved whenever conditions (1)-(3) hold
-            if is_connected(g) and not _check_conditions(g, dec, 3):
-                assert not _check_conditions(g2, dec2, 3)
+            if is_connected(g) and not _check_conditions(g, dec, even_b=True):
+                assert not _check_conditions(g2, dec2, even_b=True)
                 assert arf(g2, dec2) == arf(g, dec)
             checked += 1
         assert through_cases >= 50  # the through-the-edge bullets were exercised

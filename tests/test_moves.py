@@ -200,6 +200,14 @@ class TestScripts:
         with pytest.raises(ScriptError, match="step 1"):
             apply_script(g, dec, script)
 
+    @pytest.mark.parametrize("replay", (apply_script, with_hashes))
+    def test_every_replay_reports_the_failing_step(self, replay):
+        # apply_script and with_hashes replay through one loop
+        g, dec = fig_a_decoration()
+        script = MoveScript((TrivialMod("V", "A", 1), TrivialMod("V", "Q", 1)))
+        with pytest.raises(ScriptError, match="^step 1 failed: no vertex named 'Q'$"):
+            replay(g, dec, script)
+
 
 class TestNamesKept:
     """No move adds, drops or renames a half-edge or changes the pairing."""

@@ -1,12 +1,14 @@
 """Snapshot hashes kept on the working state.
 
-``snapshot_hash(g, dec)`` is defined from scratch on the canonical text.  The
-working state keeps the sum of its lines' hashes and the hash of each line a
-move can rewrite, under its vertex (vertex line), half-edge (alpha line) or
-source (beta line); edge lines and the boundary line enter the sum once.  An
-edit subtracts the kept hashes of the lines it rewrites and hashes the lines
-it writes.  The tests below compare the kept hashes and sum with the text
-after every step of random scripts, check that replays still catch
+``snapshot_hash(g, dec)`` is defined on the canonical text, and the library
+reads it off a fresh hashed working state; ``text_digest`` below computes it
+from the text alone, as the reference.  The working state keeps the sum of
+its lines' hashes and the hash of each line a move can rewrite, under its
+vertex (vertex line), half-edge (alpha line) or source (beta line); edge
+lines and the boundary line enter the sum once.  An edit subtracts the kept
+hashes of the lines it rewrites and hashes the lines it writes.  The tests
+below compare the kept hashes and sum with the text, and the digests with
+``text_digest``, after every step of random scripts, check that replays catch
 tampering, that ``parse_script`` refuses partial and old-scheme hashes, that
 hashing a long script serializes the graph a constant number of times, not
 once per step, and that a step hashes and builds only the lines it writes.
@@ -64,6 +66,16 @@ def random_pair(rng, v, genus, decorated=True):
     return g1, dec1, g2, bmap
 
 
+def text_digest(g, dec):
+    """The digest as TestDefinition states it: the SHA-256 sum, modulo 2^256,
+    of the lines of serialize_decorated_graph, with no working state."""
+    total = sum(
+        int.from_bytes(hashlib.sha256(line.encode()).digest(), "big")
+        for line in serialize_decorated_graph(g, dec).splitlines()
+    ) % 2**256
+    return "m1:" + f"{total:064x}"[:16]
+
+
 class TestDefinition:
     def test_sum_of_line_hashes(self):
         rng = random.Random(3)
@@ -87,7 +99,7 @@ class TestKeptSum:
             g = tree_with_chords(rng, v, rng.randint(0, min(v // 2, 10)))
             dec = random_decoration(g, rng, 5) if decorated else None
             state = _PlanState(g, dec, hashed=True)
-            assert state.snapshot_hash() == snapshot_hash(g, dec)
+            assert state.snapshot_hash() == snapshot_hash(g, dec) == text_digest(g, dec)
             # No move changes an edge line or the boundary line.
             fixed = [
                 moves._line_hash(line) for line in serialize_decorated_graph(g, dec).splitlines()
@@ -102,6 +114,7 @@ class TestKeptSum:
                 lines = map(moves._line_hash, text.splitlines())
                 assert sorted(kept + fixed) == sorted(lines)
                 assert state.snapshot_hash() == snapshot_hash(*state.freeze())
+                assert state.snapshot_hash() == text_digest(*state.freeze())
 
     def test_with_hashes_matches_definition(self):
         rng = random.Random(5)
@@ -110,7 +123,7 @@ class TestKeptSum:
         g, dec = g1, dec1
         for step, digest in zip(script.steps, script.hashes):
             g, dec = apply_script(g, dec, MoveScript((step,)))
-            assert digest == snapshot_hash(g, dec)
+            assert digest == snapshot_hash(g, dec) == text_digest(g, dec)
 
 
 class TestTamper:

@@ -105,8 +105,8 @@ class IhTrace(NamedTuple):
 class MoveScript:
     """Replayable sequence of trivial modifications and IH moves.
 
-    ``hashes``, when nonempty, holds one snapshot_hash digest per step, of
-    the state after that step; replaying verifies them.
+    ``hashes``, when nonempty, holds the snapshot_hash (under HASH_TAG) of
+    the state after each step, as a sum over vertex blocks; replay checks them.
     """
 
     steps: tuple[Union[TrivialMod, IhMove], ...]
@@ -156,11 +156,11 @@ class _PlanState:
     of the spanning tree of its non-cut edges, from ``_forest``; a tree move
     changes at most two, any other IH move drops them.
 
-    A state made with ``hashed`` keeps its snapshot_hash as the sum of its
-    canonical lines' hashes, and the hash of each line a move can rewrite
-    under its vertex, half-edge (alpha) or source (beta); edge and boundary
-    lines, read off the start graph, never change.  ``_rehash`` swaps the
-    hashes of rewritten lines.  snapshot_hash(g, dec) reads a fresh one.
+    The first ``snapshot_hash`` call seeds the kept sum and ``_block_hash``,
+    the hash of each vertex's block; edge and boundary lines never change.
+    From then on ``apply`` keeps both, ``_rehash``ing the blocks a step
+    rewrote; ``transport``, ``shift`` and ``load`` alone keep neither.
+    snapshot_hash(g, dec) reads a fresh state.
     """
 
     # Read access as on TrivalentGraph, for _labels and tree_path.
@@ -169,7 +169,7 @@ class _PlanState:
     partner = TrivalentGraph.partner
     others_at_vertex = TrivalentGraph.others_at_vertex
 
-    def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None, hashed=False):
+    def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None):
         _check_fit(g, dec)
         self.g, self.dec, self.start = g, dec, g
         self.boundary = g.boundary
@@ -182,40 +182,33 @@ class _PlanState:
         self.traces: list[IhTrace] = []
         self.frozen: set[str] = set()  # vertex names
         self.up: Optional[dict[str, tuple[str, str]]] = None
-        self._sum = None
-        if hashed:
-            fixed = [edge_line(h, p) for h, p in g.edges]
-            if self.boundary:
-                fixed.append(boundary_line(self.boundary))
-            self._sum = sum(map(_line_hash, fixed))
-            # Rehashing every line from kept hashes of 0 seeds them.
-            self._vertex_hash = dict.fromkeys(self._triple_of, 0)
-            self._alpha_hash = dict.fromkeys(self._alpha or (), 0)
-            self._beta_hash = dict.fromkeys(self._beta or (), 0)
-            self._rehash(self._triple_of, self._alpha or (), self._beta or ())
+        self._block_hash: Optional[dict[str, int]] = None
 
     def snapshot_hash(self) -> str:
         """snapshot_hash of the current state, read off the kept sum."""
-        return _digest(self._sum)
+        if self._block_hash is None:
+            fixed = [edge_line(h, p) for h, p in self.start.edges]
+            fixed += [boundary_line(self.boundary)] if self.boundary else []
+            self._sum = sum(map(_line_hash, fixed))
+            # Rehashing every block from kept hashes of 0 seeds them.
+            self._block_hash = dict.fromkeys(self._triple_of, 0)
+            self._rehash(self._triple_of)
+        # The first 16 of the 64 hex digits of the sum modulo 2^256.
+        return f"{HASH_TAG}{self._sum >> 192 & 0xFFFFFFFFFFFFFFFF:016x}"
 
-    def _rehash(self, vertices=(), halves=(), sources=()) -> None:
-        """Rehash the lines an edit rewrote: the vertex lines of ``vertices``
-        and, when decorated, the alpha lines of ``halves`` and the beta
-        lines of ``sources``.  No edge line: no move changes the pairing."""
-        total, triple_of = self._sum, self._triple_of
-        kept = self._vertex_hash
+    def _rehash(self, vertices) -> None:
+        """Rehash the blocks of ``vertices``, which an edit rewrote; no edge
+        line, as no move changes the pairing."""
+        total, kept, triple_of = self._sum, self._block_hash, self._triple_of
+        alpha, beta = self._alpha, self._beta
         for n in vertices:
-            total += (h := _line_hash(vertex_line(n, triple_of[n]))) - kept[n]
+            triple = triple_of[n]
+            lines = [vertex_line(n, triple)]
+            if beta is not None:
+                lines += [alpha_line(h, alpha[h]) for h in triple]
+                lines += [beta_line(n, s, beta[s]) for s in triple]
+            total += (h := _line_hash("\n".join(lines))) - kept[n]
             kept[n] = h
-        if self._beta is not None:
-            kept, alpha = self._alpha_hash, self._alpha
-            for a in halves:
-                total += (h := _line_hash(alpha_line(a, alpha[a]))) - kept[a]
-                kept[a] = h
-            kept, beta, vertex_of = self._beta_hash, self._beta, self._vertex_of
-            for s in sources:
-                total += (h := _line_hash(beta_line(vertex_of[s], s, beta[s]))) - kept[s]
-                kept[s] = h
         self._sum = total
 
     def freeze(self) -> tuple[TrivalentGraph, Optional[Decoration]]:
@@ -271,8 +264,8 @@ class _PlanState:
         trace = IhTrace(u, v, x, y, z, w)
         if self._beta is not None:
             self.transport(trace, (u, v))
-        if self._sum is not None:
-            self._rehash((vu, vv), (u, v), (u, v, x, y, z, w))
+        if self._block_hash is not None:
+            self._rehash((vu, vv))
         self.steps.append(move)
         self.traces.append(trace)
         return trace
@@ -297,8 +290,8 @@ class _PlanState:
                 raise BadTarget(f"half-edge {x!r} is not external")
             sources = (x,)
         self.shift(sources, mod.amount)
-        if self._sum is not None:
-            self._rehash(sources=sources)
+        if self._block_hash is not None:
+            self._rehash({self._vertex_of[s] for s in sources})
         self.steps.append(mod)
 
     def transport(self, trace: IhTrace, names: Sequence[str]) -> None:
@@ -415,11 +408,11 @@ def _choice(labels: tuple[str, ...], together: set[str]) -> str:
     )
 
 
-HASH_TAG = "m1:"
+HASH_TAG = "m2:"
 
 
 # The canonical lines of statements, as the canonical text (textio) holds
-# them and a hashed _PlanState hashes them.
+# them and _PlanState's vertex blocks join them.
 def vertex_line(name: str, triple: tuple[str, str, str]) -> str:
     return f"vertex {name} : {' '.join(triple)}"
 
@@ -444,21 +437,19 @@ def _line_hash(line: str) -> int:
     return int.from_bytes(hashlib.sha256(line.encode()).digest(), "big")
 
 
-def _digest(total: int) -> str:
-    # The first 16 of the 64 hex digits of total modulo 2^256.
-    return f"{HASH_TAG}{total >> 192 & 0xFFFFFFFFFFFFFFFF:016x}"
-
-
 def snapshot_hash(g: TrivalentGraph, dec: Optional[Decoration]) -> str:
     """Multiset hash of the canonical text of (g, dec): the sum, modulo
-    2^256, of the SHA-256 of each line of that text (as textio writes it),
-    as the first 16 of its 64 hex digits behind HASH_TAG.  The canonical lines
-    are distinct and sorted, so they determine the text; as a sum, the hash
-    can follow an edit by subtracting the lines it removes and adding those
-    it writes (AdHash, Bellare and Micciancio, 1997), as the fresh hashed
-    _PlanState it is read off does; making one checks that dec fits g.
+    2^256, of the SHA-256 of each vertex block, edge line and boundary line
+    of that text (as textio writes them), as the first 16 of its 64 hex
+    digits behind HASH_TAG.  A vertex's block is its vertex line, then the
+    alpha and then the beta lines of its triple, in the triple's order,
+    joined by newlines; a bare graph's block is its vertex line.  Blocks and
+    lines are distinct and determine the text.  As a sum, the hash follows an
+    edit by swapping the hashes of the blocks it rewrites (AdHash, Bellare
+    and Micciancio, 1997), on the fresh _PlanState it is read off, which
+    checks that dec fits g.
     """
-    return _PlanState(g, dec, hashed=True).snapshot_hash()
+    return _PlanState(g, dec).snapshot_hash()
 
 
 def _replay(state: _PlanState, steps: Sequence) -> Iterator[int]:
@@ -478,12 +469,11 @@ def apply_script(
     script: MoveScript,
 ) -> tuple[TrivalentGraph, Optional[Decoration]]:
     """Replay a script left to right (dec must fit g), verifying hashes."""
-    check = bool(script.hashes)
-    if check and len(script.hashes) != len(script.steps):
+    if script.hashes and len(script.hashes) != len(script.steps):
         raise ScriptError("hash count does not match step count")
-    state = _PlanState(g, dec, hashed=check)
+    state = _PlanState(g, dec)
     for idx in _replay(state, script.steps):
-        if check and script.hashes[idx] != state.snapshot_hash():
+        if script.hashes and script.hashes[idx] != state.snapshot_hash():
             raise ScriptError(f"step {idx}: snapshot hash mismatch")
     return state.freeze()
 
@@ -492,7 +482,7 @@ def with_hashes(
     g: TrivalentGraph, dec: Optional[Decoration], script: MoveScript
 ) -> MoveScript:
     """Attach snapshot hashes by replaying on (g, dec)."""
-    state = _PlanState(g, dec, hashed=True)
+    state = _PlanState(g, dec)
     hashes = tuple(state.snapshot_hash() for _ in _replay(state, script.steps))
     return MoveScript(steps=script.steps, hashes=hashes)
 

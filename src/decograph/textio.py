@@ -20,6 +20,7 @@ parse-serialize is a projection and serialize-parse is the identity.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .decoration import (
@@ -30,6 +31,10 @@ from .moves import (
     HASH_TAG, IhMove, MoveScript, ScriptError, alpha_line, beta_line, boundary_line,
     edge_line, vertex_line,
 )
+
+
+_HASH = re.compile(re.escape(HASH_TAG) + "[0-9a-f]{16}")
+_RETIRED = re.compile("(m[0-9]+:)|[0-9a-f]{16}$")  # another tag, or the old untagged hash
 
 
 class TextError(ValueError):
@@ -209,10 +214,11 @@ def serialize_script(script: MoveScript) -> str:
 
 
 def parse_script(text: str) -> MoveScript:
-    """Parse a move script.  A comment that starts with HASH_TAG is the
-    step's snapshot hash: either every step carries one or none does.  A
-    bare 16-hex-digit comment is a hash of the old whole-text scheme, which
-    replays cannot check, and is rejected.  Other comments are free."""
+    """Parse a move script.  A comment of HASH_TAG and 16 hex digits is the
+    step's snapshot hash: either every step carries one or none does.  Any
+    other comment that starts with HASH_TAG is malformed, and one that starts
+    with another tag ('m1:', ...) or is 16 bare hex digits is a hash of a
+    retired scheme, which cannot be checked: both raise.  Others are free."""
     steps, hashes = [], []
     unhashed = None  # (line, step index) of the first step without a hash
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -241,12 +247,15 @@ def parse_script(text: str) -> MoveScript:
         else:
             raise FileSyntaxError(lineno, 1, "one of 'V', 'I', 'E', 'IH'", head)
         comment = comment.strip()
-        if comment.startswith(HASH_TAG):
+        if _HASH.fullmatch(comment):
             hashes.append(comment)
-        elif len(comment) == 16 and set(comment) <= set("0123456789abcdef"):
+        elif comment.startswith(HASH_TAG):
+            raise FileSyntaxError(lineno, len(line) + 1, f"'{HASH_TAG}<16 hex>'", comment)
+        elif retired := _RETIRED.match(comment):
+            scheme = f"retired {retired[1]!r}" if retired[1] else "old whole-text"
             raise ScriptError(
-                f"line {lineno}: {comment!r} is a snapshot hash of the old"
-                " whole-text scheme, which cannot be checked; re-run 'decograph plan'"
+                f"line {lineno}: {comment!r} is a snapshot hash of the {scheme}"
+                " scheme, which cannot be checked; re-run 'decograph plan'"
             )
         elif unhashed is None:
             unhashed = (lineno, len(steps) - 1)

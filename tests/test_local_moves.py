@@ -290,10 +290,20 @@ PINNED_NORMAL_FORMS = {
 #   -> 3e59e10fad214f051b7d458dc4217c1449f3304560c7fbe1ebae87ca713121ac
 #   12: c460c0ea8412a711baa53213144829b766dc59f87ed41736c627e6b6521b20e7
 #   -> 37b66a00d1a34be6e3235a3c3c86c6ac0e3bd5afd168a5871f401d281807a608
+# All three were re-taken when snapshot_hash became the 'm2:' sum over vertex
+# blocks (a vertex line with the alpha and beta lines of its triple), edge
+# lines and the boundary line; only the hash comments changed, and
+# PINNED_PLAN_STEPS did not:
+#   8: 52c1c9a64cb375fc48d7de4b25c5f70db2b78d4f241a731bd4c574acd02f6f7c
+#   -> 4db50c777c4308ffc36c8b3544bd2f3dc67cda60b744512da8643afad1ad09dc
+#   10: 3e59e10fad214f051b7d458dc4217c1449f3304560c7fbe1ebae87ca713121ac
+#   -> be5899458852609571c46992f4083c2f44302b2cab7ec12c9487d51ccdf2e475
+#   12: 37b66a00d1a34be6e3235a3c3c86c6ac0e3bd5afd168a5871f401d281807a608
+#   -> 7bc4ef629e067ae99cb7c9ef7f54ab169dbeff7046727e119f606d0a86f99f6c
 PINNED_PLANS = {
-    8: "52c1c9a64cb375fc48d7de4b25c5f70db2b78d4f241a731bd4c574acd02f6f7c",
-    10: "3e59e10fad214f051b7d458dc4217c1449f3304560c7fbe1ebae87ca713121ac",
-    12: "37b66a00d1a34be6e3235a3c3c86c6ac0e3bd5afd168a5871f401d281807a608",
+    8: "4db50c777c4308ffc36c8b3544bd2f3dc67cda60b744512da8643afad1ad09dc",
+    10: "be5899458852609571c46992f4083c2f44302b2cab7ec12c9487d51ccdf2e475",
+    12: "7bc4ef629e067ae99cb7c9ef7f54ab169dbeff7046727e119f606d0a86f99f6c",
 }
 
 # v of the same pairs -> digest of the plan's steps alone, without hashes.

@@ -1,17 +1,19 @@
 """Snapshot hashes kept on the working state.
 
-``snapshot_hash(g, dec)`` is defined on the canonical text, and the library
-reads it off a fresh hashed working state; ``text_digest`` below computes it
-from the text alone, as the reference.  The working state keeps the sum of
-its lines' hashes and the hash of each line a move can rewrite, under its
-vertex (vertex line), half-edge (alpha line) or source (beta line); edge
-lines and the boundary line enter the sum once.  An edit subtracts the kept
-hashes of the lines it rewrites and hashes the lines it writes.  The tests
-below compare the kept hashes and sum with the text, and the digests with
-``text_digest``, after every step of random scripts, check that replays catch
-tampering, that ``parse_script`` refuses partial and old-scheme hashes, that
-hashing a long script serializes the graph a constant number of times, not
-once per step, and that a step hashes and builds only the lines it writes.
+``snapshot_hash(g, dec)`` is defined on the canonical text: the SHA-256 sum
+of its vertex blocks (a vertex line, then the alpha and then the beta lines
+of its triple), edge lines and boundary line.  The library reads it off a
+fresh working state, which seeds the hash of each vertex's block on the
+first ``snapshot_hash`` call; ``text_digest`` below computes it from the
+text alone, as the reference.  Edge lines and the boundary line enter the
+sum once.  A step subtracts the kept hashes of the blocks it rewrites and
+hashes them anew.  The tests below compare the kept block hashes and sum
+with the text, and the digests with ``text_digest``, after every step of
+random scripts, check that replays catch tampering, that ``parse_script``
+refuses partial, malformed and retired-scheme hashes, that hashing a long
+script serializes the graph a constant number of times, not once per step,
+that a step hashes only the blocks it writes and that planning hashes
+nothing.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ from collections import Counter
 import pytest
 
 from decograph import (
+    FileSyntaxError,
     IhMove,
     MoveScript,
     TrivialMod,
@@ -29,13 +32,16 @@ from decograph import (
     apply_trivial_mod,
     build_graph,
     ih_plan,
+    normal_form,
     parse_script,
     serialize_decorated_graph,
     serialize_script,
 )
 from decograph import moves, textio
 from decograph.cli import run_command
-from decograph.moves import HASH_TAG, ScriptError, _PlanState, snapshot_hash, with_hashes
+from decograph.moves import (
+    HASH_TAG, ScriptError, _PlanState, normalize_to_apple_tree, snapshot_hash, with_hashes,
+)
 from conftest import random_decoration, tree_with_chords
 
 
@@ -66,28 +72,53 @@ def random_pair(rng, v, genus, decorated=True):
     return g1, dec1, g2, bmap
 
 
+def _sha(text):
+    return int.from_bytes(hashlib.sha256(text.encode()).digest(), "big")
+
+
+def text_blocks(g, dec):
+    """The vertex blocks of the canonical text of (g, dec), each vertex line
+    followed by the alpha and then the beta lines of its triple in the
+    vertex line's order, and the text's edge and boundary lines, read off
+    serialize_decorated_graph alone."""
+    lines = serialize_decorated_graph(g, dec).splitlines()
+    alpha = {line.split()[1]: line for line in lines if line.startswith("alpha ")}
+    beta = {tuple(line.split()[1:3]): line for line in lines if line.startswith("beta ")}
+    blocks, fixed = [], []
+    for line in lines:
+        head, name, *rest = line.split()
+        if head == "vertex":
+            triple = rest[1:]
+            blocks.append("\n".join([
+                line, *[alpha[h] for h in triple if h in alpha],
+                *[beta[name, h] for h in triple if (name, h) in beta],
+            ]))
+        elif head in ("edge", "boundary"):
+            fixed.append(line)
+    return blocks, fixed
+
+
 def text_digest(g, dec):
     """The digest as TestDefinition states it: the SHA-256 sum, modulo 2^256,
-    of the lines of serialize_decorated_graph, with no working state."""
-    total = sum(
-        int.from_bytes(hashlib.sha256(line.encode()).digest(), "big")
-        for line in serialize_decorated_graph(g, dec).splitlines()
-    ) % 2**256
-    return "m1:" + f"{total:064x}"[:16]
+    of the text's vertex blocks, edge lines and boundary line, with no
+    working state."""
+    blocks, fixed = text_blocks(g, dec)
+    total = sum(map(_sha, blocks + fixed)) % 2**256
+    return "m2:" + f"{total:064x}"[:16]
 
 
 class TestDefinition:
     def test_sum_of_line_hashes(self):
+        """The sum over blocks and lines; a bare graph's blocks are its vertex
+        lines, so its digest is the sum over the text's lines."""
         rng = random.Random(3)
         g = tree_with_chords(rng, 12, 2)
         for dec in (None, random_decoration(g, rng, 5)):
-            lines = serialize_decorated_graph(g, dec).splitlines()
-            total = sum(
-                int.from_bytes(hashlib.sha256(line.encode()).digest(), "big")
-                for line in lines
-            ) % 2**256
-            assert snapshot_hash(g, dec) == "m1:" + f"{total:064x}"[:16]
+            assert snapshot_hash(g, dec) == text_digest(g, dec)
             assert re.fullmatch(re.escape(HASH_TAG) + "[0-9a-f]{16}", snapshot_hash(g, dec))
+        lines = serialize_decorated_graph(g).splitlines()
+        total = sum(map(_sha, lines)) % 2**256
+        assert snapshot_hash(g, None) == "m2:" + f"{total:064x}"[:16]
 
 
 class TestKeptSum:
@@ -98,21 +129,14 @@ class TestKeptSum:
         for _ in range(graphs):
             g = tree_with_chords(rng, v, rng.randint(0, min(v // 2, 10)))
             dec = random_decoration(g, rng, 5) if decorated else None
-            state = _PlanState(g, dec, hashed=True)
+            state = _PlanState(g, dec)
             assert state.snapshot_hash() == snapshot_hash(g, dec) == text_digest(g, dec)
-            # No move changes an edge line or the boundary line.
-            fixed = [
-                moves._line_hash(line) for line in serialize_decorated_graph(g, dec).splitlines()
-                if line.startswith(("edge ", "boundary "))
-            ]
+            _, start_fixed = text_blocks(g, dec)
             for _ in range(steps):
                 state.apply(random_step(rng, state))
-                text = serialize_decorated_graph(*state.freeze())
-                kept = [*state._vertex_hash.values()]
-                if decorated:
-                    kept += [*state._alpha_hash.values(), *state._beta_hash.values()]
-                lines = map(moves._line_hash, text.splitlines())
-                assert sorted(kept + fixed) == sorted(lines)
+                blocks, fixed = text_blocks(*state.freeze())
+                assert fixed == start_fixed  # no move changes an edge or the boundary
+                assert sorted(state._block_hash.values()) == sorted(map(_sha, blocks))
                 assert state.snapshot_hash() == snapshot_hash(*state.freeze())
                 assert state.snapshot_hash() == text_digest(*state.freeze())
 
@@ -178,25 +202,34 @@ class TestParseHashes:
     TWO_STEPS = "V A 1  # {}\nIH u-v b  # {}\n"
 
     def test_first_hash_dropped_and_step_changed(self):
-        text = "V A 1\nV B 5  # m1:0123456789abcdef\n"
+        text = "V A 1\nV B 5  # m2:0123456789abcdef\n"
         with pytest.raises(ScriptError, match="step 0 has no snapshot hash"):
             parse_script(text)
 
     def test_old_scheme_rejected(self):
-        text = self.TWO_STEPS.format("0123456789abcdef", "fedcba9876543210")
-        with pytest.raises(ScriptError, match="old whole-text scheme.*re-run") as exc:
-            parse_script(text)
-        assert "mismatch" not in str(exc.value)
+        retired = [
+            (("0123456789abcdef", "fedcba9876543210"), "old whole-text scheme"),
+            (("m1:0123456789abcdef", "m1:fedcba9876543210"), "retired 'm1:' scheme"),
+            (("m1:0123 oops", "m1:fedcba9876543210"), "retired 'm1:' scheme"),
+        ]
+        for digests, scheme in retired:
+            with pytest.raises(ScriptError, match=f"line 1: .*{scheme}.*re-run") as exc:
+                parse_script(self.TWO_STEPS.format(*digests))
+            assert "mismatch" not in str(exc.value)
+        for digest in ("m2:0123 oops", "m2:0123456789ABCDEF", "m2:0123456789abcdef0"):
+            with pytest.raises(FileSyntaxError, match="line 2, column 11") as exc:
+                parse_script(self.TWO_STEPS.format("m2:0123456789abcdef", digest))
+            assert exc.value.line == 2
 
     def test_free_comments(self):
         script = parse_script("# a plan\nV A 1  # first\nIH u-v b\n")
         assert script.hashes == ()
         with pytest.raises(ScriptError, match="step 1 has no snapshot hash"):
-            parse_script("V A 1  # m1:0123456789abcdef\nIH u-v b  # note\n")
+            parse_script("V A 1  # m2:0123456789abcdef\nIH u-v b  # note\n")
 
     def test_tagged_hashes_kept(self):
-        text = self.TWO_STEPS.format("m1:0123456789abcdef", "m1:fedcba9876543210")
-        assert parse_script(text).hashes == ("m1:0123456789abcdef", "m1:fedcba9876543210")
+        text = self.TWO_STEPS.format("m2:0123456789abcdef", "m2:fedcba9876543210")
+        assert parse_script(text).hashes == ("m2:0123456789abcdef", "m2:fedcba9876543210")
 
 
 class TestCli:
@@ -241,10 +274,14 @@ class TestCli:
         assert f"step {k}: snapshot hash mismatch" in capsys.readouterr().err
 
     def test_old_scheme_exits_2(self, files, capsys):
-        text = re.sub(r"m1:([0-9a-f]{16})", r"\1", files["script"].read_text())
-        files["script"].write_text(text)
-        assert self.run(files) == 2
-        assert "old whole-text scheme" in capsys.readouterr().err
+        text = files["script"].read_text()
+        for old, error in ((r"\1", "old whole-text scheme"), (r"m1:\1", "retired 'm1:' scheme"),
+                           (r"m1:\1 oops", "retired 'm1:' scheme"),
+                           (HASH_TAG + r"\1 oops", "line 1, column")):
+            hashed = re.sub(re.escape(HASH_TAG) + "([0-9a-f]{16})", old, text)
+            files["script"].write_text(hashed)
+            assert self.run(files) == 2
+            assert error in capsys.readouterr().err
 
 
 class TestCliBare(TestCli):
@@ -278,68 +315,55 @@ def test_hashing_does_not_serialize_per_step(monkeypatch):
     assert calls["serialize"] + calls["build"] <= 2
 
 
-@pytest.mark.parametrize(
-    "decorated, per_step", [(True, 10), (False, 2)], ids=("decorated", "bare")
-)
-def test_ih_moves_rehash_only_the_lines_they_rewrite(monkeypatch, decorated, per_step):
-    """An IH move keeps its edge's names and the pairing, so its edge line
-    is not rehashed: two vertex lines, and on a decorated state the two
-    alpha lines of the edge and the six beta lines at its vertices."""
-    rng = random.Random(11)
-    g = tree_with_chords(rng, 200, 10)
-    dec = random_decoration(g, rng, 5) if decorated else None
-    script = ih_plan(g, g, {h: h for h in g.boundary})
-    state = _PlanState(g, dec, hashed=True)
-    calls = []
-    line_hash = moves._line_hash
-
-    def counted(line):
-        calls.append(line)
-        return line_hash(line)
-
-    monkeypatch.setattr(moves, "_line_hash", counted)
-    for step in script.steps:
-        state.apply(step)
-    assert len(calls) == per_step * len(script.steps)
-    assert state.snapshot_hash() == snapshot_hash(*state.freeze())
-
-
 @pytest.mark.parametrize("decorated", (True, False), ids=("decorated", "bare"))
-def test_steps_build_only_the_lines_they_write(monkeypatch, decorated):
-    """A hashed step builds each line it writes once and no line it
-    replaces: 10 for a decorated IH move, 2 for a bare one, and 3, 2 and 1
-    for V, I and E.  The line builders are wrapped in every module that
-    holds them."""
+def test_steps_hash_only_the_blocks_they_write(monkeypatch, decorated):
+    """Once the sum is seeded, a step hashes the block of each vertex it
+    rewrites and nothing else: 2 for an IH move, decorated or bare, 1 for V
+    and E, and for I 1 or 2 as the edge is a loop or not.  The I steps run on
+    every edge of the apple tree halfway through the plan, which has loops."""
     rng = random.Random(11)
     g = tree_with_chords(rng, 200, 10)
     dec = random_decoration(g, rng, 5) if decorated else None
     steps = list(ih_plan(g, g, {h: h for h in g.boundary}).steps)
     if decorated:
-        mods = [TrivialMod("V", g.vertices[0][0], 1), TrivialMod("I", g.edges[0], 1),
-                TrivialMod("E", g.boundary[0], 1)]
-        steps[len(steps) // 2:len(steps) // 2] = mods
-    state = _PlanState(g, dec, hashed=True)
-    built = []
+        apple = len(normalize_to_apple_tree(g, sorted(g.boundary))[0].steps)
+        mods = [TrivialMod("V", g.vertices[0][0], 1), TrivialMod("E", g.boundary[0], 1)]
+        steps[apple:apple] = mods + [TrivialMod("I", edge, 1) for edge in g.edges]
+    state = _PlanState(g, dec)
+    state.snapshot_hash()  # seeds the kept hashes
+    calls = []
+    line_hash = moves._line_hash
 
-    def counted(fn):
-        def wrapper(*args):
-            built.append(args)
-            return fn(*args)
-        return wrapper
+    def counted(text):
+        calls.append(text)
+        return line_hash(text)
 
-    for module in (moves, textio):
-        for name in ("vertex_line", "edge_line", "alpha_line", "beta_line"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    monkeypatch.setattr(moves, "_line_hash", counted)
     per_step = Counter()
     for step in steps:
-        before = len(built)
+        kind = step.kind if isinstance(step, TrivialMod) else "IH"
+        before = len(calls)
+        blocks = len({state.vertex_of(h) for h in step.target}) if kind == "I" else None
         state.apply(step)
-        per_step[step.kind if isinstance(step, TrivialMod) else "IH", len(built) - before] += 1
+        per_step[kind, len(calls) - before, blocks] += 1
     ih_steps = sum(isinstance(step, IhMove) for step in steps)
-    want = {("IH", 10 if decorated else 2): ih_steps}
+    want = {("IH", 2, None): ih_steps}
     if decorated:
-        want.update({("V", 3): 1, ("I", 2): 1, ("E", 1): 1})
+        want.update({("V", 1, None): 1, ("E", 1, None): 1})
+        # The apple tree of genus 10 has ten loops.
+        want.update({("I", 2, 2): len(g.edges) - 10, ("I", 1, 1): 10})
     assert per_step == want
     monkeypatch.undo()
-    assert state.snapshot_hash() == snapshot_hash(*state.freeze())
+    assert state.snapshot_hash() == snapshot_hash(*state.freeze()) == text_digest(*state.freeze())
+
+
+def test_planning_hashes_nothing(monkeypatch):
+    """The planner and normal_form never ask for a snapshot hash, so no
+    block or line is hashed while they run."""
+    rng = random.Random(23)
+    g1, dec1, g2, bmap = random_pair(rng, 40, 4)
+    calls = []
+    monkeypatch.setattr(moves, "_line_hash", calls.append)
+    ih_plan(g1, g2, bmap)
+    normal_form(g1, dec1)
+    assert calls == []

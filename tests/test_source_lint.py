@@ -9,7 +9,7 @@ public one in the library or the benchmark, unless it is an entry point.  The
 planner in ``moves.py`` stays free of the isomorphism search and of
 decorations, ``normal_form`` reads its class off ``classify``, and the orbit
 walk in ``oracle.py`` free of whole-graph rebuilds and of the working
-state's internals.  The moves in ``moves.py`` keep every half-edge and the
+state's internals.  The working state takes no option.  The moves in ``moves.py`` keep every half-edge and the
 pairing.  Only ``_check_fit`` runs the fit rule, ``validate_decoration``.
 ``tests/conftest.py`` imports its sibling test modules lazily.
 """
@@ -274,6 +274,24 @@ def test_oracle_stays_out_of_the_state():
     _PlanState's methods; oracle.py names none of the state's dicts."""
     state_dicts = {"_alpha", "_beta", "_triple_of", "_vertex_of", "_partner"}
     assert _names("oracle.py") & state_dicts == set()
+
+
+def test_plan_state_has_no_options():
+    """A working state seeds its hashes when snapshot_hash is first asked
+    for, so its constructor takes the graph and the decoration and nothing
+    else."""
+    path = next(p for p in SOURCES if p.name == "moves.py")
+    state = next(
+        node for node in _tree(path).body
+        if isinstance(node, ast.ClassDef) and node.name == "_PlanState"
+    )
+    init = next(
+        node for node in state.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    args = init.args
+    names = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
+    assert names == ["self", "g", "dec"] and not (args.vararg or args.kwarg)
 
 
 def _state_edits(tree):

@@ -12,8 +12,8 @@ with the text, and the digests with ``text_digest``, after every step of
 random scripts, check that replays catch tampering, that ``parse_script``
 refuses partial, malformed and retired-scheme hashes, that hashing a long
 script serializes the graph a constant number of times, not once per step,
-that a step hashes only the blocks it writes and that planning hashes
-nothing.
+that an IH move rehashes only its two vertex blocks, that a step builds
+only the lines of the blocks it writes and that planning hashes nothing.
 """
 
 import hashlib
@@ -316,19 +316,15 @@ def test_hashing_does_not_serialize_per_step(monkeypatch):
 
 
 @pytest.mark.parametrize("decorated", (True, False), ids=("decorated", "bare"))
-def test_steps_hash_only_the_blocks_they_write(monkeypatch, decorated):
-    """Once the sum is seeded, a step hashes the block of each vertex it
-    rewrites and nothing else: 2 for an IH move, decorated or bare, 1 for V
-    and E, and for I 1 or 2 as the edge is a loop or not.  The I steps run on
-    every edge of the apple tree halfway through the plan, which has loops."""
+def test_ih_moves_rehash_only_the_lines_they_rewrite(monkeypatch, decorated):
+    """An IH move keeps its edge's names and the pairing, so its edge line
+    is not rehashed: once the sum is seeded, a step hashes the blocks of the
+    edge's two vertices, which hold every line it rewrites, and nothing
+    else, decorated or bare."""
     rng = random.Random(11)
     g = tree_with_chords(rng, 200, 10)
     dec = random_decoration(g, rng, 5) if decorated else None
-    steps = list(ih_plan(g, g, {h: h for h in g.boundary}).steps)
-    if decorated:
-        apple = len(normalize_to_apple_tree(g, sorted(g.boundary))[0].steps)
-        mods = [TrivialMod("V", g.vertices[0][0], 1), TrivialMod("E", g.boundary[0], 1)]
-        steps[apple:apple] = mods + [TrivialMod("I", edge, 1) for edge in g.edges]
+    script = ih_plan(g, g, {h: h for h in g.boundary})
     state = _PlanState(g, dec)
     state.snapshot_hash()  # seeds the kept hashes
     calls = []
@@ -339,19 +335,68 @@ def test_steps_hash_only_the_blocks_they_write(monkeypatch, decorated):
         return line_hash(text)
 
     monkeypatch.setattr(moves, "_line_hash", counted)
+    for step in script.steps:
+        del calls[:]
+        state.apply(step)
+        hashed = sorted(text.split()[1] for text in calls)
+        assert all(text.startswith("vertex ") for text in calls)
+        assert hashed == sorted(state.vertex_of(h) for h in step.edge)
+    monkeypatch.undo()
+    assert state.snapshot_hash() == snapshot_hash(*state.freeze())
+
+
+@pytest.mark.parametrize("decorated", (True, False), ids=("decorated", "bare"))
+def test_steps_build_only_the_lines_they_write(monkeypatch, decorated):
+    """Once the sum is seeded, a step hashes the block of each vertex it
+    rewrites, and builds the lines of those blocks and no other line: per
+    block one vertex line and, decorated, three alpha and three beta lines.
+    That is 2 blocks for an IH move, 1 for V and E, and for I 1 or 2 as the
+    edge is a loop or not; no step builds an edge line.  The I steps run on
+    every edge of the apple tree halfway through the plan, which has loops.
+    The line builders are wrapped in every module that holds them."""
+    rng = random.Random(11)
+    g = tree_with_chords(rng, 200, 10)
+    dec = random_decoration(g, rng, 5) if decorated else None
+    steps = list(ih_plan(g, g, {h: h for h in g.boundary}).steps)
+    if decorated:
+        apple = len(normalize_to_apple_tree(g, sorted(g.boundary))[0].steps)
+        mods = [TrivialMod("V", g.vertices[0][0], 1), TrivialMod("E", g.boundary[0], 1)]
+        steps[apple:apple] = mods + [TrivialMod("I", edge, 1) for edge in g.edges]
+    state = _PlanState(g, dec)
+    state.snapshot_hash()  # seeds the kept hashes
+    calls, built = [], []
+    line_hash = moves._line_hash
+
+    def counted(text):
+        calls.append(text)
+        return line_hash(text)
+
+    def builder(name, fn):
+        def wrapper(*args):
+            built.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(moves, "_line_hash", counted)
+    for module in (moves, textio):
+        for name in ("vertex_line", "edge_line", "alpha_line", "beta_line"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, builder(name, getattr(module, name)))
+    per_block = 7 if decorated else 1
     per_step = Counter()
     for step in steps:
         kind = step.kind if isinstance(step, TrivialMod) else "IH"
-        before = len(calls)
+        hashes, lines = len(calls), len(built)
         blocks = len({state.vertex_of(h) for h in step.target}) if kind == "I" else None
         state.apply(step)
-        per_step[kind, len(calls) - before, blocks] += 1
+        per_step[kind, len(calls) - hashes, len(built) - lines, blocks] += 1
+    assert "edge_line" not in built
     ih_steps = sum(isinstance(step, IhMove) for step in steps)
-    want = {("IH", 2, None): ih_steps}
+    want = {("IH", 2, 2 * per_block, None): ih_steps}
     if decorated:
-        want.update({("V", 1, None): 1, ("E", 1, None): 1})
+        want.update({("V", 1, 7, None): 1, ("E", 1, 7, None): 1})
         # The apple tree of genus 10 has ten loops.
-        want.update({("I", 2, 2): len(g.edges) - 10, ("I", 1, 1): 10})
+        want.update({("I", 2, 14, 2): len(g.edges) - 10, ("I", 1, 7, 1): 10})
     assert per_step == want
     monkeypatch.undo()
     assert state.snapshot_hash() == snapshot_hash(*state.freeze()) == text_digest(*state.freeze())

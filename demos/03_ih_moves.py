@@ -12,14 +12,14 @@ tests (tests/lemmas.py), not by the library.
 import sys
 from pathlib import Path
 
-from decograph import IhMove, apply_script, build_graph, ih_apply, zero_beta
+from decograph import IhMove, apply_script, build_graph, ih_apply, make_decoration
 from decograph.moves import with_hashes, MoveScript
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from lemmas import invert_move, local_B, local_B_prime, local_equivalent, refined_epsilon
 
 g = build_graph({"A": ("x", "y", "u"), "B": ("z", "w", "v")}, [("u", "v")])
-dec = zero_beta(g, {"x": 2, "y": 0, "u": 0, "v": 0, "z": 0, "w": 2})
+dec = make_decoration(g, {"x": 2, "y": 0, "u": 0, "v": 0, "z": 0, "w": 2}, {})
 
 B = local_B(g, dec, ("u", "v"))
 print("B lifts:", B.lifts, "moduli:", B.moduli, "alpha_u:", B.alpha_u)

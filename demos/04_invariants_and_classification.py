@@ -4,18 +4,25 @@ Genus 0: only the boundary alpha matters.  Genus 1: the single invariant
 A~ = gcd({alpha_x - 2 : x external}, a, b) where (a, b) comes from the one
 basis cycle.  Genus >= 2: four classes cut out by parities of alpha and
 b_c, boundary alpha mod 4, and (for III vs IV) the Arf invariant of the
-quadratic refinement over the cycles with alpha = 0 mod 4.
+quadratic refinement over the cycles with alpha = 0 mod 4.  The library
+reads the class through classify; decoration_class, the bare class rule,
+is a lemma check of the tests (tests/lemmas.py).
 """
+
+import sys
+from pathlib import Path
 
 from decograph import (
     a_tilde,
     arf,
     build_graph,
     classify,
-    decoration_class,
     frak_C,
     make_decoration,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from lemmas import decoration_class
 
 # Genus 1: wheels.  (a, b) = (4, 6) and (2, 0) both have A~ = 2.
 wheel = build_graph({"W": ("x", "y", "z")}, [("x", "y")])

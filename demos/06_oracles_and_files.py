@@ -3,8 +3,9 @@
 The oracles cross-check the closed-form invariants by explicit bounded
 search: sl2_orbit (a lemma check of the tests, tests/lemmas.py) walks a
 single (a, b) pair under the loop moves, move_orbit enumerates
-whole-decoration orbits, and check_classification exhaustively compares
-orbits with classification records in a small window.  The same objects
+whole-decoration orbits, and check_classification (a check of the theorem,
+tests/exhaustive.py) exhaustively compares orbits with classification
+records in a small window.  The same objects
 round-trip through the text format and CLI.
 """
 
@@ -16,7 +17,6 @@ from pathlib import Path
 from decograph import (
     OrbitBounds,
     build_graph,
-    check_classification,
     make_decoration,
     move_orbit,
     serialize_decorated_graph,
@@ -24,6 +24,7 @@ from decograph import (
 from decograph.cli import run_command
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from exhaustive import check_classification
 from lemmas import sl2_orbit
 
 # The genus-1 moves only preserve gcd(a, b); the window orbit confirms it.

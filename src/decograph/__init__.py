@@ -2,7 +2,7 @@
 
 Half-edge graphs with alpha/beta decorations, trivial modifications and IH
 moves with exact decoration transport, congruence invariants, a normal-form
-reducer, brute-force orbit oracles, and a text-file CLI.
+reducer, a bounded brute-force orbit oracle, and a text-file CLI.
 """
 
 from .decoration import (
@@ -20,7 +20,6 @@ from .decoration import (
     reduce_lift,
     trivial_mod_equivalent,
     validate_decoration,
-    zero_beta,
 )
 from .graph import (
     BadBoundaryMap,
@@ -50,7 +49,6 @@ from .invariants import (
     a_tilde,
     arf,
     classify,
-    decoration_class,
     equivalent,
     frak_C,
     normal_form,
@@ -68,10 +66,8 @@ from .moves import (
     ih_plan,
 )
 from .oracle import (
-    ClassificationReport,
     FrontierExceeded,
     OrbitBounds,
-    check_classification,
     move_orbit,
 )
 from .textio import (

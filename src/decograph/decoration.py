@@ -20,6 +20,7 @@ the proofs, not of a decision; tests/lemmas.py computes them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -177,6 +178,16 @@ def _alpha_problems(g: TrivalentGraph, alpha: Mapping[str, int]) -> list[str]:
     return problems
 
 
+def _integers(values: Mapping, what: str) -> dict:
+    """``values`` read by ``operator.index``, so no float or str is truncated
+    or parsed; DecorationError names a key whose value is not an integer."""
+    try:
+        return dict(zip(values, map(operator.index, values.values())))
+    except TypeError:
+        key = next(k for k, v in values.items() if not hasattr(type(v), "__index__"))
+    raise DecorationError(f"{what} {key!r} is not an integer: {values[key]!r}")
+
+
 def make_decoration(
     g: TrivalentGraph,
     alpha: Mapping[str, int],
@@ -187,13 +198,13 @@ def make_decoration(
     A source's lift toward its least co-half is stored, derived through
     the vertex congruence when ``beta`` gives only the other one, and 0
     (the gauge-zero default) when it gives neither.  Raises
-    DecorationError, naming the half-edges, vertex or key at fault, when
-    alpha is not given on exactly the half-edges of g, a vertex sum is not
-    2, the alphas of an edge do not cancel, a source's two given lifts
-    break the congruence, or a beta key is not an ordered pair of distinct
-    half-edges at one vertex of g.
+    DecorationError, naming the half-edges, vertex or key at fault, when a
+    value is not an integer, alpha is not given on exactly the half-edges
+    of g, a vertex sum is not 2, the alphas of an edge do not cancel, a
+    source's two given lifts break the congruence, or a beta key is not an
+    ordered pair of distinct half-edges at one vertex of g.
     """
-    amap = dict(zip(alpha, map(int, alpha.values())))
+    amap, bmap = _integers(alpha, "alpha at"), _integers(beta, "beta at")
     problems = _alpha_problems(g, amap)
     if problems:
         raise DecorationError("; ".join(problems))
@@ -202,26 +213,19 @@ def make_decoration(
     for name, (a, b, c) in g.vertices:
         # each source with its two co-halves, least first, as triples are sorted
         for s, t0, t1 in ((a, b, c), (b, a, c), (c, a, b)):
-            to0, to1 = beta.get((s, t0)), beta.get((s, t1))
-            if to0 is not None:
-                used += 1
-                lift = reduce_lift(int(to0), amap[s])
-                if to1 is not None:
-                    used += 1
-                    if _companion(int(to1), amap[t0], amap[s]) != lift:
-                        raise DecorationError(
-                            f"vertex {name!r}: beta_({s},{t1}) != beta_({s},{t0}) "
-                            f"+ alpha_{t1} - 1 mod {amap[s]}"
-                        )
-            elif to1 is not None:
-                used += 1
-                lift = _companion(int(to1), amap[t0], amap[s])
-            else:
-                lift = 0  # the gauge-zero default
-            lifts[s] = (t0, t1, lift)
-    if used != len(beta):
+            to0, to1 = bmap.get((s, t0)), bmap.get((s, t1))
+            lift = 0 if to0 is None else reduce_lift(to0, amap[s])
+            read = lift if to1 is None else _companion(to1, amap[t0], amap[s])
+            if to0 is not None and read != lift:
+                raise DecorationError(
+                    f"vertex {name!r}: beta_({s},{t1}) != beta_({s},{t0}) "
+                    f"+ alpha_{t1} - 1 mod {amap[s]}"
+                )
+            used += (to0 is not None) + (to1 is not None)
+            lifts[s] = (t0, t1, read)
+    if used != len(bmap):
         pairs = {(s, t) for _, triple in g.vertices for s in triple for t in triple}
-        bad = next(key for key in beta if key not in pairs or key[0] == key[1])
+        bad = next(key for key in bmap if key not in pairs or key[0] == key[1])
         raise DecorationError(f"beta key {bad!r} is not two half-edges at a vertex")
     return _decoration(amap, lifts, g)
 
@@ -234,11 +238,6 @@ def _decoration(alpha: dict, lifts: dict, g: TrivalentGraph) -> Decoration:
         beta=tuple([(s, lifts[s]) for s in sorted(lifts)]),
         _alpha=alpha, _beta=lifts, _graph=g,
     )
-
-
-def zero_beta(g: TrivalentGraph, alpha: Mapping[str, int]) -> Decoration:
-    """The gauge-zero decoration: lift 0 from each source to its least target."""
-    return make_decoration(g, alpha, {})
 
 
 def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
@@ -320,6 +319,8 @@ class TrivialMod:
         if not (_is_pair(self.target) if edge else isinstance(self.target, str)):
             what = "a pair of half-edge names" if edge else "one name"
             raise BadTarget(f"{self.kind} target must be {what}, not {self.target!r}")
+        if not isinstance(self.amount, int):
+            raise BadTarget(f"{self.kind} amount must be an integer, not {self.amount!r}")
 
 
 def apply_trivial_mod(

@@ -167,13 +167,6 @@ def arf(g: TrivalentGraph, dec: Decoration) -> int:
     return ("III", "IV").index(_graph_class(g, dec, ()))
 
 
-def decoration_class(g: TrivalentGraph, dec: Decoration) -> str:
-    """The four-way partition I | II | III | IV (total on connected graphs)."""
-    _check_fit(g, dec)
-    _connected_genus(g)
-    return _graph_class(g, dec, _basis_bs(g, dec))
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """Classification record; only genus-appropriate fields are populated."""

@@ -19,7 +19,6 @@ from decograph import (
     graph_stats,
     is_connected,
     make_decoration,
-    zero_beta,
 )
 from decograph.decoration import TrivialMod, apply_trivial_mod, stored_lift
 from decograph.graph import InternalError, spanning_tree
@@ -260,7 +259,7 @@ def corpus_decorations(seed: int = 7, per_graph: int = 3):
     for g in small_graph_corpus() + list(named_corpus().values()):
         if not g.boundary:
             continue
-        out.append((g, zero_beta(g, random_alpha(g, rng))))
+        out.append((g, make_decoration(g, random_alpha(g, rng), {})))
         for _ in range(per_graph - 1):
             out.append((g, random_decoration(g, rng)))
     return out

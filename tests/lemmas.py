@@ -1,8 +1,9 @@
 """The paper's lemma checks: steps of the proofs that no decision takes.
 
 The local class B(beta) of an IH move and its mod-4 vector, the residues
-gamma and delta, the weak class, the planar canonical beta, loop tuples and
-the genus-1 orbit.  Each reader of a (graph, decoration) pair checks the
+gamma and delta, the weak class, the planar canonical beta, the four-way
+class read off a decoration without ``classify``, loop tuples and the
+genus-1 orbit.  Each reader of a (graph, decoration) pair checks the
 fit through ``decoration._check_fit``, as the library's readers do.
 """
 
@@ -25,8 +26,14 @@ from decograph.decoration import (
     make_decoration,
     reduce_lift,
 )
-from decograph.graph import TrivalentGraph, cycle_basis
-from decograph.invariants import _a_tilde, _canonical_pairs, _class_rule
+from decograph.graph import TrivalentGraph, _connected_genus, cycle_basis
+from decograph.invariants import (
+    _a_tilde,
+    _basis_bs,
+    _canonical_pairs,
+    _class_rule,
+    _graph_class,
+)
 from decograph.lattice import solve_lattice
 from decograph.moves import IhMove, IhTrace, MoveError, _B_lifts, _choice, _labels
 
@@ -247,6 +254,13 @@ class LoopTuple:
 
     pairs: tuple[tuple[int, int], ...]
     boundary_alpha: tuple[int, ...]
+
+
+def decoration_class(g: TrivalentGraph, dec: Decoration) -> str:
+    """The four-way partition I | II | III | IV (total on connected graphs)."""
+    _check_fit(g, dec)
+    _connected_genus(g)
+    return _graph_class(g, dec, _basis_bs(g, dec))
 
 
 def tuple_class(t: LoopTuple) -> str:

@@ -16,7 +16,6 @@ from decograph import (
     apply_script,
     boundary_isomorphism,
     build_graph,
-    check_classification,
     classify,
     cycle_b,
     cycle_basis,
@@ -26,15 +25,16 @@ from decograph import (
     ih_apply,
     ih_plan,
     is_connected,
+    make_decoration,
     normal_form,
     parse_decorated_graph,
     reduce_lift,
     serialize_decorated_graph,
-    zero_beta,
 )
 from decograph.cli import run_command
 from decograph.invariants import ConditionsFail, _check_conditions, arf, frak_C
 from decograph.moves import _labels, normalize_to_apple_tree
+from exhaustive import check_classification
 from lemmas import (
     OrientedCycle,
     _local_B_labelled,
@@ -526,7 +526,7 @@ def bubble_chain(n):
         alpha.update({f"a{k}p": 0, f"b{k}p": 0, f"a{k}q": 4 * k, f"b{k}q": -4 * k,
                       f"a{k}s": 2 - 4 * k, f"b{k}s": 2 + 4 * k})
     g = build_graph(vertices, edges)
-    return g, zero_beta(g, alpha)
+    return g, make_decoration(g, alpha, {})
 
 
 def test_frak_C_of_many_bubbles():

@@ -31,7 +31,6 @@ from decograph import (
     classify,
     cycle_b,
     cycle_basis,
-    decoration_class,
     dot_export,
     equivalent,
     frak_C,
@@ -46,12 +45,19 @@ from decograph import (
     serialize_script,
     trivial_mod_equivalent,
     validate_decoration,
-    zero_beta,
 )
 from decograph.moves import snapshot_hash, with_hashes
 from decograph.moves import _PlanState
 from decograph.oracle import _neighbour_lifts, _round_trip_moves
-from lemmas import delta_edge, extract_loop_tuple, gamma, local_B, weak_class, weaken
+from lemmas import (
+    decoration_class,
+    delta_edge,
+    extract_loop_tuple,
+    gamma,
+    local_B,
+    weak_class,
+    weaken,
+)
 
 from conftest import random_decoration, small_graph_corpus, tree_with_chords
 
@@ -64,13 +70,13 @@ def _foreign_pairs():
     half-edges and edges but other triples: the pair of the README, and
     that of test_decoration_of_another_graph_rejected."""
     g1 = build_graph(G1, EDGES)
-    readme = zero_beta(
+    readme = make_decoration(
         build_graph({"A": ("a", "b", "f"), "B": ("c", "d", "e")}, EDGES),
-        {"a": 1, "d": -1, "b": 1, "e": -1, "f": 0, "c": 4},
+        {"a": 1, "d": -1, "b": 1, "e": -1, "f": 0, "c": 4}, {},
     )
-    other = zero_beta(
+    other = make_decoration(
         build_graph({"A": ("a", "b", "e"), "B": ("d", "c", "f")}, EDGES),
-        {"a": 2, "d": -2, "b": 1, "e": -1, "c": -1, "f": 5},
+        {"a": 2, "d": -2, "b": 1, "e": -1, "c": -1, "f": 5}, {},
     )
     return [(g1, readme), (g1, other)]
 

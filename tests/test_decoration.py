@@ -18,7 +18,6 @@ from decograph import (
     make_decoration,
     trivial_mod_equivalent,
     validate_decoration,
-    zero_beta,
 )
 from decograph.textio import parse_decorated_graph, serialize_decorated_graph
 from lemmas import (
@@ -71,7 +70,7 @@ class TestValidation:
     def test_vertex_sum_violation(self):
         g = build_graph([("a", "b", "c")])
         with pytest.raises(DecorationError, match="alpha sum"):
-            zero_beta(g, {"a": 1, "b": 1, "c": 1})
+            make_decoration(g, {"a": 1, "b": 1, "c": 1}, {})
 
     def test_closed_graph_undecoratable(self):
         # no external edges: vertex sums force sum(alpha) = 2v over internal
@@ -82,7 +81,7 @@ class TestValidation:
         )
         alpha = {"a1": 1, "a2": -1, "b1": 1, "b2": -1, "c1": 0, "c2": 0}
         with pytest.raises(DecorationError, match="alpha sum"):
-            zero_beta(g, alpha)
+            make_decoration(g, alpha, {})
 
     def test_wheel_alpha_sum_rejected(self):
         with pytest.raises(DecorationError, match="vertex 'W': alpha sum 7"):
@@ -94,13 +93,13 @@ class TestValidation:
     def test_antisymmetry_violation(self):
         alpha = {"x": 2, "y": 0, "u": 0, "z": 0, "w": 1, "v": 1}
         with pytest.raises(DecorationError, match="edge 'u'~'v'"):
-            zero_beta(fig_a_graph(), alpha)
+            make_decoration(fig_a_graph(), alpha, {})
 
     def test_congruence_violation(self):
         # two supplied lifts of source a that break the vertex congruence
         g = build_graph([("a", "b", "c")])
         alpha = {"a": 4, "b": -4, "c": 2}
-        dec = zero_beta(g, alpha)
+        dec = make_decoration(g, alpha, {})
         beta = {("a", "b"): 0, ("a", "c"): dec.b("a", "c") + 1,
                 ("b", "a"): 0, ("c", "a"): 0}
         with pytest.raises(DecorationError, match=r"vertex 'v0': beta_\(a,c\)"):
@@ -118,9 +117,24 @@ class TestValidation:
             make_decoration(g, dict(dec.alpha), beta)
         assert repr(bad) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, named",
+        [({"x": 3.7, "y": -3.7}, {}, "alpha at 'x'"),
+         ({"x": "3"}, {}, "alpha at 'x'"),
+         ({}, {("x", "y"): 1.9}, "beta at ('x', 'y')"),
+         ({}, {("z", "y"): "0"}, "beta at ('z', 'y')")],
+    )
+    def test_non_integer_value_is_named(self, alpha, beta, named):
+        # no value is truncated or parsed: 3.7 would otherwise read as 3
+        g, dec = wheel_decoration(3, 1)
+        with pytest.raises(DecorationError, match="is not an integer") as exc:
+            make_decoration(g, {**dict(dec.alpha), **alpha}, {**beta_map(dec), **beta})
+        assert named in str(exc.value)
+
     def test_missing_lifts_default_to_zero(self):
         g, dec = wheel_decoration(3, 1)
-        assert make_decoration(g, dict(dec.alpha), {}) == zero_beta(g, dict(dec.alpha))
+        zero = make_decoration(g, dict(dec.alpha), {})
+        assert [lift for _, (_, _, lift) in zero.beta] == [0, 0, 0]
         beta = {("x", "y"): 1}  # y and z get lift 0 toward their least co-half
         partial = make_decoration(g, dict(dec.alpha), beta)
         assert partial.b("x", "y") == 1
@@ -212,6 +226,10 @@ class TestTrivialMods:
             apply_trivial_mod(g, dec, TrivialMod("E", "x", 1))  # x internal
         with pytest.raises(BadTarget):
             apply_trivial_mod(g, dec, TrivialMod("I", ("x", "z"), 1))
+        # a fractional amount would store lifts the file format cannot hold
+        for amount in (0.5, 1.0, "1"):
+            with pytest.raises(BadTarget, match="V amount must be an integer"):
+                apply_trivial_mod(g, dec, TrivialMod("V", "W", amount))
 
     @pytest.mark.parametrize(
         "kind, target",

@@ -18,17 +18,17 @@ from decograph import (
     TrivalentGraph,
     boundary_isomorphism,
     build_graph,
-    check_classification,
     classify,
     cycle_basis,
     graph_stats,
     ih_plan,
     is_connected,
-    zero_beta,
+    make_decoration,
 )
 from decograph.graph import spanning_tree
 from decograph.moves import normalize_to_apple_tree
 import lemmas
+from exhaustive import check_classification
 from conftest import (
     fig_a_graph,
     small_graph_corpus,
@@ -146,7 +146,10 @@ def _not_one_component():
     empty = build_graph({})
     two = build_graph([("a", "b", "c"), ("d", "e", "f")], [("a", "b"), ("d", "e")])
     alpha = {"a": 1, "b": -1, "c": 2, "d": 1, "e": -1, "f": 2}
-    return [(empty, zero_beta(empty, {})), (two, zero_beta(two, alpha))]
+    return [
+        (empty, make_decoration(empty, {}, {})),
+        (two, make_decoration(two, alpha, {})),
+    ]
 
 
 READERS = {

@@ -16,18 +16,22 @@ from decograph import (
     build_graph,
     classify,
     cycle_basis,
-    decoration_class,
     equivalent,
     frak_C,
     graph_stats,
     make_decoration,
     normal_form,
     validate_decoration,
-    zero_beta,
 )
 from decograph.invariants import build_canonical_apple
 from decograph.moves import MoveScript, apply_script, normalize_to_apple_tree
-from lemmas import LoopTuple, extract_loop_tuple, tuple_class, tuple_reduce
+from lemmas import (
+    LoopTuple,
+    decoration_class,
+    extract_loop_tuple,
+    tuple_class,
+    tuple_reduce,
+)
 from conftest import (
     apple2_graph,
     fig_a_graph,
@@ -66,7 +70,7 @@ class TestATilde:
 
     def test_wrong_genus(self):
         g = fig_a_graph()
-        dec = zero_beta(g, {"x": 2, "y": 0, "u": 0, "v": 0, "z": 0, "w": 2})
+        dec = make_decoration(g, {"x": 2, "y": 0, "u": 0, "v": 0, "z": 0, "w": 2}, {})
         with pytest.raises(WrongGenus):
             a_tilde(g, dec)
 
@@ -74,7 +78,8 @@ class TestATilde:
         g = build_graph(
             [("a", "b", "c"), ("d", "e", "f")], [("a", "b"), ("d", "e")]
         )
-        dec = zero_beta(g, {"a": 1, "b": -1, "c": 2, "d": 1, "e": -1, "f": 2})
+        alpha = {"a": 1, "b": -1, "c": 2, "d": 1, "e": -1, "f": 2}
+        dec = make_decoration(g, alpha, {})
         with pytest.raises(NotConnected):
             a_tilde(g, dec)
 
@@ -208,9 +213,10 @@ class TestNormalFormAndEquivalence:
     def test_normal_form_builds_one_graph(self, monkeypatch):
         """The class is read off classify of the input and the planner runs
         on the bare working state; the one graph built is the canonical
-        apple."""
-        calls = {"build_graph": 0, "decoration_class": 0}
-        for fn in (invariants.build_graph, invariants.decoration_class):
+        apple, and the class rule runs once per classify call: on the input
+        and on that apple."""
+        calls = {"build_graph": 0, "_graph_class": 0}
+        for fn in (invariants.build_graph, invariants._graph_class):
 
             def counted(*args, _fn=fn, **kwargs):
                 calls[_fn.__name__] += 1
@@ -225,10 +231,10 @@ class TestNormalFormAndEquivalence:
             g = tree_with_chords(rng, 4 * genus, genus)
             cases.append((g, random_decoration(g, rng)))
         for g, dec in cases:
-            calls.update(build_graph=0, decoration_class=0)
+            calls.update(build_graph=0, _graph_class=0)
             nf = normal_form(g, dec)
             assert nf.report.genus >= 2
-            assert calls == {"build_graph": 1, "decoration_class": 0}
+            assert calls == {"build_graph": 1, "_graph_class": 2}
 
     def test_wheel_normal_forms_coincide(self):
         g, dec = wheel_decoration(4, 6)
@@ -280,7 +286,7 @@ class TestNormalFormReadsTheClass:
         g1 = build_graph({"A": ("a", "b", "c"), "B": ("d", "e", "f")}, edges)
         g2 = build_graph({"A": ("a", "b", "f"), "B": ("c", "d", "e")}, edges)
         alpha = {"a": 1, "d": -1, "b": 1, "e": -1, "f": 0, "c": 4}
-        dec = zero_beta(g2, alpha)
+        dec = make_decoration(g2, alpha, {})
         with pytest.raises(DecorationError, match="does not fit the graph: vertex 'A'"):
             normal_form(g1, dec)
         assert normal_form(g2, dec).report.genus == 1
@@ -399,7 +405,7 @@ class TestRareShapes:
         edges = [("a", "c"), ("b", "d")]
         g = build_graph({"A": ("a", "b", "_n0"), "B": ("c", "d", "_l0a")}, edges)
         alpha = {"a": 1, "c": -1, "b": 3, "d": -3, "_n0": -2, "_l0a": 6}
-        dec = zero_beta(g, alpha)
+        dec = make_decoration(g, alpha, {})
         nf = normal_form(g, dec)
         assert nf.graph.boundary == ("_l0a", "_n0")
         inner = set(nf.graph.half_edges()) - set(nf.graph.boundary)

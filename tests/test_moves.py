@@ -45,9 +45,9 @@ from conftest import (
 def fig_a_decoration():
     g = fig_a_graph()
     alpha = {"x": 2, "y": 0, "u": 0, "v": 0, "z": 0, "w": 2}
-    from decograph import zero_beta
+    from decograph import make_decoration
 
-    return g, zero_beta(g, alpha)
+    return g, make_decoration(g, alpha, {})
 
 
 class TestLocalB:

@@ -11,19 +11,15 @@ from decograph import (
     TrivialMod,
     apply_trivial_mod,
     build_graph,
-    check_classification,
     cycle_b,
+    make_decoration,
     move_orbit,
-    zero_beta,
 )
 from decograph.graph import OrientedCycle
 from decograph.moves import _PlanState
-from decograph.oracle import (
-    _neighbour_lifts,
-    _round_trip_moves,
-    enumerate_alpha,
-    enumerate_decorations,
-)
+from decograph.oracle import _neighbour_lifts, _round_trip_moves
+import exhaustive
+from exhaustive import check_classification, enumerate_alpha, enumerate_decorations
 from lemmas import beta_map, sl2_orbit
 from conftest import straight_tree_graph, wheel_decoration, wheel_graph
 
@@ -80,7 +76,7 @@ class TestMoveOrbit:
     def test_tree_orbit_covers_window(self):
         g = straight_tree_graph(4)
         alpha = {"e0": 1, "e1": 1, "e2": 1, "e3": 1, "i0a": 0, "i0b": 0}
-        dec = zero_beta(g, alpha)
+        dec = make_decoration(g, alpha, {})
         orbit = move_orbit(g, dec, OrbitBounds(max_param=1, max_depth=4))
         # every decoration over this alpha with small lifts shows up
         small = [
@@ -128,16 +124,14 @@ class TestCheckClassification:
         assert sum(report.orbits_per_class.values()) >= report.n_classes
 
     def test_classifies_each_decoration_once(self, monkeypatch):
-        import decograph.oracle as oracle
-
         classified = []
-        classify = oracle.classify
+        classify = exhaustive.classify
 
         def counted(g, dec):
             classified.append(dec)
             return classify(g, dec)
 
-        monkeypatch.setattr(oracle, "classify", counted)
+        monkeypatch.setattr(exhaustive, "classify", counted)
         report = check_classification(
             wheel_graph(), OrbitBounds(max_param=2, max_depth=4), window=2
         )
@@ -145,8 +139,6 @@ class TestCheckClassification:
         assert len(classified) == len(set(classified)) >= report.n_decorations
 
     def test_reports_a_key_that_splits_an_orbit(self, monkeypatch):
-        import decograph.oracle as oracle
-
         bounds = OrbitBounds(max_param=2, max_depth=4)
         report = check_classification(wheel_graph(), bounds, window=2)
         assert report.ok
@@ -155,7 +147,7 @@ class TestCheckClassification:
             f"(1, (('z', 2),), {a}, None, None)": n
             for a, n in ((0, 1), (1, 6), (2, 4), (3, 2), (4, 2))
         }
-        classify = oracle.classify
+        classify = exhaustive.classify
 
         def split(g, dec):
             # The loop's lift moves by the I modification on x~y, so its
@@ -163,10 +155,24 @@ class TestCheckClassification:
             key = (classify(g, dec).key(), dec.b("x", "y") % 2)
             return SimpleNamespace(key=lambda: key)
 
-        monkeypatch.setattr(oracle, "classify", split)
+        monkeypatch.setattr(exhaustive, "classify", split)
         report = check_classification(wheel_graph(), bounds, window=2)
         assert not report.ok and len(report.violations) == 13
         assert all("distinct classification records" in v for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "g, window, bounds, counts",
+        [
+            (wheel_graph(), 2, OrbitBounds(2, 4), (70, 15, 5)),
+            (wheel_graph(), 6, OrbitBounds(2, 3, 3000), (702, 67, 13)),
+            (straight_tree_graph(3), 3, OrbitBounds(1, 3, 3000), (621, 33, 33)),
+        ],
+        ids=("wheel-2", "wheel-6", "tree-3"),
+    )
+    def test_window_counts(self, g, window, bounds, counts):
+        report = check_classification(g, bounds, window=window)
+        assert report.ok
+        assert (report.n_decorations, report.n_orbits, report.n_classes) == counts
 
     @pytest.mark.parametrize("field", ["max_param", "max_depth", "max_frontier"])
     def test_negative_bounds_are_rejected(self, field):

@@ -1,16 +1,17 @@
 """Static checks on the library source.
 
 The library's behaviour must not depend on ``assert`` (stripped under
-``python -O``), and modules and functions import only what they use.  ``__init__.py``
-re-exports names, so its imports are not checked.  An import inside a
-function breaks an import cycle or is not there.  Every function, method
-and class the library defines is named somewhere in the repository, and a
-public one in the library or the benchmark, unless it is an entry point.  The
-planner in ``moves.py`` stays free of the isomorphism search and of
-decorations, ``normal_form`` reads its class off ``classify``, and the orbit
-walk in ``oracle.py`` free of whole-graph rebuilds and of the working
-state's internals.  The working state takes no option.  The moves in ``moves.py`` keep every half-edge and the
-pairing.  Only ``_check_fit`` runs the fit rule, ``validate_decoration``.
+``python -O``), and modules and functions import only what they use.
+``__init__.py`` re-exports names, so its imports are not checked.  An import
+inside a function breaks an import cycle or is not there.  Every function,
+method and class the library defines is named somewhere in the repository,
+and a public one in the library or the benchmark, with no exemption: a name
+that only tests or demos call belongs in the tests.  The planner in
+``moves.py`` stays free of the isomorphism search and of decorations,
+``normal_form`` reads its class off ``classify``, and the orbit walk in
+``oracle.py`` free of whole-graph rebuilds and of the working state's
+internals.  The working state takes no option.  The moves in ``moves.py``
+keep every half-edge and the pairing.  Only ``_check_fit`` runs the fit rule, ``validate_decoration``.
 ``tests/conftest.py`` imports its sibling test modules lazily.
 """
 
@@ -142,20 +143,13 @@ def test_no_unreferenced_definitions():
     assert dead == [], f"definitions named nowhere: {dead}"
 
 
-# Public definitions that stay though nothing in src/ or bench/ names them.
-ENTRY_POINTS = {
-    "check_classification": "a decision path: bounded move orbits against classify",
-    "decoration_class": "a reader kept on purpose: the class rule on any genus",
-    "zero_beta": "a reader kept on purpose: the gauge-zero decoration",
-}
-
-
 def test_library_names_are_called_by_the_library_or_bench():
     """A public top-level function or class of the library stays only if
     src/ or bench/ names it outside its own definition (``__init__.py``'s
-    re-exports aside), or it is one of ENTRY_POINTS: the CLI, the decision
-    paths and the benchmark are what the library is for.  A step of a proof
-    that only tests check belongs in tests/lemmas.py."""
+    re-exports aside): the CLI, the decision paths and the benchmark are
+    what the library is for.  A step of a proof that only tests check
+    belongs in tests/lemmas.py, and a check of the theorem in
+    tests/exhaustive.py."""
     paths = [p for p in SOURCES if p.name != "__init__.py"]
     trees = {p: _tree(p) for p in [*paths, *sorted((ROOT / "bench").rglob("*.py"))]}
     named = Counter(
@@ -166,7 +160,7 @@ def test_library_names_are_called_by_the_library_or_bench():
         for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_") or node.name in ENTRY_POINTS:
+            if node.name.startswith("_"):
                 continue
             inside = sum(
                 _references(n).count(node.name) for n in ast.walk(node)

@@ -41,7 +41,6 @@ from decograph import (
     serialize_script,
     trivial_mod_equivalent,
     validate_decoration,
-    zero_beta,
 )
 from decograph.graph import cycle_basis
 from decograph.lattice import solve_lattice
@@ -387,7 +386,7 @@ def test_decoration_of_another_graph_rejected():
     g1 = build_graph({"A": ("a", "b", "c"), "B": ("d", "e", "f")}, edges)
     g2 = build_graph({"A": ("a", "b", "e"), "B": ("d", "c", "f")}, edges)
     alpha = {"a": 2, "d": -2, "b": 1, "e": -1, "c": -1, "f": 5}
-    dec = zero_beta(g2, alpha)
+    dec = make_decoration(g2, alpha, {})
     dec2 = apply_script(g2, dec, MoveScript(steps=(TrivialMod("E", "f", 1),)))[1]
     problems = validate_decoration(g1, dec)
     assert [p.split(" is stored")[0] for p in problems] == [
@@ -400,7 +399,7 @@ def test_decoration_of_another_graph_rejected():
     assert validate_decoration(g2, dec) == []
     with pytest.raises(DecorationError, match="does not fit the graph: beta of 'a'"):
         trivial_mod_equivalent(g1, dec, dec2)
-    own = zero_beta(g1, alpha)
+    own = make_decoration(g1, alpha, {})
     with pytest.raises(DecorationError, match="beta of 'a' is stored toward"):
         trivial_mod_equivalent(g1, own, dec)
     assert trivial_mod_equivalent(g1, own, own) == MoveScript(steps=())
@@ -429,7 +428,7 @@ def test_replay_and_serializer_reject_decoration_of_another_graph():
     g1 = build_graph({"A": ("a", "b", "c"), "B": ("d", "e", "f")}, edges)
     g2 = build_graph({"A": ("a", "b", "e"), "B": ("d", "c", "f")}, edges)
     alpha = {"a": 2, "d": -2, "b": 1, "e": -1, "c": -1, "f": 5}
-    dec = zero_beta(g2, alpha)
+    dec = make_decoration(g2, alpha, {})
     script = MoveScript(steps=(TrivialMod("V", "A", 1), TrivialMod("E", "f", 1)))
     fit = "decoration does not fit the graph: beta of 'a' is stored toward"
     for call in (
@@ -443,7 +442,7 @@ def test_replay_and_serializer_reject_decoration_of_another_graph():
         with pytest.raises(DecorationError, match=fit):
             call()
     assert apply_script(g2, dec, script)[1] != dec
-    own = zero_beta(g1, alpha)
+    own = make_decoration(g1, alpha, {})
     assert validate_decoration(g1, apply_script(g1, own, script)[1]) == []
 
 

@@ -13,8 +13,6 @@ import sys
 from pathlib import Path
 
 from decograph import (
-    a_tilde,
-    arf,
     build_graph,
     classify,
     frak_C,
@@ -22,7 +20,7 @@ from decograph import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from lemmas import decoration_class
+from lemmas import a_tilde, arf, decoration_class
 
 # Genus 1: wheels.  (a, b) = (4, 6) and (2, 0) both have A~ = 2.
 wheel = build_graph({"W": ("x", "y", "z")}, [("x", "y")])

@@ -45,9 +45,6 @@ from .invariants import (
     InvariantError,
     InvariantReport,
     NormalForm,
-    WrongGenus,
-    a_tilde,
-    arf,
     classify,
     equivalent,
     frak_C,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .graph import OrientedCycle, TrivalentGraph, cycle_basis, spanning_tree
 from .lattice import solve_lattice
@@ -105,7 +105,7 @@ class Decoration:
     _graph: Optional[TrivalentGraph] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self._alpha:  # _decoration passes the lookups it sorted
+        if not self._alpha:  # _decoration passes its lookups
             self._alpha.update(self.alpha)
             self._beta.update(self.beta)
 
@@ -135,7 +135,8 @@ def _companion(lift: int, a_to: int, a_src: int) -> int:
     """The vertex congruence: from a source's lift toward one co-half, its
     minimal lift toward the other co-half, whose alpha is ``a_to``.  The
     rule reads the same in both directions because the vertex sum is 2."""
-    return reduce_lift(lift + a_to - 1, a_src)
+    m, value = abs(a_src), lift + a_to - 1
+    return value % m if m else value
 
 
 def _nearest(value: int, modulus: int) -> int:
@@ -151,7 +152,8 @@ def stored_lift(
     """The stored entry (least co-half, other co-half, lift) of ``src``
     given its lift toward ``tgt``, with ``other`` its remaining co-half."""
     if tgt < other:
-        return tgt, other, reduce_lift(lift, alpha[src])
+        m = abs(alpha[src])
+        return tgt, other, lift % m if m else lift
     return other, tgt, _companion(lift, alpha[other], alpha[src])
 
 
@@ -227,17 +229,18 @@ def make_decoration(
         pairs = {(s, t) for _, triple in g.vertices for s in triple for t in triple}
         bad = next(key for key in bmap if key not in pairs or key[0] == key[1])
         raise DecorationError(f"beta key {bad!r} is not two half-edges at a vertex")
-    return _decoration(amap, lifts, g)
+    return _decoration(_items(amap), amap, lifts, g)
 
 
-def _decoration(alpha: dict, lifts: dict, g: TrivalentGraph) -> Decoration:
-    """The Decoration bound to g that keeps the dicts alpha and lifts (stored,
-    reduced, fitting g) as lookups; sorting the names beats sorting items."""
-    return Decoration(
-        alpha=tuple([(h, alpha[h]) for h in sorted(alpha)]),
-        beta=tuple([(s, lifts[s]) for s in sorted(lifts)]),
-        _alpha=alpha, _beta=lifts, _graph=g,
-    )
+def _items(d: dict) -> tuple:
+    """The items of d in key order; sorting the keys beats sorting items."""
+    return tuple([(k, d[k]) for k in sorted(d)])
+
+
+def _decoration(alpha: tuple, amap: dict, lifts: dict, g: TrivalentGraph) -> Decoration:
+    """The Decoration bound to g that keeps alpha's items, its dict amap and
+    the dict lifts (stored, reduced, fitting g) as they are given."""
+    return Decoration(alpha, _items(lifts), amap, lifts, g)
 
 
 def validate_decoration(g: TrivalentGraph, dec: Decoration) -> list[str]:
@@ -277,18 +280,48 @@ def _check_fit(g: TrivalentGraph, dec: Optional[Decoration]) -> None:
 # -- the cycle invariant ------------------------------------------------
 
 
+class _CycleForm(NamedTuple):
+    """b_c of a cycle, fixed by the graph and alpha: the stored lifts of
+    ``plus`` less those of ``minus``, plus ``constant``, modulo ``modulus``."""
+
+    modulus: int
+    plus: tuple[str, ...]
+    minus: tuple[str, ...]
+    constant: int
+
+    def b(self, lifts: Mapping[str, tuple[str, str, int]]) -> int:
+        """b_c at the stored-lift dict ``lifts``, laid out as in Decoration."""
+        m, plus, minus, total = self
+        for s in plus:
+            total += lifts[s][2]
+        for s in minus:
+            total -= lifts[s][2]
+        return total % m if m else total
+
+
+def _cycle_form(g: TrivalentGraph, alpha: Mapping, c: OrientedCycle) -> _CycleForm:
+    """The form of the cycle c of g under alpha.  b_c sums beta_{out,inn} -
+    beta_{inn,out} over the vertices of c, ``out`` leaving one and ``inn``
+    arriving there; each lift is the stored one, or its companion modulo
+    |alpha_src|, which m_c divides (0 only where the alphas on c are 0)."""
+    plus, minus = zip(*c.steps)
+    constant = 0
+    for out, inn in zip(plus, minus[-1:] + minus[:-1]):
+        if g.others_at_vertex(out)[0] != inn:
+            constant += _companion(0, alpha[inn], 0)
+        if g.others_at_vertex(inn)[0] != out:
+            constant -= _companion(0, alpha[out], 0)
+    return _CycleForm(gcd_all(alpha[h] for h in plus + minus), plus, minus, constant)
+
+
 def cycle_b(g: TrivalentGraph, dec: Decoration, c: OrientedCycle) -> Residue:
     """The cycle invariant b_c modulo the ideal I_c = (alpha on the cycle),
-    as the alternating beta sum along the cycle.  The gamma sum over its
-    vertices and the delta sum over its edges give the same residue."""
+    off the cycle's form: the alternating beta sum along the cycle.  The
+    gamma sum over its vertices and the delta sum over its edges agree."""
     _check_fit(g, dec)
     c.validate(g)
-    modulus = gcd_all(dec.a(h) for h in c.half_edges())
-    beta_sum = 0
-    for j, (out, _) in enumerate(c.steps):
-        inn = c.steps[j - 1][1]  # the edge before arrives at out's vertex
-        beta_sum += dec.b(out, inn) - dec.b(inn, out)
-    return Residue(beta_sum, modulus)
+    form = _cycle_form(g, dec._alpha, c)
+    return Residue(form.b(dec._beta), form.modulus)
 
 
 # -- trivial modifications ----------------------------------------------

@@ -15,10 +15,10 @@ from typing import Callable, Iterable, Iterator, Optional
 from .decoration import (
     Decoration,
     _check_fit,
-    cycle_b,
+    _cycle_form,
+    _CycleForm,
     gcd_all,
     make_decoration,
-    reduce_lift,
 )
 from .graph import (
     InternalError,
@@ -36,10 +36,6 @@ class InvariantError(ValueError):
     pass
 
 
-class WrongGenus(InvariantError):
-    pass
-
-
 class ConditionsFail(InvariantError):
     pass
 
@@ -50,19 +46,8 @@ def _a_tilde(boundary_alpha: Iterable[int], a: int, b: int) -> int:
     return gcd_all([x - 2 for x in boundary_alpha] + [a, b])
 
 
-def a_tilde(g: TrivalentGraph, dec: Decoration) -> int:
-    """The genus-1 invariant gcd({alpha_x - 2 : x external}, a, b)."""
-    report = classify(g, dec)
-    if report.genus != 1:
-        raise WrongGenus(f"a_tilde requires genus 1, got {report.genus}")
-    return report.a_tilde
-
-
-def _check_conditions(
-    g: TrivalentGraph, dec: Decoration, even_b: bool
-) -> list[str]:
-    """Violations of conditions (1) and (2) of the Arf setup, and of (3),
-    even b_c on the basis cycles, when ``even_b`` and (1), (2) hold."""
+def _check_conditions(g: TrivalentGraph, dec: Decoration) -> list[str]:
+    """Violations of conditions (1) and (2) of the Arf setup."""
     _check_fit(g, dec)
     problems = []
     odd = sorted(h for h, a in dec.alpha if a % 2)
@@ -71,10 +56,6 @@ def _check_conditions(
     bad = sorted(h for h in g.boundary if dec.a(h) % 4 != 2)
     if bad:
         problems.append(f"(2) boundary alpha != 2 mod 4 at {bad}")
-    if even_b and not problems:
-        for idx, c in enumerate(cycle_basis(g)):
-            if cycle_b(g, dec, c).value % 2:
-                problems.append(f"(3) odd b_c on basis cycle {idx}")
     return problems
 
 
@@ -85,35 +66,24 @@ def frak_C(g: TrivalentGraph, dec: Decoration) -> list[OrientedCycle]:
     degree exactly 2 (the mod-2 residues p_x sum to zero at vertices), so
     components are simple cycles, returned in deterministic order.
     """
-    problems = _check_conditions(g, dec, even_b=False)
+    problems = _check_conditions(g, dec)
     if problems:
         raise ConditionsFail("; ".join(problems))
-    sub: set[str] = set()
-    for a, b in g.edges:
-        if dec.a(a) % 4 == 0:
-            sub.add(a)
-            sub.add(b)
+    sub = {h for edge in g.edges if dec.a(edge[0]) % 4 == 0 for h in edge}
     for name, triple in g.vertices:
-        deg = sum(1 for h in triple if h in sub)
+        deg = sum(h in sub for h in triple)
         if deg not in (0, 2):
             raise InternalError(f"vertex {name!r} has degree {deg} in frak_C")
-    cycles = []
-    used: set[str] = set()
+    cycles, used = [], set()
     for start in sorted(sub):
         if start in used:
             continue
-        steps = []
-        out = start
-        while True:
+        steps, out = [], start
+        while not steps or out != start:
             inn = g.partner(out)
             steps.append((out, inn))
-            used.add(out)
-            used.add(inn)
-            (out,) = [
-                h for h in g.others_at_vertex(inn) if h in sub and h != inn
-            ]
-            if out == start:
-                break
+            used.update((out, inn))
+            (out,) = [h for h in g.others_at_vertex(inn) if h in sub]
         cyc = OrientedCycle(tuple(steps))
         cyc.validate(g)
         cycles.append(cyc)
@@ -136,7 +106,7 @@ def _class_rule(
         return "II"
     total = 0
     for b in frak_bs():
-        b4 = reduce_lift(b, 4)
+        b4 = b % 4
         if b4 % 2:
             raise InternalError("odd b_c on a frak_C cycle after condition (3)")
         total += b4 // 2 + 1
@@ -146,25 +116,26 @@ def _class_rule(
 def _graph_class(g: TrivalentGraph, dec: Decoration, bs: Iterable[int]) -> str:
     """The class rule on (g, dec), given the basis b_c values ``bs``."""
     return _class_rule(
-        (a for _, a in dec.alpha),
+        dec._alpha.values(),
         bs,
         (dec.a(h) for h in g.boundary),
-        lambda: (cycle_b(g, dec, c).value for c in frak_C(g, dec)),
+        lambda: (_cycle_form(g, dec._alpha, c).b(dec._beta) for c in frak_C(g, dec)),
     )
 
 
+def _basis_forms(g: TrivalentGraph, dec: Decoration) -> tuple[_CycleForm, ...]:
+    """The forms of cycle_basis(g) under dec's alpha; g._memo keeps them for
+    the last alpha, keyed by the dec.alpha tuple, which orbit members share."""
+    kept = g._memo.get("basis_forms", (None,))
+    if kept[0] is not dec.alpha and kept[0] != dec.alpha:
+        forms = tuple(_cycle_form(g, dec._alpha, c) for c in cycle_basis(g))
+        kept = g._memo["basis_forms"] = (dec.alpha, forms)
+    return kept[1]
+
+
 def _basis_bs(g: TrivalentGraph, dec: Decoration) -> Iterator[int]:
-    """The b_c values over the cycle basis, each computed when read."""
-    return (cycle_b(g, dec, c).value for c in cycle_basis(g))
-
-
-def arf(g: TrivalentGraph, dec: Decoration) -> int:
-    """A = sum over frak_C of q_c = b_c/2 + 1 in Z_2 (b_c taken mod 4)."""
-    problems = _check_conditions(g, dec, even_b=True)
-    if problems:
-        raise ConditionsFail("; ".join(problems))
-    # Conditions (1)-(3) leave class III (A = 0) or IV (A = 1).
-    return ("III", "IV").index(_graph_class(g, dec, ()))
+    """The b_c values over the cycle basis, each read off its form when read."""
+    return (form.b(dec._beta) for form in _basis_forms(g, dec))
 
 
 @dataclass(frozen=True)
@@ -210,11 +181,14 @@ def _invariant(
 def classify(g: TrivalentGraph, dec: Decoration) -> InvariantReport:
     _check_fit(g, dec)
     genus = _connected_genus(g)
-    boundary_alpha = tuple((h, dec.a(h)) for h in g.boundary)
-    bs = [cycle_b(g, dec, c) for c in cycle_basis(g)]
-    at, cls = _invariant(g, dec, genus, [b.value for b in bs])
+    boundary_alpha = tuple([(h, dec._alpha[h]) for h in g.boundary])
+    forms = _basis_forms(g, dec)
+    bs = [form.b(dec._beta) for form in forms]
+    at, cls = _invariant(g, dec, genus, bs)
     a = {"III": 0, "IV": 1}.get(cls)
-    return InvariantReport(genus, boundary_alpha, tuple(map(str, bs)), at, cls, a)
+    # str(Residue(b, m)) without the Residue: each b is reduced already
+    cycle_bs = tuple([f"{b} mod {f.modulus}" for b, f in zip(bs, forms)])
+    return InvariantReport(genus, boundary_alpha, cycle_bs, at, cls, a)
 
 
 def equivalent(

@@ -37,6 +37,7 @@ from .decoration import (
     _companion,
     _decoration,
     _is_pair,
+    _items,
     reduce_lift,
     stored_lift,
 )
@@ -171,7 +172,7 @@ class _PlanState:
 
     def __init__(self, g: TrivalentGraph, dec: Optional[Decoration] = None):
         _check_fit(g, dec)
-        self.g, self.dec, self.start = g, dec, g
+        self.g, self.dec, self.start, self.start_dec = g, dec, g, dec
         self.boundary = g.boundary
         self._vertex_of = dict(g._vertex_of)
         self._triple_of = dict(g._triple_of)
@@ -219,10 +220,14 @@ class _PlanState:
 
     def decoration(self) -> Optional[Decoration]:
         """The current decoration, bound to the current graph: the start graph
-        until an IH move, after one the graph that freeze builds."""
+        until an IH move, after one the graph that freeze builds.  While alpha
+        is as at the start, as on orbit members, it shares the start's."""
         if self.dec is None and self._beta is not None:
+            start = self.start_dec
+            amap = start._alpha if self._alpha == start._alpha else dict(self._alpha)
+            alpha = start.alpha if amap is start._alpha else _items(amap)
             # Reduced already, as make_decoration would leave it.
-            self.dec = _decoration(dict(self._alpha), dict(self._beta), self.g)
+            self.dec = _decoration(alpha, amap, dict(self._beta), self.g)
         return self.dec
 
     def apply(self, step: Union[TrivialMod, IhMove]) -> Optional[IhTrace]:

@@ -2,9 +2,11 @@
 
 The local class B(beta) of an IH move and its mod-4 vector, the residues
 gamma and delta, the weak class, the planar canonical beta, the four-way
-class read off a decoration without ``classify``, loop tuples and the
-genus-1 orbit.  Each reader of a (graph, decoration) pair checks the
-fit through ``decoration._check_fit``, as the library's readers do.
+class read off a decoration without ``classify``, A~ and the Arf invariant
+of one decoration, loop tuples, the genus-1 orbit, and the alternating beta
+sum along a cycle, the reference for ``cycle_b``.  Each reader of a (graph,
+decoration) pair checks the fit through ``decoration._check_fit``, as the
+library's readers do.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from decograph import graph
+from decograph import graph, invariants
 from decograph.decoration import (
     Decoration,
     DecorationError,
@@ -28,11 +30,14 @@ from decograph.decoration import (
 )
 from decograph.graph import TrivalentGraph, _connected_genus, cycle_basis
 from decograph.invariants import (
+    ConditionsFail,
+    InvariantError,
     _a_tilde,
     _basis_bs,
     _canonical_pairs,
     _class_rule,
     _graph_class,
+    classify,
 )
 from decograph.lattice import solve_lattice
 from decograph.moves import IhMove, IhTrace, MoveError, _B_lifts, _choice, _labels
@@ -64,6 +69,22 @@ class OrientedCycle(graph.OrientedCycle):
 def beta_map(dec: Decoration) -> dict[tuple[str, str], int]:
     """All six lifts per vertex, derived from the stored ones."""
     return {(s, t): dec.b(s, t) for s, (t0, t1, _) in dec.beta for t in (t0, t1)}
+
+
+def alternating_beta_sum(
+    g: TrivalentGraph, dec: Decoration, c: graph.OrientedCycle
+) -> Residue:
+    """b_c as the alternating beta sum along c, modulo the gcd of alpha on
+    c: the reference that ``cycle_b`` and the basis forms of ``classify``
+    must equal."""
+    _check_fit(g, dec)
+    c.validate(g)
+    modulus = gcd_all(dec.a(h) for h in c.half_edges())
+    beta_sum = 0
+    for j, (out, _) in enumerate(c.steps):
+        inn = c.steps[j - 1][1]  # the edge before arrives at out's vertex
+        beta_sum += dec.b(out, inn) - dec.b(inn, out)
+    return Residue(beta_sum, modulus)
 
 
 # -- vertex and edge residues, weak and planar data ------------------------
@@ -105,7 +126,7 @@ def weaken(g: TrivalentGraph, dec: Decoration) -> Decoration:
     if any(a % 2 for _, a in dec.alpha):
         raise OddAlpha("weak decorations require all alpha even")
     lifts = {s: (t0, t1, v % 2) for s, (t0, t1, v) in dec.beta}
-    return _decoration(dict(dec._alpha), lifts, g)
+    return _decoration(dec.alpha, dec._alpha, lifts, g)
 
 
 def weak_class(g: TrivalentGraph, dec: Decoration) -> tuple[int, ...]:
@@ -261,6 +282,39 @@ def decoration_class(g: TrivalentGraph, dec: Decoration) -> str:
     _check_fit(g, dec)
     _connected_genus(g)
     return _graph_class(g, dec, _basis_bs(g, dec))
+
+
+class WrongGenus(InvariantError):
+    """An invariant asked of a graph of another genus."""
+
+
+def a_tilde(g: TrivalentGraph, dec: Decoration) -> int:
+    """The genus-1 invariant gcd({alpha_x - 2 : x external}, a, b)."""
+    report = classify(g, dec)
+    if report.genus != 1:
+        raise WrongGenus(f"a_tilde requires genus 1, got {report.genus}")
+    return report.a_tilde
+
+
+def _check_conditions(g: TrivalentGraph, dec: Decoration, even_b: bool) -> list[str]:
+    """Violations of conditions (1) and (2) of the Arf setup, which
+    ``invariants._check_conditions`` checks, and of (3), even b_c on the
+    basis cycles, when ``even_b`` and (1), (2) hold."""
+    problems = invariants._check_conditions(g, dec)
+    if even_b and not problems:
+        for idx, b in enumerate(_basis_bs(g, dec)):
+            if b % 2:
+                problems.append(f"(3) odd b_c on basis cycle {idx}")
+    return problems
+
+
+def arf(g: TrivalentGraph, dec: Decoration) -> int:
+    """A = sum over frak_C of q_c = b_c/2 + 1 in Z_2 (b_c taken mod 4)."""
+    problems = _check_conditions(g, dec, even_b=True)
+    if problems:
+        raise ConditionsFail("; ".join(problems))
+    # Conditions (1)-(3) leave class III (A = 0) or IV (A = 1).
+    return ("III", "IV").index(_graph_class(g, dec, ()))
 
 
 def tuple_class(t: LoopTuple) -> str:

@@ -12,7 +12,6 @@ from decograph import (
     OrbitBounds,
     Residue,
     TrivialMod,
-    a_tilde,
     apply_script,
     boundary_isomorphism,
     build_graph,
@@ -32,12 +31,15 @@ from decograph import (
     serialize_decorated_graph,
 )
 from decograph.cli import run_command
-from decograph.invariants import ConditionsFail, _check_conditions, arf, frak_C
+from decograph.invariants import ConditionsFail, frak_C
 from decograph.moves import _labels, normalize_to_apple_tree
 from exhaustive import check_classification
 from lemmas import (
     OrientedCycle,
+    _check_conditions,
     _local_B_labelled,
+    a_tilde,
+    arf,
     canonical_beta_planar,
     gamma,
     local_B_prime,

@@ -23,10 +23,8 @@ from decograph import (
     MoveScript,
     OrbitBounds,
     TrivialMod,
-    a_tilde,
     apply_script,
     apply_trivial_mod,
-    arf,
     build_graph,
     classify,
     cycle_b,
@@ -50,6 +48,8 @@ from decograph.moves import snapshot_hash, with_hashes
 from decograph.moves import _PlanState
 from decograph.oracle import _neighbour_lifts, _round_trip_moves
 from lemmas import (
+    a_tilde,
+    arf,
     decoration_class,
     delta_edge,
     extract_loop_tuple,

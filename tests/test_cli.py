@@ -45,6 +45,24 @@ alpha w 2
 """
 
 
+# vertices a and b joined by x3~y3, and c on its own
+TWO_COMPONENTS = """\
+vertex a : x1 x2 x3
+vertex b : y1 y2 y3
+vertex c : z1 z2 z3
+edge x3 y3
+alpha x1 2
+alpha x2 2
+alpha x3 -2
+alpha y1 0
+alpha y2 0
+alpha y3 2
+alpha z1 2
+alpha z2 0
+alpha z3 0
+"""
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -233,6 +251,14 @@ class TestOrbitAndDot:
         assert run_command(["orbit", files["wheel30"], flag, value]) == 2
         captured = capsys.readouterr()
         assert f"{flag} must be >= 0, got {value}" in captured.err
+        assert "orbit size" not in captured.out
+
+    def test_orbit_rejects_a_disconnected_graph_before_the_walk(self, tmp_path, capsys):
+        p = tmp_path / "two.dg"
+        p.write_text(TWO_COMPONENTS)
+        assert run_command(["orbit", str(p), "--bound", "1", "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "graph has 2 components" in captured.err
         assert "orbit size" not in captured.out
 
     def test_dot_stdout(self, files, capsys):

@@ -1,8 +1,10 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+import decograph.decoration as decoration
 import decograph.invariants as invariants
 import decograph.moves as moves
 from decograph import (
@@ -10,16 +12,16 @@ from decograph import (
     DecorationError,
     InvariantError,
     NotConnected,
-    WrongGenus,
-    a_tilde,
-    arf,
+    OrbitBounds,
     build_graph,
     classify,
+    cycle_b,
     cycle_basis,
     equivalent,
     frak_C,
     graph_stats,
     make_decoration,
+    move_orbit,
     normal_form,
     validate_decoration,
 )
@@ -27,12 +29,17 @@ from decograph.invariants import build_canonical_apple
 from decograph.moves import MoveScript, apply_script, normalize_to_apple_tree
 from lemmas import (
     LoopTuple,
+    WrongGenus,
+    a_tilde,
+    alternating_beta_sum,
+    arf,
     decoration_class,
     extract_loop_tuple,
     tuple_class,
     tuple_reduce,
 )
 from conftest import (
+    corpus_decorations,
     apple2_graph,
     fig_a_graph,
     random_decoration,
@@ -357,25 +364,28 @@ class TestOneClassRule:
         assert seen == {"I", "II", "III", "IV"}
 
     @staticmethod
-    def _cycle_b_calls(monkeypatch):
-        """The cycles invariants.cycle_b is called on from now, as a live list."""
-        cycle_b = invariants.cycle_b
+    def _form_reads(monkeypatch):
+        """The cycle forms read from now, one per b_c value, as a live list."""
+        read = decoration._CycleForm.b
         calls = []
 
-        def counting(g_, dec_, c):
-            calls.append(c)
-            return cycle_b(g_, dec_, c)
+        def counting(form, lifts):
+            calls.append(form)
+            return read(form, lifts)
 
-        monkeypatch.setattr(invariants, "cycle_b", counting)
+        monkeypatch.setattr(decoration._CycleForm, "b", counting)
         return calls
 
     @pytest.mark.parametrize("args", [(4, 0, 4, 0), (4, 2, 4, 0), (2, 0, 2, 0)])
     def test_classify_reads_each_basis_cycle_once(self, args, monkeypatch):
         g, dec = apple2_decoration(*args)
-        calls = self._cycle_b_calls(monkeypatch)
+        calls = self._form_reads(monkeypatch)
         report = classify(g, dec)
         assert report.cls in ("III", "IV")
-        # once per basis cycle, and once per frak_C cycle for the Arf sum
+        # once per basis cycle, in order, and once per frak_C cycle for the
+        # Arf sum
+        basis = list(invariants._basis_forms(g, dec))
+        assert calls[: len(basis)] == basis
         assert len(calls) == len(cycle_basis(g)) + len(frak_C(g, dec))
 
     def test_equivalent_reads_no_b_c_past_an_odd_alpha(self, monkeypatch):
@@ -383,9 +393,76 @@ class TestOneClassRule:
         g, dec1 = apple2_decoration(3, 1, 2, 5)
         _, dec2 = apple2_decoration(3, 2, 2, 4)
         assert classify(g, dec1).cls == classify(g, dec2).cls == "I"
-        calls = self._cycle_b_calls(monkeypatch)
+        calls = self._form_reads(monkeypatch)
         assert equivalent(g, dec1, g, dec2, {h: h for h in g.boundary})
         assert calls == []
+
+
+class TestCycleForm:
+    """Each basis b_c is read off a form built once per (graph, alpha):
+    its stored lifts, signed, plus a constant, modulo m_c.  Its value is
+    the alternating beta sum along the cycle (lemmas.alternating_beta_sum)."""
+
+    @staticmethod
+    def _pairs():
+        """The <= 4-vertex corpus, several alphas on each graph, and seeded
+        random graphs whose alphas are small enough to vanish on cycles."""
+        rng = random.Random(41)
+        pairs = [(g, d) for g, d in corpus_decorations(41, 4) if len(g.vertices) <= 4]
+        for k in range(80):
+            genus = 1 + k % 4
+            g = tree_with_chords(rng, 2 * genus + k % 7, genus)
+            pairs += [(g, random_decoration(g, rng, 1 + j)) for j in range(3)]
+        return pairs
+
+    def test_form_is_the_alternating_sum(self):
+        seen = Counter()
+        for g, dec in self._pairs():
+            basis = cycle_basis(g)
+            forms = invariants._basis_forms(g, dec)
+            assert len(forms) == len(basis)
+            for c, form in zip(basis, forms):
+                ref = alternating_beta_sum(g, dec, c)
+                assert (form.b(dec._beta), form.modulus) == (ref.value, ref.modulus)
+                assert cycle_b(g, dec, c) == ref
+                seen["m_c = 0"] += form.modulus == 0
+                seen["loop"] += len(c.steps) == 1
+                seen["negative alpha"] += any(dec.a(h) < 0 for h in c.half_edges())
+            if graph_stats(g).components == 1:
+                refs = tuple(str(alternating_beta_sum(g, dec, c)) for c in basis)
+                assert classify(g, dec).cycle_bs == refs
+        assert len(seen) == 3 and min(seen.values()) >= 5, seen
+
+    def test_forms_follow_alpha(self):
+        # one graph, its forms asked for under alphas in turn: each read
+        # matches the reference for the alpha of the decoration it reads
+        rng = random.Random(43)
+        g = tree_with_chords(rng, 8, 3)
+        decs = [random_decoration(g, rng, 2) for _ in range(4)]
+        for dec in decs + decs[::-1]:
+            for c, b in zip(cycle_basis(g), invariants._basis_bs(g, dec)):
+                assert b == alternating_beta_sum(g, dec, c).value
+
+    def test_orbit_builds_the_basis_forms_once(self, monkeypatch):
+        # classify on every member of an orbit builds each basis cycle's
+        # form once: the members share g and alpha
+        built = []
+        form = invariants._cycle_form
+
+        def counting(g_, alpha, c):
+            built.append(c)
+            return form(g_, alpha, c)
+
+        monkeypatch.setattr(invariants, "_cycle_form", counting)
+        rng = random.Random(47)
+        g = tree_with_chords(rng, 3, 2)
+        dec = random_decoration(g, rng, 3)
+        orbit = move_orbit(g, dec, OrbitBounds(max_param=1, max_depth=2))
+        assert len(orbit) > 20
+        basis = cycle_basis(g)
+        reports = {classify(g, d).key() for d in orbit}
+        assert len(reports) == 1
+        assert [c for c in built if c in basis] == basis
 
 
 class TestRareShapes:

@@ -63,7 +63,7 @@ class TestMoveOrbit:
         assert move_orbit(g, dec, OrbitBounds(max_depth=0)) == {dec}
 
     def test_wheel_orbit_preserves_a_tilde(self):
-        from decograph import a_tilde
+        from lemmas import a_tilde
 
         g, dec = wheel_decoration(3, 2)
         orbit = move_orbit(g, dec, OrbitBounds(max_param=2, max_depth=3))

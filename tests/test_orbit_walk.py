@@ -181,19 +181,20 @@ def test_orbits_skip_repeated_amounts(max_param):
 
 def test_orbit_members_share_alpha_and_graph(monkeypatch):
     """Every orbit move keeps alpha, and the walk never edits the graph, so
-    each member has the start's alpha and is bound to g; a Decoration is
-    built once per member, and not for the start, in a partial orbit too."""
-    calls = _count_calls(monkeypatch, decoration._decoration)
+    each member holds the start's alpha tuple and dict themselves and is
+    bound to g; a Decoration is built once per member, and not for the
+    start, in a partial orbit too, and sorts its lifts, not alpha."""
+    calls = _count_calls(monkeypatch, decoration._decoration, decoration._items)
     bounds = OrbitBounds(max_param=2, max_depth=3, max_frontier=300)
     for g, dec in _one_per_graph():
-        calls["_decoration"] = 0
+        calls["_decoration"] = calls["_items"] = 0
         try:
             orbit = move_orbit(g, dec, bounds)
         except FrontierExceeded as exc:
             orbit = exc.partial
-        assert all(d.alpha == dec.alpha for d in orbit)
+        assert all(d.alpha is dec.alpha and d._alpha is dec._alpha for d in orbit)
         assert all(d._graph is g for d in orbit)
-        assert calls["_decoration"] == len(orbit) - 1
+        assert calls["_decoration"] == calls["_items"] == len(orbit) - 1
 
 
 def test_orbit_cost_is_bounded_by_the_period():

@@ -10,7 +10,8 @@ that only tests or demos call belongs in the tests.  The planner in
 ``moves.py`` stays free of the isomorphism search and of decorations,
 ``normal_form`` reads its class off ``classify``, and the orbit walk in
 ``oracle.py`` free of whole-graph rebuilds and of the working state's
-internals.  The working state takes no option.  The moves in ``moves.py``
+internals.  The working state takes no option.  The vertex congruence is
+written once, in ``decoration._companion``.  The moves in ``moves.py``
 keep every half-edge and the pairing.  Only ``_check_fit`` runs the fit rule, ``validate_decoration``.
 ``tests/conftest.py`` imports its sibling test modules lazily.
 """
@@ -184,6 +185,53 @@ def _names(filename):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _is_alpha_read(node):
+    """A subscript of a dict named alpha, amap or _alpha, or a .a(...) call."""
+    if isinstance(node, ast.Subscript):
+        held = node.value
+        name = held.attr if isinstance(held, ast.Attribute) else getattr(held, "id", None)
+        return name in ("alpha", "amap", "_alpha")
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "a"
+
+
+def _signed_terms(node, sign=1):
+    """The terms of a sum or difference, each with its sign."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        yield from _signed_terms(node.left, sign)
+        yield from _signed_terms(node.right, sign if isinstance(node.op, ast.Add) else -sign)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        yield from _signed_terms(node.operand, -sign)
+    else:
+        yield sign, node
+
+
+def test_congruence_stated_once():
+    """The vertex congruence, lift + alpha - 1, is written only in
+    decoration._companion: no other sum or difference in the library
+    subtracts the constant 1 from an alpha read, so the cycle forms and
+    the working state reach the rule through _companion."""
+    flagged = set()
+    for path in SOURCES:
+        tree = _tree(path)
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_companion"
+            and path.name == "decoration.py"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if id(node) in inside or not isinstance(node, ast.BinOp):
+                continue
+            terms = list(_signed_terms(node))
+            minus_one = any(
+                sign < 0 and isinstance(t, ast.Constant) and t.value == 1 for sign, t in terms
+            )
+            if minus_one and any(_is_alpha_read(t) for _, t in terms):
+                flagged.add(f"{path.name}:{node.lineno}")
+    assert sorted(flagged) == [], f"alpha - 1 outside decoration._companion: {sorted(flagged)}"
 
 
 def test_fit_rule_runs_only_in_check_fit():

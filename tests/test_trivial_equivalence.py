@@ -27,7 +27,6 @@ from decograph import (
     MoveScript,
     OrbitBounds,
     TrivialMod,
-    a_tilde,
     apply_script,
     build_graph,
     classify,
@@ -45,6 +44,7 @@ from decograph import (
 from decograph.graph import cycle_basis
 from decograph.lattice import solve_lattice
 from decograph.moves import snapshot_hash, with_hashes
+from lemmas import a_tilde
 
 from conftest import (
     random_alpha,
